@@ -928,7 +928,7 @@ def _q_compress_roundtrip(sf_dir: str):
     )["1h"]
     r = _round_cols(r, ["sum_v"])
     chunks = compress_series(r, value_col="sum_v", key_col="event_type")
-    back = decompress_chunks(chunks, key_col="event_type", concurrency=2)
+    back = decompress_chunks(chunks, key_col="event_type")
     return back.select_columns(["event_type", "bucket_us", "value"])
 
 
@@ -964,7 +964,7 @@ def _q_range_read(sf_dir: str):
     span = mx - mn
     lo = mn + (span // (4 * W1H)) * W1H
     hi = mn + ((3 * span) // (4 * W1H)) * W1H
-    out = read_range(d, lo, hi, key_col="event_type", concurrency=2)
+    out = read_range(d, lo, hi, key_col="event_type")
     return out.select_columns(["event_type", "bucket_us", "value"])
 
 
@@ -2102,8 +2102,8 @@ def _q_robust_z(sf_dir: str):
 
 def _q_gini(sf_dir: str):
     """Daily traffic-concentration Gini over per-user event counts (0 =
-    uniform load, ->1 = one user dominates) — the skew monitor that tells
-    the rollup's salt heuristic when keys go hot."""
+    uniform load, ->1 = one user dominates) — a skew monitor that shows
+    when keys go hot."""
     from contest_parsing_ray.stages.histogram import activity_gini
 
     ev = _events(sf_dir, columns=["ts", "user_id"])

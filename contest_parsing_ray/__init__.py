@@ -11,7 +11,7 @@ grid, and joins/aggregates per ``(entity, bucket)``) as idiomatic
                     shapes (Prometheus JSON, Jaeger JSON, structured logs).
 - ``functions/``  — pure vectorized kernels (bucketing, scalar string/date
                     functions) used inside ``map_batches``.
-- ``stages/``     — the operators: dedup, salted two-phase rollup,
+- ``stages/``     — the operators: dedup, two-phase rollup,
                     gap-fill, Gorilla/delta-of-delta compression, cumulative
                     aggregates, wide pivots, tree stats, retention writer,
                     text analysis, near-duplicate detection, ANN search.

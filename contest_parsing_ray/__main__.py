@@ -38,12 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tiers", default="1m,5m,1h",
                    help="comma-separated rounding grids (e.g. 30s,5m,1h)")
     p.add_argument("--dedup-keep", choices=["first", "none"], default="first")
-    p.add_argument("--dedup-materialize",
-                   choices=["deletion_vector", "rewrite"],
-                   default="deletion_vector",
-                   help="deletion_vector (default): merge-on-read — per-file "
-                   "deletion vectors + stats sidecar, payload never "
-                   "rewritten; rewrite: physically write the deduped table")
     p.add_argument("--gapfill", choices=["locf", "linear", "off"],
                    default="locf")
     p.add_argument("--no-compression", action="store_true",
@@ -56,13 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retention-now-us", type=int, default=None,
                    help="apply per-tier retention expiry relative to this "
                    "timestamp (us); omit to keep everything")
-    p.add_argument("--salt", default="1",
-                   help="salt factor for pathologically hot (source, bucket) "
-                   "keys: a positive int, or 'auto' to measure a key "
-                   "histogram and pick it")
     p.add_argument("--quantile-cap", type=int, default=4096)
     p.add_argument("--chunk-points", type=int, default=4096)
-    p.add_argument("--batch-size", type=int, default=65536)
     return p
 
 
@@ -83,13 +72,10 @@ def main(argv: list[str] | None = None) -> int:
         tiers=tuple(t.strip() for t in args.tiers.split(",") if t.strip()),
         dedup_keep=args.dedup_keep,
         gapfill_mode=args.gapfill if args.gapfill != "off" else "locf",
-        salt=args.salt if args.salt == "auto" else int(args.salt),
         quantile_cap=args.quantile_cap,
         chunk_points=args.chunk_points,
-        batch_size=args.batch_size,
         out_dir=args.out,
         ingest_tokens=not args.no_tokens,
-        dedup_materialize=args.dedup_materialize,
     )
     metrics = run_rollup_pipeline(
         args.input,

@@ -5,7 +5,9 @@ Reference analog: ``ParseSettings`` (reference ``ParseSettings.py:7-55``) — th
 tier widths (the reference's ``rounding_acc`` grid, default "30s",
 ``ParseSettings.py:17-19``), the aggregate set, dedup keep policy
 (reference ``FileConcat.py:22`` keep='none' vs ``Joiner.py:104`` keep-first),
-salting factor for hot keys, and per-stage actor-pool sizes.
+the tier-merge thresholds and the output root. Hot-key skew needs no knob:
+per-batch partial combining plus the (source, bucket) exchange key spread
+the hot source (``stages/rollup.py``).
 """
 
 from __future__ import annotations
@@ -61,14 +63,6 @@ class PipelineConfig:
     # duplicated key; reference FileConcat.py:22 unique(keep='none')).
     dedup_keep: str = "first"
 
-    # Salt factor for hot (source, bucket) keys; 1 = unsalted, "auto" =
-    # measure a key histogram on the deduped table and pick the factor
-    # (``stages._shuffle.choose_salt``: hottest-key share vs 1/partitions).
-    # Partial (per-batch) aggregation already collapses hot keys to one row
-    # per batch, so salting only matters for map_groups memory on extreme
-    # skew — "auto" returns 1 for every non-pathological distribution.
-    salt: int | str = 1
-
     # p95 machinery: partial aggregates carry exact value arrays up to this
     # many points per (key, batch) partial; beyond it they compact into a
     # deterministic mergeable summary (weighted subsample). Exact below cap.
@@ -84,10 +78,6 @@ class PipelineConfig:
 
     # Compression chunk size (points per Gorilla chunk).
     chunk_points: int = 4096
-
-    # Actor-pool sizing for stateful stages.
-    pool_size: int = 4
-    batch_size: int = 65536
 
     # Adaptive execution: aggregate states (partial-rollup rows, rollup
     # points) at or below this row count are merged/written driver-side —
@@ -112,37 +102,18 @@ class PipelineConfig:
     # the fully streaming merge -> gapfill -> union hive write.
     streaming_write_threshold: int = 20_000_000
 
-    # Flagship ingest: carry the token payload through dedup and write the
-    # deduped sequences table (the engine's primary data product at scale);
-    # per-source token-integrity checksums go into the lineage manifest.
+    # Flagship ingest: carry the token payload through dedup and keep the
+    # deduped sequences table as a merge-on-read view — the input payload
+    # files stay in place; the pipeline writes per-file deletion vectors
+    # (Iceberg/Delta positional-delete style) plus a ~30 B/row stats
+    # sidecar (source, n_tok, event_time_us, token_ck). ONE full decode of
+    # the payload, ZERO payload re-encode/re-write (stages/deletion_vector.py).
+    # Per-source token-integrity checksums go into the lineage manifest.
     # False = rollup-only mode (tokens pruned at the read).
     ingest_tokens: bool = True
 
-    # How the deduped table is materialized (ingest_tokens=True only):
-    #   'deletion_vector' (default): merge-on-read — the input payload files
-    #     stay in place; the pipeline writes per-file deletion vectors
-    #     (Iceberg/Delta positional-delete style) plus a ~30 B/row stats
-    #     sidecar (source, n_tok, event_time_us, token_ck). ONE full decode
-    #     of the payload, ZERO payload re-encode/re-write — at 100 TB this
-    #     avoids rewriting ~99 TB of untouched bytes, and on a fixed node it
-    #     removes the memory-bandwidth-bound encode+write leg that caps
-    #     scaling (BASELINE.md round-2 analysis).
-    #   'rewrite': physically write the deduped sequences table (hive by
-    #     source) — for consumers that need a standalone copy-on-write
-    #     corpus. Streams ~100% of payload bytes through decode+encode.
-    # Both modes produce bit-identical rollup tiers (equality-tested).
-    dedup_materialize: str = "deletion_vector"
-
     # Output
     out_dir: str = "/tmp/cpr_out"
-    save_to_disk: bool = True  # reference ParseSettings save_to_disk
-
-    # Parquet dictionary encoding for the token-payload sink. Off by
-    # default: building per-chunk dictionaries over token lists costs
-    # 2.25x the encode time (measured: 2.07 s vs 0.92 s per 205 MB block)
-    # to halve bytes — the wrong trade for a once-re-read intermediate.
-    # Turn on when the deduped table is long-lived and storage-bound.
-    sink_use_dictionary: bool = False
 
     tier_widths_us: tuple[int, ...] = field(init=False)
 
@@ -152,9 +123,3 @@ class PipelineConfig:
             raise ValueError("dedup_keep must be 'first' or 'none'")
         if self.gapfill_mode not in ("locf", "linear"):
             raise ValueError("gapfill_mode must be 'locf' or 'linear'")
-        if self.salt != "auto" and (not isinstance(self.salt, int) or self.salt < 1):
-            raise ValueError("salt must be a positive int or 'auto'")
-        if self.dedup_materialize not in ("deletion_vector", "rewrite"):
-            raise ValueError(
-                "dedup_materialize must be 'deletion_vector' or 'rewrite'"
-            )

@@ -10,24 +10,22 @@ fixed costs are the serial fraction that caps scaling efficiency):
 
   [exec 1]  pruned pass over doc_id → duplicated-key set (broadcast as an
             exact Arrow array, or a Bloom filter at 100 TB scale).
-  [exec 2]  two materializations (cfg.dedup_materialize):
-            'deletion_vector' (default): ONE streaming decode of the
-            payload computes token checksums + duplicate flags and writes
-            the ~30 B/row stats sidecar; duplicate losers become per-file
+  [exec 2]  merge-on-read dedup: ONE streaming decode of the payload
+            computes token checksums + duplicate flags and writes the
+            ~30 B/row stats sidecar; duplicate losers become per-file
             deletion vectors. The payload is never re-encoded or
             re-written — at 100 TB this skips rewriting ~99 TB of
-            untouched bytes (see stages/deletion_vector.py).
-            'rewrite': split on the duplicate probe — ~99% of payload
-            bytes stream straight into their final partitions; only
-            flagged rows take the hash-partition dedup → write
-            out/deduped/data/ (hive by source).
-  [exec 3]  pruned read (the sidecar in deletion_vector mode; pruned
-            columns of out/deduped/data/ in rewrite mode — either way
-            (source, n_tok, event_time_us, token_ck), the token payload
-            stays on disk) → per-batch partial rollup for ALL tiers
-            (+ per-group checksum sums) → materialize partials.
-            Token-integrity totals come off the materialized partials
-            (driver-side wrap-sum, no extra pass).
+            untouched bytes (see stages/deletion_vector.py). The same
+            scan emits the rollup partials for ALL tiers (+ per-group
+            checksum sums). A standalone deduped copy, when a consumer
+            needs one, is ``read_deduped_dv(<out>/deduped).write_parquet``.
+            (--no-tokens: exact hash dedup of the pruned read →
+            out/deduped/data/, hive by source.)
+  [exec 3]  materialize the scan-fused partials — or, when they are
+            absent or stale, recompute them from the pruned sidecar
+            (source, n_tok, event_time_us, token_ck). Token-integrity
+            totals come off the materialized partials (driver-side
+            wrap-sum, no extra pass).
   [exec 4]  per-tier merge + gap-fill chains, UNIONed and written
             hive-partitioned (tier, source) in one execution.
   [exec 5]  compress: read tiers → one delta-of-delta/Gorilla pass →
@@ -46,10 +44,10 @@ import numpy as np
 import ray.data
 
 from ..config import PipelineConfig
-from ..sources.ingest import read_sequences, token_checksum
+from ..sources.ingest import read_sequences
 from ..stages._shuffle import hash_partitioned_map
 from ..stages.compress import compress_series
-from ..stages.dedup import dedup, dedup_payload_write
+from ..stages.dedup import dedup
 from ..stages.gapfill import gapfill
 from ..stages.retention import (
     read_tier,
@@ -75,21 +73,14 @@ def _fused_partials_fp(cfg: PipelineConfig) -> str:
             "tiers": dict(zip(cfg.tiers, cfg.tier_widths_us)),
             "cap": cfg.quantile_cap,
             "mode": "nearest",
-            "salt": cfg.salt,
             "value": "n_tok",
             "ck": cfg.ingest_tokens,
         }
     )
 
 
-def _fused_partial_fn(cfg: PipelineConfig):
-    """PartialRollup instance for scan-fused partials, or None when the
-    salt is data-derived (salt='auto' needs the deduped key histogram,
-    which only exists after the scan)."""
-    if cfg.salt == "auto":
-        return None
-    from ..stages.rollup import PartialRollup
-
+def _fused_partial_fn(cfg: PipelineConfig) -> PartialRollup:
+    """PartialRollup instance for the scan-fused partials."""
     return PartialRollup(
         dict(zip(cfg.tiers, cfg.tier_widths_us)),
         "n_tok",
@@ -97,7 +88,6 @@ def _fused_partial_fn(cfg: PipelineConfig):
         "event_time_us",
         cfg.quantile_cap,
         "nearest",
-        int(cfg.salt),
         checksum_col="token_ck" if cfg.ingest_tokens else None,
     )
 
@@ -106,15 +96,15 @@ def _build_deduped(
     input_path: str, cfg: PipelineConfig, dedup_dir: str,
     stage_seconds: dict | None = None,
 ) -> None:
-    """[exec 1+2] payload-optimized dedup + checksums → partitioned parquet."""
+    """[exec 1+2] deduped table: deletion vectors + stats sidecar (with
+    scan-fused partials), or a pruned hash-deduped table under --no-tokens."""
     t0 = time.perf_counter()
-    if cfg.ingest_tokens and cfg.dedup_materialize == "deletion_vector":
+    if cfg.ingest_tokens:
         # merge-on-read: deletion vectors + stats sidecar, no payload
         # rewrite (see stages/deletion_vector.py module docstring)
         from ..stages.deletion_vector import build_deduped_dv
 
         clear_dir(dedup_dir)
-        partial_fn = _fused_partial_fn(cfg)
         build_deduped_dv(
             input_path,
             dedup_dir,
@@ -122,53 +112,20 @@ def _build_deduped(
             keep=cfg.dedup_keep,
             local_threshold=cfg.local_merge_threshold,
             stage_seconds=stage_seconds,
-            partial_fn=partial_fn,
-            partials_fingerprint=(
-                _fused_partials_fp(cfg) if partial_fn is not None else None
-            ),
+            partial_fn=_fused_partial_fn(cfg),
+            partials_fingerprint=_fused_partials_fp(cfg),
         )
         if stage_seconds is not None:
             stage_seconds["dedup_exec_write"] = time.perf_counter() - t0
         return
-    events = read_sequences(input_path, with_tokens=cfg.ingest_tokens)
-    if cfg.ingest_tokens:
-        # probe over a doc_id-only read: the payload never leaves storage;
-        # row-count hint (parquet metadata only) picks the probe build path.
-        # The dedup is FUSED with the sink (write-side split): one full
-        # streaming pass writes clean rows into their final partitions and
-        # only the ~1-2% flagged bytes take the exact dedup shuffle.
-        import pyarrow.dataset as pads
-
-        try:
-            approx_rows = pads.dataset(input_path).count_rows()
-        except Exception:
-            approx_rows = None
-        probe_ds = read_sequences(input_path, columns=["doc_id"])
-        clear_dir(dedup_dir)
-        dedup_payload_write(
-            events,
-            os.path.join(dedup_dir, "data"),
-            key="doc_id",
-            keep=cfg.dedup_keep,
-            probe_ds=probe_ds,
-            probe_path=input_path,
-            approx_rows=approx_rows,
-            partition_cols=("source",),
-            pre_write=token_checksum,
-            stage_seconds=stage_seconds,
-            use_dictionary=cfg.sink_use_dictionary,
-        )
-        if stage_seconds is not None:
-            stage_seconds["dedup_exec_write"] = time.perf_counter() - t0
-        return
+    events = read_sequences(input_path, with_tokens=False)
     events = dedup(events, key="doc_id", keep=cfg.dedup_keep)
     if stage_seconds is not None:
         stage_seconds["dedup_plan_probe"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     clear_dir(dedup_dir)
     events.write_parquet(
-        os.path.join(dedup_dir, "data"), partition_cols=["source"],
-        use_dictionary=cfg.sink_use_dictionary,
+        os.path.join(dedup_dir, "data"), partition_cols=["source"]
     )
     if stage_seconds is not None:
         stage_seconds["dedup_exec_write"] = time.perf_counter() - t0
@@ -205,7 +162,6 @@ def run_rollup_pipeline(
             "in": input_fp,
             "keep": cfg.dedup_keep,
             "tokens": cfg.ingest_tokens,
-            "materialize": cfg.dedup_materialize if cfg.ingest_tokens else "rewrite",
         }
     )
 
@@ -252,27 +208,26 @@ def run_rollup_pipeline(
         )
     metrics["stage_seconds"]["dedup_ingest"] = time.perf_counter() - t0
 
-    # [exec 3] partials over pruned columns of the deduped table. In
-    # deletion_vector mode the stats sidecar IS that pruned projection
-    # (~30 B/row — the payload never re-enters the pipeline).
+    # [exec 3] partials over pruned columns of the deduped table. With
+    # tokens the stats sidecar IS that pruned projection (~30 B/row — the
+    # payload never re-enters the pipeline).
     t0 = time.perf_counter()
     pruned_cols = ["source", "n_tok", "event_time_us"] + (
         ["token_ck"] if cfg.ingest_tokens else []
     )
     fused = None
-    if cfg.ingest_tokens and cfg.dedup_materialize == "deletion_vector":
+    if cfg.ingest_tokens:
         from ..stages.deletion_vector import read_fused_partials
 
-        if cfg.salt != "auto":
-            # scan-fused partials: the dedup scan already computed the
-            # per-file partial-rollup rows (clean files) and the decide
-            # stage the survivors' — exec 3 collapses to a small read, no
-            # second pass over the stats projection
-            fused = read_fused_partials(dedup_dir, _fused_partials_fp(cfg))
+        # scan-fused partials: the dedup scan already computed the
+        # per-file partial-rollup rows (clean files) and the decide stage
+        # the survivors' — exec 3 collapses to a small read, no second
+        # pass over the stats projection
+        fused = read_fused_partials(dedup_dir, _fused_partials_fp(cfg))
     if fused is not None:
         partials = fused.materialize()
     else:
-        if cfg.ingest_tokens and cfg.dedup_materialize == "deletion_vector":
+        if cfg.ingest_tokens:
             from ..stages.deletion_vector import read_sidecar
 
             deduped = read_sidecar(dedup_dir, columns=pruned_cols)
@@ -280,15 +235,6 @@ def run_rollup_pipeline(
             deduped = ray.data.read_parquet(
                 os.path.join(dedup_dir, "data"), columns=pruned_cols
             )
-        salt = cfg.salt
-        if salt == "auto":
-            # measured skew mitigation: top-key share over the deduped
-            # table → salt factor (1 unless one source would overflow a
-            # partition's fair share even AFTER per-batch combining)
-            from ..stages._shuffle import choose_salt, key_histogram
-
-            salt = choose_salt(key_histogram(deduped, "source"))
-            metrics["salt"] = salt
         partials = deduped.map_batches(
             PartialRollup(
                 todo,
@@ -297,7 +243,6 @@ def run_rollup_pipeline(
                 "event_time_us",
                 cfg.quantile_cap,
                 "nearest",
-                salt,
                 checksum_col="token_ck" if cfg.ingest_tokens else None,
             ),
             batch_format="pyarrow",
@@ -489,44 +434,12 @@ def run_rollup_pipeline(
         import pyarrow as pa
 
         total_points = sum(m["total_rows"] for m in manifests.values())
-        chunk_dir = os.path.join(cfg.out_dir, "chunks")
-        clear_dir(chunk_dir)
         if total_points <= cfg.local_merge_threshold:
             # driver-side encode: rollup points are tiny relative to events
-            import pandas as pd
-            import pyarrow.dataset as pads
-            import pyarrow.parquet as pq
-
-            from ..stages.compress import encode_chunk
-
-            for name in todo:
-                from ..stages.retention import tier_data_dir
-
-                df = (
-                    pads.dataset(tier_data_dir(cfg.out_dir, name), partitioning="hive")
-                    .to_table()
-                    .to_pandas()
-                )
-                rows = []
-                for src, g in df.groupby("source", sort=False):
-                    g = g.sort_values("bucket_us", kind="stable")
-                    ts = g["bucket_us"].to_numpy(dtype=np.int64)
-                    vals = g["sum_v"].to_numpy(dtype=np.float64)
-                    for ci, lo in enumerate(range(0, len(ts), cfg.chunk_points)):
-                        c = encode_chunk(
-                            ts[lo : lo + cfg.chunk_points],
-                            vals[lo : lo + cfg.chunk_points],
-                        )
-                        c["source"] = src
-                        c["chunk_id"] = np.int64(ci)
-                        rows.append(c)
-                tdir = os.path.join(chunk_dir, f"tier={name}")
-                os.makedirs(tdir, exist_ok=True)
-                pq.write_table(
-                    pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False),
-                    os.path.join(tdir, "chunks-0000.parquet"),
-                )
+            _recompress_tiers(cfg, todo)
         else:
+            chunk_dir = os.path.join(cfg.out_dir, "chunks")
+            clear_dir(chunk_dir)
 
             def tag(b: "pa.Table", _n: str) -> "pa.Table":
                 # hive path discovery may already materialize the tier column
@@ -590,7 +503,7 @@ def _try_incremental_append(
     sources only. Returns metrics on success, None when not applicable
     (caller falls through to the full build).
 
-    Applicability: deletion_vector mode, keep='first' (stable winners —
+    Applicability: token ingest (deletion vectors), keep='first' (stable winners —
     keep='none' is retroactive and rebuilds), unchanged config, all prior
     files byte-stable, tier state present. Runtime ∝ delta plus one
     doc_id-only probe pass over the corpus. Exactness: identical to a
@@ -613,11 +526,7 @@ def _try_incremental_append(
         write_tier_manifest,
     )
 
-    if not (
-        cfg.ingest_tokens
-        and cfg.dedup_materialize == "deletion_vector"
-        and cfg.dedup_keep == "first"
-    ):
+    if not (cfg.ingest_tokens and cfg.dedup_keep == "first"):
         return None
     current_files = input_file_fingerprints(input_path)
     manifests = {}
@@ -666,7 +575,7 @@ def _try_incremental_append(
     pdf = delta.map_batches(
         PartialRollup(
             dict(tiers), "n_tok", "source", "event_time_us",
-            cfg.quantile_cap, "nearest", 1, checksum_col="token_ck",
+            cfg.quantile_cap, "nearest", checksum_col="token_ck",
         ),
         batch_format="pyarrow",
         batch_size=262144,
@@ -759,8 +668,8 @@ def _try_incremental_append(
 
 
 def _recompress_tiers(cfg: PipelineConfig, tiers: dict) -> None:
-    """Driver-side chunk rebuild over the (compact) tier data — shared by
-    the append path; mirrors the pipeline's local compress branch."""
+    """Driver-side chunk rebuild over the (compact) tier data — the full
+    build's local compress branch and the append path."""
     import pandas as pd
     import pyarrow as pa_mod
     import pyarrow.dataset as pads

@@ -28,6 +28,7 @@ import pyarrow as pa
 import ray.data
 
 from ..functions.bucketing import bucket_us
+from ..functions.scalars import pod_to_container
 
 # the label columns the reference declares + defends as necessary
 # (MetricsParser.py:36-79, :94-109)
@@ -67,12 +68,8 @@ def _parse_export(raw: bytes, rounding_us: int, drop_null: bool) -> pd.DataFrame
     # segments (MetricsParser.py:134-137)
     is_pod = df["container"] == "POD"
     if is_pod.any():
-        repaired = (
-            df.loc[is_pod, "pod"]
-            .fillna("")
-            .map(lambda p: "-".join(p.split("-")[:-2]) if p else p)
-        )
-        df.loc[is_pod, "container"] = repaired
+        pods = pa.array(df.loc[is_pod, "pod"].fillna(""), type=pa.string())
+        df.loc[is_pod, "container"] = pod_to_container(pods).to_pylist()
 
     if drop_null:
         # M5: drop zero samples (pause-container rationale,

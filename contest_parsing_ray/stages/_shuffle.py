@@ -11,7 +11,7 @@ Hashing is vectorized over the raw Arrow buffers (no Python per row) and is
 uniform in the key hash, so input skew (the 80%-hot source, FIXTURES.md F1)
 does not skew partitions unless all rows share ONE key value — for that
 case callers add more columns (e.g. bucket) to the partition key, the
-engine's salting story (SURVEY §4 skew row).
+engine's skew story (SURVEY §4 skew row).
 """
 
 from __future__ import annotations
@@ -301,44 +301,6 @@ def partial_value_counts(ds: ray.data.Dataset, col: str) -> ray.data.Dataset:
     return merged.map_batches(
         lambda b: b.rename_columns([col, "cnt"]), batch_format="pyarrow"
     )
-
-
-def key_histogram(ds: ray.data.Dataset, col: str, top_k: int = 50) -> "pd.DataFrame":
-    """Driver-side key histogram (SURVEY §4 skew row): per-batch value
-    counts → tiny driver merge → top-k shares. Feeds :func:`choose_salt`."""
-
-    def batch_counts(t: pa.Table) -> pa.Table:
-        vc = t[col].value_counts()
-        return pa.table(
-            {col: vc.field("values"), "cnt": vc.field("counts").cast(pa.int64())}
-        )
-
-    pdf = (
-        ds.select_columns([col])
-        .map_batches(batch_counts, batch_format="pyarrow")
-        .to_pandas()
-    )
-    totals = pdf.groupby(col, sort=False)["cnt"].sum().sort_values(ascending=False)
-    out = totals.head(top_k).reset_index()
-    out["share"] = out["cnt"] / totals.sum()
-    return out
-
-
-def choose_salt(hist: "pd.DataFrame", num_partitions: int | None = None) -> int:
-    """Salt factor from a key histogram: if the hottest key's share exceeds
-    1/P (it would overflow one partition's fair share), salt it into
-    ~share*P sub-keys. Returns 1 when no key is hot (the common case once
-    per-batch partial combining has collapsed the stream)."""
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
-    if len(hist) == 0:
-        return 1
-    top_share = float(hist["share"].iloc[0])
-    if top_share <= 1.0 / num_partitions:
-        return 1
-    import math
-
-    return max(1, math.ceil(top_share * num_partitions))
 
 
 def raw_hash_exchange(

@@ -16,16 +16,14 @@ series, sorted by bucket — the unit of compression AND of resume (SURVEY
 by nature (prev-timestamp/prev-value state), so ordering is established
 per group; Ray Data blocks carry no global order (SURVEY §2.6 O1 note).
 
-Decompression is a stateless per-chunk map → exposed as an actor-pool
-``map_batches`` stage (state = config only; each chunk row is independent).
+Decompression is a stateless per-chunk map → a plain task ``map_batches``
+function (each chunk row is independent; no actor pool to hold a CPU).
 Exact round-trip is asserted in tests (bit-identical float64 / int64).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ._shuffle import pool_size
 import pandas as pd
 import pyarrow as pa
 import ray.data
@@ -427,48 +425,43 @@ def compress_series(
     )
 
 
-class DecompressChunks:
-    """Actor-pool decode stage: chunks → points. Stateless per chunk, so it
-    runs as ``map_batches(DecompressChunks, concurrency=N)`` (callable class
-    → actor pool; setup-once in __init__ per the actor-pool contract)."""
-
-    def __init__(self, key_col: str = "source"):
-        self.key_col = key_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        keys, ts_out, val_out = [], [], []
-        kc = batch[self.key_col].to_pylist()
-        for i in range(len(batch)):
-            n = batch["n_points"][i].as_py()
-            ts = decode_timestamps(batch["ts_dod"][i].as_py(), n)
-            vals = decode_values(batch["vals_xor"][i].as_py(), n)
-            keys.extend([kc[i]] * n)
-            ts_out.append(ts)
-            val_out.append(vals)
-        return pa.table(
-            {
-                self.key_col: pa.array(keys, type=pa.string()),
-                "bucket_us": pa.array(
-                    np.concatenate(ts_out) if ts_out else np.empty(0, np.int64),
-                    type=pa.int64(),
-                ),
-                "value": pa.array(
-                    np.concatenate(val_out) if val_out else np.empty(0, np.float64),
-                    type=pa.float64(),
-                ),
-            }
-        )
+def _decompress_batch(batch: pa.Table, key_col: str) -> pa.Table:
+    """Decode one batch of chunks into points."""
+    keys, ts_out, val_out = [], [], []
+    kc = batch[key_col].to_pylist()
+    for i in range(len(batch)):
+        n = batch["n_points"][i].as_py()
+        ts = decode_timestamps(batch["ts_dod"][i].as_py(), n)
+        vals = decode_values(batch["vals_xor"][i].as_py(), n)
+        keys.extend([kc[i]] * n)
+        ts_out.append(ts)
+        val_out.append(vals)
+    return pa.table(
+        {
+            key_col: pa.array(keys, type=pa.string()),
+            "bucket_us": pa.array(
+                np.concatenate(ts_out) if ts_out else np.empty(0, np.int64),
+                type=pa.int64(),
+            ),
+            "value": pa.array(
+                np.concatenate(val_out) if val_out else np.empty(0, np.float64),
+                type=pa.float64(),
+            ),
+        }
+    )
 
 
 def decompress_chunks(
-    chunks: ray.data.Dataset, key_col: str = "source", concurrency: int = 4
+    chunks: ray.data.Dataset, key_col: str = "source"
 ) -> ray.data.Dataset:
+    """chunks → points (source, bucket_us, value). The decode is stateless,
+    so it runs as plain tasks: no actor pool holds a CPU between batches,
+    and the read path finishes on a 1-CPU session."""
     return chunks.map_batches(
-        DecompressChunks,
-        fn_constructor_kwargs={"key_col": key_col},
+        _decompress_batch,
+        fn_kwargs={"key_col": key_col},
         batch_format="pyarrow",
         batch_size=64,
-        concurrency=pool_size(concurrency),
     )
 
 
@@ -477,7 +470,6 @@ def read_range(
     lo_us: int,
     hi_us: int,
     key_col: str = "source",
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     """Time-range query over a compressed chunk store: points with
     ``lo_us <= bucket_us <= hi_us``, decoding ONLY the chunks whose
@@ -494,7 +486,7 @@ def read_range(
     lo, hi = int(lo_us), int(hi_us)
     overlap = (pads.field("t_last") >= lo) & (pads.field("t0") <= hi)
     chunks = ray.data.read_parquet(chunk_path, filter=overlap)
-    pts = decompress_chunks(chunks, key_col=key_col, concurrency=concurrency)
+    pts = decompress_chunks(chunks, key_col=key_col)
 
     def trim(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

@@ -19,6 +19,11 @@ skew of the input does not skew partitions. Heavy payload columns (tokens)
 ride the shuffle untouched — the per-row token-array-equality invariant is
 exactly that they come out byte-identical (checked in tests via the
 checksum from ``sources.ingest.token_checksum``).
+
+The flagship's payload dedup does not shuffle rows at all: it is the
+merge-on-read build in ``stages/deletion_vector.py``, which starts from
+:func:`duplicated_key_probe_files` — a doc_id-only pass that broadcasts the
+duplicated key hashes (an exact sorted array, or a :class:`ShardedBloom`).
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ class BloomFilter:
     """Deterministic double-hashing Bloom filter over uint64 key hashes.
 
     Used to broadcast the duplicated-key set when it is too large for an
-    exact set (the 100 TB path): false positives only route extra rows into
-    the dedup shuffle — never wrong results, because the shuffle-side dedup
-    is exact. ~10 bits/key ≈ 1% FP."""
+    exact set (the 100 TB path): false positives only flag extra rows as
+    suspects — never wrong results, because the winner decision over the
+    suspects compares the actual keys. ~10 bits/key ≈ 1% FP."""
 
     def __init__(self, n_keys: int, bits_per_key: int = 10, num_hashes: int = 7):
         self.m = max(64, int(n_keys * bits_per_key))
@@ -102,44 +107,11 @@ def dedup(
     )
 
 
-def duplicated_keys(
-    ds: ray.data.Dataset,
-    key: str = "doc_id",
-    num_partitions: int | None = None,
-    local_threshold: int = 20_000_000,
-    approx_rows: int | None = None,
-) -> np.ndarray:
-    """Distinct key values that occur more than once (driver-side array)."""
-
-    def batch_counts(t: pa.Table) -> pa.Table:
-        vc = t[key].value_counts()
-        return pa.table(
-            {key: vc.field("values"), "cnt": vc.field("counts").cast(pa.int64())}
-        )
-
-    partials = ds.select_columns([key]).map_batches(batch_counts, batch_format="pyarrow")
-
-    if approx_rows is not None and approx_rows <= local_threshold:
-        pdf = partials.to_pandas()
-        totals_local = pdf.groupby(key, sort=False)["cnt"].sum()
-        return totals_local[totals_local > 1].index.to_numpy()
-
-    def totals(t: pa.Table) -> pa.Table:
-        df = t.to_pandas().groupby(key, sort=False)["cnt"].sum().reset_index()
-        df = df[df["cnt"] > 1]
-        return pa.Table.from_pandas(df[[key]], preserve_index=False)
-
-    dup = hash_partitioned_map(
-        partials, [key], totals, num_partitions=num_partitions, batch_format="pyarrow"
-    )
-    return dup.to_pandas()[key].to_numpy()
-
-
 class ShardedBloom:
     """Bloom filter sharded by ``hash % num_shards``, built DISTRIBUTIVELY.
 
     Each shard covers exactly the keys whose hash lands in it, so shards are
-    built independently inside their shuffle partition and the driver only
+    built independently inside their reduce task and the driver only
     concatenates bitsets — it never materializes the duplicate-hash array
     (the round-1 scale caveat: at 100 TB that array is GBs; the bitsets are
     ~10 bits/dup total, and assembling them is O(num_shards) blob moves)."""
@@ -155,97 +127,6 @@ class ShardedBloom:
             if mask.any():
                 out[mask] = shard.contains_hashes(h[mask])
         return out
-
-
-def duplicated_key_probe(
-    ds: ray.data.Dataset,
-    key: str = "doc_id",
-    num_shards: int = 16,
-    exact_threshold: int = 50_000_000,
-    bits_per_key: int = 10,
-) -> "np.ndarray | ShardedBloom":
-    """Duplicated-key-hash probe, built in ONE distributed pass.
-
-    Per batch: unique (hash, count) partials (8 B/key). Shuffled by
-    ``hash % num_shards``; each shard partition totals its counts, finds its
-    duplicated hashes, and emits a Bloom bitset row PLUS the raw hashes when
-    small. The driver returns a sorted exact uint64 array if the total
-    duplicate count is under ``exact_threshold``, else a
-    :class:`ShardedBloom` assembled from the bitsets — either way no
-    unbounded driver array."""
-
-    def batch_hash_counts(t: pa.Table) -> pa.Table:
-        h = hash64_strings(t[key])
-        uniq, cnt = np.unique(h, return_counts=True)
-        return pa.table(
-            {
-                "h": pa.array(uniq.view(np.int64), type=pa.int64()),
-                "cnt": pa.array(cnt.astype(np.int64), type=pa.int64()),
-                "shard": pa.array((uniq % np.uint64(num_shards)).astype(np.int64)),
-            }
-        )
-
-    partials = ds.select_columns([key]).map_batches(
-        batch_hash_counts, batch_format="pyarrow"
-    )
-
-    out_schema = pa.schema(
-        [
-            ("shard", pa.int64()),
-            ("n_dups", pa.int64()),
-            ("m", pa.int64()),
-            ("bits", pa.large_binary()),
-            ("exact", pa.large_binary()),
-        ]
-    )
-    # raw hashes ride along only while the shard is small enough that the
-    # driver may choose the exact representation
-    per_shard_exact_cap = max(1, exact_threshold // num_shards)
-
-    def build_shards(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return out_schema.empty_table()
-        df = t.to_pandas()
-        rows = {k: [] for k in out_schema.names}
-        for shard, g in df.groupby("shard", sort=True):
-            h = g["h"].to_numpy().view(np.uint64)
-            uniq, inv = np.unique(h, return_inverse=True)
-            totals = np.bincount(inv, weights=g["cnt"].to_numpy())
-            dups = np.sort(uniq[totals > 1])
-            bloom = BloomFilter(len(dups), bits_per_key)
-            bloom.add_hashes(dups)
-            rows["shard"].append(int(shard))
-            rows["n_dups"].append(len(dups))
-            rows["m"].append(bloom.m)
-            rows["bits"].append(bloom.bits.tobytes())
-            rows["exact"].append(
-                dups.tobytes() if len(dups) <= per_shard_exact_cap else b""
-            )
-        return pa.Table.from_pydict(rows, schema=out_schema)
-
-    shards_df = hash_partitioned_map(
-        partials, ["shard"], build_shards, batch_format="pyarrow"
-    ).to_pandas()
-    total_dups = int(shards_df["n_dups"].sum())
-    have_exact = (shards_df["exact"].str.len() > 0) | (shards_df["n_dups"] == 0)
-    if total_dups <= exact_threshold and have_exact.all():
-        return np.sort(
-            np.concatenate(
-                [np.frombuffer(b, dtype=np.uint64) for b in shards_df["exact"]]
-                or [np.array([], dtype=np.uint64)]
-            )
-        )
-    shards: list[BloomFilter] = []
-    by_shard = {int(r["shard"]): r for _, r in shards_df.iterrows()}
-    for i in range(num_shards):
-        r = by_shard.get(i)
-        bloom = BloomFilter(max(1, int(r["n_dups"])) if r is not None else 1,
-                            bits_per_key)
-        if r is not None:
-            bloom.m = int(r["m"])
-            bloom.bits = np.frombuffer(r["bits"], dtype=np.uint64).copy()
-        shards.append(bloom)
-    return ShardedBloom(shards)
 
 
 def duplicated_key_probe_files(
@@ -347,294 +228,3 @@ def duplicated_key_probe_files(
             bloom.add_hashes(np.frombuffer(payload, dtype=np.uint64))
         shards.append(bloom)
     return ShardedBloom(shards)
-
-
-def dedup_payload_write(
-    ds: ray.data.Dataset,
-    out_dir: str,
-    key: str = "doc_id",
-    keep: str = "first",
-    tiebreak_cols: tuple[str, ...] = (),
-    num_partitions: int | None = None,
-    bloom_threshold: int = 50_000_000,
-    approx_rows: int | None = None,
-    probe_ds: ray.data.Dataset | None = None,
-    probe_path: str | None = None,
-    partition_cols: tuple[str, ...] = ("source",),
-    pre_write=None,
-    stage_seconds: dict | None = None,
-    use_dictionary: bool = False,
-) -> dict:
-    """Payload-split dedup fused with the Parquet sink (the flagship path).
-
-    A Dataset has no fan-out operator, so the Dataset-returning
-    :func:`dedup_payload` either re-reads the input per branch or
-    materializes it, and its clean ∪ deduped-suspects union puts a map
-    sink and an all-to-all exchange in ONE streaming plan — measured 2-20x
-    slower than the sum of its parts on one node (operators contend for
-    the same cores). Since the flagship consumes the result by WRITING it,
-    the split can happen at the sink instead, with no union and no second
-    full read:
-
-      exec A  read → flag (probe broadcast, one hash pass) → ``pre_write``
-              → write ``raw/`` hive-partitioned by (flag, *partition_cols*)
-              — clean rows land in their FINAL layout, suspects land raw.
-      driver  rename ``raw/flag=ok/<part>`` dirs into ``out_dir`` — pure
-              metadata moves, no bytes copied.
-      exec B  read ``raw/flag=dup`` (the ~1-2% flagged bytes) → exact
-              hash-partition dedup on the real key → append to ``out_dir``.
-
-    Every stage streams; the only driver work is the probe choice and the
-    renames. Returns ``{"suspect_rows": int}``.
-    """
-    if keep not in ("first", "none"):
-        raise ValueError("keep must be 'first' or 'none'")
-    import os
-    import shutil
-    import time
-
-    t0 = time.perf_counter()
-    probe_src = probe_ds if probe_ds is not None else ds
-    if approx_rows is not None and approx_rows <= 2_000_000:
-        probe: "np.ndarray | ShardedBloom | BloomFilter" = duplicated_key_hashes(
-            probe_src, key
-        )
-        if len(probe) > bloom_threshold:
-            bloom = BloomFilter(len(probe))
-            bloom.add_hashes(probe)
-            probe = bloom
-    elif probe_path is not None:
-        # parquet-dir input: raw-task map/reduce probe (no Dataset shuffle)
-        probe = duplicated_key_probe_files(
-            probe_path, key, exact_threshold=bloom_threshold
-        )
-    else:
-        probe = duplicated_key_probe(probe_src, key, exact_threshold=bloom_threshold)
-    probe_ref = ray.put(probe)
-    if stage_seconds is not None:
-        stage_seconds["dedup_probe"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    FLAG = "__dup"
-
-    def add_flag(t: pa.Table) -> pa.Table:
-        probe = ray.get(probe_ref)
-        h = hash64_strings(t[key])
-        if isinstance(probe, (BloomFilter, ShardedBloom)):
-            mask = probe.contains_hashes(h)
-        else:
-            pos = np.searchsorted(probe, h)
-            pos = np.clip(pos, 0, len(probe) - 1) if len(probe) else pos
-            mask = probe[pos] == h if len(probe) else np.zeros(len(t), dtype=bool)
-        flag = np.where(mask, "dup", "ok")
-        return t.append_column(FLAG, pa.array(flag, type=pa.string()))
-
-    flagged = ds.map_batches(add_flag, batch_format="pyarrow")
-    if pre_write is not None:
-        flagged = flagged.map_batches(pre_write, batch_format="pyarrow")
-    raw_dir = os.path.join(out_dir, "_raw_split")
-    shutil.rmtree(raw_dir, ignore_errors=True)
-    # dictionary encoding of token payloads is 2.25x the encode time for
-    # half the bytes — off by default for this once-re-read intermediate
-    # (PipelineConfig.sink_use_dictionary)
-    flagged.write_parquet(
-        raw_dir, partition_cols=[FLAG, *partition_cols],
-        use_dictionary=use_dictionary,
-    )
-    if stage_seconds is not None:
-        stage_seconds["dedup_flag_write"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-
-    # metadata-only promotion of the clean partition to the final layout
-    clean_root = os.path.join(raw_dir, f"{FLAG}=ok")
-    if os.path.isdir(clean_root):
-        for part in os.listdir(clean_root):
-            src = os.path.join(clean_root, part)
-            dst = os.path.join(out_dir, part)
-            os.makedirs(dst, exist_ok=True)
-            for f in os.listdir(src):
-                os.rename(os.path.join(src, f), os.path.join(dst, f))
-
-    had_suspects = False
-    dup_root = os.path.join(raw_dir, f"{FLAG}=dup")
-    if os.path.isdir(dup_root):
-        had_suspects = True
-        import pyarrow.dataset as pads
-
-        n_suspects = pads.dataset(dup_root, partitioning="hive").count_rows()
-        if n_suspects <= 2_000_000:
-            # at a ~1% duplicate rate the suspect set is tiny; a distributed
-            # read+shuffle+write costs ~15 s of fixed overhead for <1 s of
-            # work — dedup driver-side (exact same semantics, tested equal)
-            import pyarrow.parquet as pq
-
-            t = pads.dataset(dup_root, partitioning="hive").to_table()
-            if FLAG in t.column_names:
-                t = t.drop_columns([FLAG])
-            kdf = t.select([key, *tiebreak_cols]).to_pandas()
-            if keep == "none":
-                sizes = kdf.groupby(key, sort=False)[key].transform("size").to_numpy()
-                idx = np.flatnonzero(sizes == 1)
-            else:
-                ordered = kdf.sort_values([key, *tiebreak_cols], kind="stable")
-                idx = np.sort(
-                    ordered.drop_duplicates(subset=key, keep="first").index.to_numpy()
-                )
-            t = t.take(idx)
-            pcols = [c for c in partition_cols if c in t.column_names]
-            if pcols:
-                import pyarrow.compute as pc
-
-                for part in t.column(pcols[0]).unique().to_pylist():
-                    sub = t.filter(pc.equal(t[pcols[0]], part)).drop_columns(pcols)
-                    pdir = os.path.join(out_dir, f"{pcols[0]}={part}")
-                    os.makedirs(pdir, exist_ok=True)
-                    pq.write_table(sub, os.path.join(pdir, "suspects-0000.parquet"))
-            else:
-                pq.write_table(t, os.path.join(out_dir, "suspects-0000.parquet"))
-        else:
-            suspects = ray.data.read_parquet(dup_root)
-            deduped = dedup(suspects, key, keep, tiebreak_cols, num_partitions)
-            deduped = deduped.map_batches(
-                lambda t: t.drop_columns([FLAG]) if FLAG in t.column_names else t,
-                batch_format="pyarrow",
-            )
-            deduped.write_parquet(
-                out_dir, partition_cols=list(partition_cols),
-                use_dictionary=use_dictionary,
-            )
-    shutil.rmtree(raw_dir, ignore_errors=True)
-    if stage_seconds is not None:
-        stage_seconds["dedup_suspects"] = time.perf_counter() - t0
-    return {"had_suspects": had_suspects}
-
-
-def duplicated_key_hashes(
-    ds: ray.data.Dataset, key: str = "doc_id"
-) -> np.ndarray:
-    """uint64 HASHES of keys that may occur more than once (sorted array).
-
-    The cheap probe for :func:`dedup_payload`: per-batch unique hashes +
-    counts (8 bytes/key to the driver instead of whole strings), one numpy
-    unique on the driver. Hash collisions only ADD false positives — rows
-    whose key merely collides are routed into the (exact, key-based) dedup
-    shuffle and come out unchanged, so results stay exact."""
-
-    def batch_hash_counts(t: pa.Table) -> pa.Table:
-        h = hash64_strings(t[key])
-        uniq, cnt = np.unique(h, return_counts=True)
-        return pa.table(
-            {
-                "h": pa.array(uniq.view(np.int64), type=pa.int64()),
-                "cnt": pa.array(cnt.astype(np.int64), type=pa.int64()),
-            }
-        )
-
-    parts = ds.select_columns([key]).map_batches(
-        batch_hash_counts, batch_format="pyarrow"
-    )
-    pdf = parts.to_pandas()
-    h = pdf["h"].to_numpy().view(np.uint64)
-    c = pdf["cnt"].to_numpy()
-    uniq, inv = np.unique(h, return_inverse=True)
-    totals = np.bincount(inv, weights=c)
-    return np.sort(uniq[totals > 1])
-
-
-def dedup_payload(
-    ds: ray.data.Dataset,
-    key: str = "doc_id",
-    keep: str = "first",
-    tiebreak_cols: tuple[str, ...] = (),
-    num_partitions: int | None = None,
-    bloom_threshold: int = 50_000_000,
-    approx_rows: int | None = None,
-    probe_ds: ray.data.Dataset | None = None,
-    single_pass_threshold: int = 50_000_000,
-) -> ray.data.Dataset:
-    """Payload-optimized exact dedup: rows of NON-duplicated keys never
-    shuffle (at a ~1% duplicate rate that keeps ~99% of the bytes on their
-    source node).
-
-    Phase A probes for duplicated key HASHES over a pruned read (pass
-    ``probe_ds`` = a key-only reader so the payload never leaves storage);
-    Phase B broadcasts them (sorted uint64 array, or a :class:`BloomFilter`
-    above ``bloom_threshold``) and splits the stream: flagged rows (true
-    duplicates + rare hash collisions) go through the ordinary exact
-    hash-partition dedup on the REAL key, the rest pass through untouched.
-    Exact for both keep policies.
-
-    Split strategy (adaptive): a Dataset has no fan-out operator, so the
-    clean/suspect branches each re-execute the upstream read. When
-    ``approx_rows`` fits the cluster's object store
-    (``single_pass_threshold``), the flag column is computed ONCE and the
-    flagged stream is materialized, so the input is read/decoded/hashed one
-    time and both branches are cheap Arrow filters over shared blocks.
-    Beyond it (the 100 TB path) the branches re-read from storage — two
-    object-storage scans beat spilling a full materialized copy.
-    """
-    if keep not in ("first", "none"):
-        raise ValueError("keep must be 'first' or 'none'")
-    probe_src = probe_ds if probe_ds is not None else ds
-    # ADAPTIVE probe build: small inputs merge the per-batch (hash, count)
-    # partials on the driver (a distributed shuffle would only add fixed
-    # cost); larger ones use the sharded-Bloom build, which keeps the merge
-    # parallel — a driver-side np.unique over 10M+ hashes showed up as ~
-    # half the measured serial fraction in the 10M-row scaling run.
-    if approx_rows is not None and approx_rows <= 2_000_000:
-        probe: "np.ndarray | ShardedBloom | BloomFilter" = duplicated_key_hashes(
-            probe_src, key
-        )
-        if len(probe) > bloom_threshold:
-            bloom = BloomFilter(len(probe))
-            bloom.add_hashes(probe)
-            probe = bloom
-    else:
-        probe = duplicated_key_probe(
-            probe_src, key, exact_threshold=bloom_threshold
-        )
-    probe_ref = ray.put(probe)
-
-    def _mask(t: pa.Table) -> np.ndarray:
-        probe = ray.get(probe_ref)  # object-store read, shipped once
-        h = hash64_strings(t[key])
-        if isinstance(probe, (BloomFilter, ShardedBloom)):
-            return probe.contains_hashes(h)
-        pos = np.searchsorted(probe, h)
-        pos = np.clip(pos, 0, len(probe) - 1) if len(probe) else pos
-        return probe[pos] == h if len(probe) else np.zeros(len(h), dtype=bool)
-
-    if approx_rows is not None and approx_rows <= single_pass_threshold:
-        # single-read split: hash + probe once, share blocks via the store
-        FLAG = "__dup_suspect"
-
-        def add_flag(t: pa.Table) -> pa.Table:
-            return t.append_column(FLAG, pa.array(_mask(t)))
-
-        flagged = ds.map_batches(add_flag, batch_format="pyarrow").materialize()
-
-        def take_side(want: bool):
-            def fn(t: pa.Table) -> pa.Table:
-                keep_rows = t[FLAG].to_numpy(zero_copy_only=False)
-                if not want:
-                    keep_rows = ~keep_rows
-                return t.filter(pa.array(keep_rows)).drop_columns([FLAG])
-
-            return fn
-
-        clean = flagged.map_batches(take_side(False), batch_format="pyarrow")
-        suspect = flagged.map_batches(take_side(True), batch_format="pyarrow")
-    else:
-
-        def split(want: bool):
-            def fn(t: pa.Table) -> pa.Table:
-                m = _mask(t)
-                return t.filter(pa.array(m if want else ~m))
-
-            return fn
-
-        clean = ds.map_batches(split(False), batch_format="pyarrow")
-        suspect = ds.map_batches(split(True), batch_format="pyarrow")
-    # suspects always go through the exact key-based dedup: hash collisions
-    # make the flag a superset, never a wrong result
-    deduped_suspects = dedup(suspect, key, keep, tiebreak_cols, num_partitions)
-    return clean.union(deduped_suspects)

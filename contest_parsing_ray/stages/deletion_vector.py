@@ -1,13 +1,16 @@
 """Merge-on-read dedup: deletion vectors + stats sidecar, no payload rewrite.
 
-The rewrite-mode flagship (``dedup.dedup_payload_write``) streams the WHOLE
-token payload through parquet decode → checksum → re-encode → re-write to
-drop ~1% duplicate rows. At 100 TB that rewrites 99 TB of bytes nobody
-touched — and on any fixed box the re-encode+write leg is memory-bandwidth
-bound, the one resource more vCPUs cannot buy (BASELINE.md round-2 scaling
-analysis). The lakehouse answer (Iceberg positional deletes / Delta deletion
-vectors) is merge-on-read: leave the payload files in place and record which
-row POSITIONS are deleted.
+This is the flagship's one deduped-table materialization. Physically
+rewriting the deduped table streams the WHOLE token payload through parquet
+decode → checksum → re-encode → re-write to drop ~1% duplicate rows. At
+100 TB that rewrites 99 TB of bytes nobody touched — and on any fixed box
+the re-encode+write leg is memory-bandwidth bound, the one resource more
+vCPUs cannot buy (BASELINE.md round-2 scaling analysis). The lakehouse
+answer (Iceberg positional deletes / Delta deletion vectors) is
+merge-on-read: leave the payload files in place and record which row
+POSITIONS are deleted. :func:`read_deduped_dv` is the deduped table; a
+consumer that needs a standalone copy writes it once:
+``read_deduped_dv(<out>/deduped).write_parquet(dst)``.
 
 Reference analog: the reference materializes every intermediate to disk
 (``JoinManager.py:32-57`` stage-by-stage parquet); this module is the
@@ -48,8 +51,8 @@ Execution (two passes, ONE full decode, nothing heavy ever re-encoded):
 
 Duplicate copies carry identical payloads for identical doc_ids by the
 input contract (doc_id is the content identity), so rollups over the
-sidecar match the rewrite mode bit-for-bit regardless of which copy wins
-(equality-tested in tests/test_deletion_vector.py).
+sidecar do not depend on which copy wins (tests/test_deletion_vector.py
+checks the tiers against a DuckDB oracle over a pandas keep-first dedup).
 """
 
 from __future__ import annotations

@@ -107,9 +107,8 @@ def decode_features(
         fn_constructor_kwargs={"payload_col": payload_col, "fake": fake},
         batch_format="pyarrow",
         batch_size=batch_size,
-        # passed through verbatim: an int is a FIXED pool — (1, n)
-        # autoscaling ramps one actor at a time and the ramp dominates
-        # short runs (measured on the video sibling: 5.9 s -> 4.2 s)
+        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
+        # see _shuffle.pool_size
         concurrency=pool_size(concurrency),
     )
 
@@ -270,9 +269,8 @@ def decode_wav_features(
         fn_constructor_kwargs={"payload_col": payload_col, "strict": strict},
         batch_format="pyarrow",
         batch_size=batch_size,
-        # passed through verbatim: an int is a FIXED pool — (1, n)
-        # autoscaling ramps one actor at a time and the ramp dominates
-        # short runs (measured on the video sibling: 5.9 s -> 4.2 s)
+        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
+        # see _shuffle.pool_size
         concurrency=pool_size(concurrency),
     )
 
@@ -527,9 +525,8 @@ def decode_png_features(
         fn_constructor_kwargs={"payload_col": payload_col, "strict": strict},
         batch_format="pyarrow",
         batch_size=batch_size,
-        # passed through verbatim: an int is a FIXED pool — (1, n)
-        # autoscaling ramps one actor at a time and the ramp dominates
-        # short runs (measured on the video sibling: 5.9 s -> 4.2 s)
+        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
+        # see _shuffle.pool_size
         concurrency=pool_size(concurrency),
     )
 
@@ -1198,9 +1195,8 @@ def decode_jpeg_features(
         fn_constructor_kwargs={"payload_col": payload_col, "strict": strict},
         batch_format="pyarrow",
         batch_size=batch_size,
-        # passed through verbatim: an int is a FIXED pool — (1, n)
-        # autoscaling ramps one actor at a time and the ramp dominates
-        # short runs (measured on the video sibling: 5.9 s -> 4.2 s)
+        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
+        # see _shuffle.pool_size
         concurrency=pool_size(concurrency),
     )
 

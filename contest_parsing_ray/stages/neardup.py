@@ -283,8 +283,8 @@ def minhash_lsh_pairs(
             bands=bands, shingle_n=shingle_n,
         ),
         batch_format="pyarrow",
-        # verbatim: int = FIXED pool ((1, n) autoscaling ramps one actor
-        # at a time; the ramp dominates short runs — see stages/video.py)
+        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
+        # see _shuffle.pool_size
         concurrency=pool_size(concurrency),
     )
 
@@ -392,7 +392,8 @@ def simhash_docs(
     return docs.map_batches(
         SimHash, fn_constructor_kwargs={"text_col": text_col},
         batch_format="pandas",
-        # verbatim: int = FIXED pool (see stages/video.py)
+        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
+        # see _shuffle.pool_size
         concurrency=pool_size(concurrency),
     )
 
@@ -1031,8 +1032,8 @@ def ngram_jaccard_pairs(
         NgramShingles,
         fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col, n=n),
         batch_format="pyarrow",
-        # verbatim: int = FIXED pool ((1, n) autoscaling ramps one actor
-        # at a time; the ramp dominates short runs — see stages/video.py)
+        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
+        # see _shuffle.pool_size
         concurrency=pool_size(concurrency),
     )
 

@@ -17,8 +17,9 @@ Scale design (the part the reference lacks — it is single-process,
   hot source (~80% of rows, FIXTURES.md F1; reference analog the 1733 MB
   service, ``insights-experience.md:78``) is reduced batch-locally, so the
   final groupby sees at most one row per key per batch, never the raw skew.
-  An optional salt column is supported for pathological cases where even
-  partial rows for one key overwhelm a single ``map_groups`` task.
+  The merge then exchanges on ``(source, bucket)``, so the hot source's
+  partial rows spread over every partition instead of landing in one (the
+  bound is pinned by ``tests/test_rollup.py::test_hot_source_spreads_over_exchange``).
 - **Per-tier final merge over partials only.** Each tier's
   ``groupby(source, bucket_tier)`` shuffles partial rows (KBs), not events.
 - **Round-to-nearest buckets are computed per tier from the raw
@@ -114,13 +115,17 @@ class PartialRollup:
         salt: int = 1,
         checksum_col: str | None = None,
     ):
+        # ``salt`` is a retired positional slot, kept so positional callers
+        # that pass 1 keep working: partials are never salted, because the
+        # (key, bucket) exchange key already spreads a hot key
+        if salt != 1:
+            raise ValueError("PartialRollup does not salt partials; salt must be 1")
         self.tiers = tiers
         self.value_col = value_col
         self.key_col = key_col
         self.ts_col = ts_col
         self.cap = quantile_cap
         self.mode = bucket_mode
-        self.salt = salt
         # optional integrity column: per-group wrapping-uint64 sum emitted as
         # ck_v so lineage checksums ride the partials instead of needing an
         # extra pass over the input
@@ -163,10 +168,6 @@ class PartialRollup:
             col = f"bucket_{name}"
             df[col] = _bucket(ts, width, self.mode)
             bucket_cols.append(col)
-        if self.salt > 1:
-            # spread one composite key's partials across `salt` final-merge
-            # tasks; final groupby includes 'salt' then a second tiny merge
-            df["salt"] = np.arange(len(df), dtype=np.int64) % self.salt
 
         if self.checksum_col is not None:
             df["ck"] = (
@@ -174,8 +175,7 @@ class PartialRollup:
                 .to_numpy(zero_copy_only=False)
                 .view(np.uint64)
             )
-        group_cols = ["key", *bucket_cols] + (["salt"] if self.salt > 1 else [])
-        gb = df.groupby(group_cols, sort=False)
+        gb = df.groupby(["key", *bucket_cols], sort=False)
         agg = gb["v"].agg(["count", "sum", "min", "max"]).reset_index()
         # Vectorized per-group summary blobs + checksums: one stable sort by
         # group id, then segmented kernels — no per-group Python objects
@@ -214,8 +214,6 @@ class PartialRollup:
             "max_v": pa.array(agg["max"].to_numpy(), type=pa.float64()),
             "qsum": blobs,
         }
-        if self.salt > 1:
-            out["salt"] = pa.array(agg["salt"].to_numpy(), type=pa.int64())
         if self.checksum_col is not None:
             out["ck_v"] = pa.array(cks.view(np.int64), type=pa.int64())
         return pa.table(out)
@@ -393,7 +391,6 @@ def rollup_tiers(
     ts_col: str = "event_time_us",
     quantile_cap: int = 4096,
     bucket_mode: str = "nearest",
-    salt: int = 1,
     p: float = 0.95,
     keep_summary: bool = False,
     num_merge_partitions: int | None = None,
@@ -402,9 +399,7 @@ def rollup_tiers(
     min_v, max_v, p95_v)}. One pass over events, one small shuffle per tier.
     """
     partials = events.map_batches(
-        PartialRollup(
-            tiers, value_col, key_col, ts_col, quantile_cap, bucket_mode, salt
-        ),
+        PartialRollup(tiers, value_col, key_col, ts_col, quantile_cap, bucket_mode),
         batch_format="pyarrow",
         batch_size=32768,
     )

@@ -272,9 +272,8 @@ def decode_video_features(
         },
         batch_format="pyarrow",
         batch_size=batch_size,
-        # passed through verbatim: an int is a FIXED pool — (1, n)
-        # autoscaling ramps one actor at a time, and on short runs the
-        # ramp dominates the wall
+        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
+        # see _shuffle.pool_size
         concurrency=pool_size(concurrency),
     )
 

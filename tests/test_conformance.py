@@ -232,3 +232,21 @@ def test_ael_number_masking_and_determinism(tmp_path):
     b = read_structured_logs(str(log), 30_000_000).to_pandas()
     assert a["event_id"].nunique() == 1
     assert list(a["event_id"]) == list(b["event_id"])
+
+
+def test_prometheus_pause_repair_edge_pods():
+    """M4 on pause rows whose pod name is missing, empty or has fewer than 3
+    dash segments: the repaired container is the pod minus its last two
+    segments, else '' (reference split/slice/join)."""
+    from contest_parsing_ray.sources.prometheus import _parse_export
+
+    pods = [None, "", "single", "a-b", "a-b-c", "pod-a-1-abc12-xyz34", "a--b"]
+    result = []
+    for i, pod in enumerate(pods):
+        metric = {"__name__": "m", "container": "POD", "device": f"d{i}"}
+        if pod is not None:
+            metric["pod"] = pod
+        result.append({"metric": metric, "values": [[str(T0), "1.0"]]})
+    raw = json.dumps({"data": {"result": result}}).encode()
+    df = _parse_export(raw, W30S, drop_null=False).sort_values("device")
+    assert df["container"].tolist() == ["", "", "", "", "a", "pod-a-1", "a"]

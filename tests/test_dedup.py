@@ -62,31 +62,6 @@ def test_token_arrays_survive_dedup_byte_identical(sequences_dir):
     assert batch.schema.field("tokens").type == pa.list_(pa.int32())
 
 
-def test_dedup_payload_matches_plain(sequences_dir):
-    """Payload-optimized dedup == plain dedup for both keep policies."""
-    from contest_parsing_ray.stages.dedup import dedup_payload
-
-    ds = read_sequences(sequences_dir)
-    for keep in ("first", "none"):
-        plain = dedup(ds, keep=keep).to_pandas()
-        fast = dedup_payload(ds, keep=keep).to_pandas()
-        assert sorted(fast["doc_id"]) == sorted(plain["doc_id"]), keep
-    # token payload intact through the split/union path
-    fast_ck = (
-        dedup_payload(ds, keep="first")
-        .map_batches(token_checksum, batch_format="pyarrow")
-        .to_pandas()[["doc_id", "token_ck"]]
-    )
-    base_ck = (
-        read_sequences(sequences_dir)
-        .map_batches(token_checksum, batch_format="pyarrow")
-        .to_pandas()
-        .drop_duplicates("doc_id")[["doc_id", "token_ck"]]
-    )
-    m = base_ck.merge(fast_ck, on="doc_id", suffixes=("_b", "_a"))
-    assert (m["token_ck_b"] == m["token_ck_a"]).all()
-
-
 def test_bloom_filter_unit():
     from contest_parsing_ray.stages.dedup import BloomFilter
     from contest_parsing_ray.stages._shuffle import hash64_strings
@@ -101,51 +76,19 @@ def test_bloom_filter_unit():
     assert fp < 0.03
 
 
-def test_dedup_payload_bloom_path(sequences_dir):
-    """Force the Bloom path (threshold 1) — results must still be exact."""
-    from contest_parsing_ray.stages.dedup import dedup_payload
-
-    ds = read_sequences(sequences_dir, with_tokens=False)
-    for keep in ("first", "none"):
-        plain = dedup(ds, keep=keep).to_pandas()
-        fast = dedup_payload(ds, keep=keep, bloom_threshold=1).to_pandas()
-        assert sorted(fast["doc_id"]) == sorted(plain["doc_id"]), keep
-
-
-def test_sharded_bloom_probe_exact_and_bloom(sequences_dir):
-    import numpy as np
-    import ray.data
-    from contest_parsing_ray.stages.dedup import (
-        ShardedBloom, duplicated_key_hashes, duplicated_key_probe,
-    )
-
-    ds = ray.data.read_parquet(sequences_dir)
-    exact = duplicated_key_hashes(ds, "doc_id")
-    probe = duplicated_key_probe(ds, "doc_id")
-    # small corpus -> exact representation, identical to the driver-side path
-    assert isinstance(probe, np.ndarray)
-    np.testing.assert_array_equal(np.sort(probe), exact)
-
-    bloom = duplicated_key_probe(ds, "doc_id", exact_threshold=1)
-    assert isinstance(bloom, ShardedBloom)
-    # no false negatives on the true duplicate hashes
-    assert bloom.contains_hashes(exact).all()
-    # non-member false-positive rate stays near the design point (~1%)
-    rng_probe = (np.arange(20_000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                 ^ np.uint64(0x1234ABCD))
-    fp = bloom.contains_hashes(rng_probe).mean()
-    assert fp < 0.05
-
-
 def test_probe_files_matches_dataset_probe(sequences_dir):
-    """Raw-task file probe == Dataset-based exact probe, both keeps of the
-    exact/Bloom contract."""
-    import ray.data
+    """Raw-task file probe == the duplicated key hashes computed inline,
+    both sides of the exact/Bloom contract."""
+    import pyarrow.dataset as pads
+    from contest_parsing_ray.stages._shuffle import hash64_strings
     from contest_parsing_ray.stages.dedup import (
-        ShardedBloom, duplicated_key_hashes, duplicated_key_probe_files,
+        ShardedBloom, duplicated_key_probe_files,
     )
 
-    exact = duplicated_key_hashes(ray.data.read_parquet(sequences_dir), "doc_id")
+    h = hash64_strings(pads.dataset(sequences_dir).to_table(columns=["doc_id"])["doc_id"])
+    uniq, cnt = np.unique(h, return_counts=True)
+    exact = uniq[cnt > 1]
+    assert len(exact) > 0
     got = duplicated_key_probe_files(sequences_dir, "doc_id")
     assert isinstance(got, np.ndarray)
     np.testing.assert_array_equal(got, exact)
@@ -153,32 +96,7 @@ def test_probe_files_matches_dataset_probe(sequences_dir):
     bloom = duplicated_key_probe_files(sequences_dir, "doc_id", exact_threshold=1)
     assert isinstance(bloom, ShardedBloom)
     assert bloom.contains_hashes(exact).all()  # no false negatives
-
-
-def test_dedup_payload_write_matches_plain(sequences_dir, tmp_path):
-    """Write-fused dedup (local-suspects branch) == plain dedup, with the
-    token payload byte-identical (checksum invariant)."""
-    import pyarrow.dataset as pads
-
-    from contest_parsing_ray.stages.dedup import dedup_payload_write
-
-    for keep in ("first", "none"):
-        out = str(tmp_path / f"out_{keep}")
-        ds = read_sequences(sequences_dir, with_tokens=True)
-        dedup_payload_write(
-            ds, out, keep=keep,
-            probe_ds=read_sequences(sequences_dir, columns=["doc_id"]),
-            probe_path=sequences_dir,
-            approx_rows=10**9,  # force the task-probe branch
-            pre_write=token_checksum,
-        )
-        got = pads.dataset(out, partitioning="hive").to_table().to_pandas()
-        plain = dedup(read_sequences(sequences_dir, with_tokens=True),
-                      keep=keep).to_pandas()
-        assert sorted(got["doc_id"]) == sorted(plain["doc_id"]), keep
-        # token payload integrity: recompute checksums on the written rows
-        merged = got.sort_values("doc_id").reset_index()
-        ref = plain.sort_values("doc_id").reset_index()
-        a = np.concatenate(merged["tokens"].to_numpy())
-        b = np.concatenate(ref["tokens"].to_numpy())
-        np.testing.assert_array_equal(a, b)
+    # non-member false-positive rate stays near the design point (~1%)
+    others = (np.arange(20_000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+              ^ np.uint64(0x1234ABCD))
+    assert bloom.contains_hashes(others).mean() < 0.05

@@ -1,19 +1,22 @@
-"""Deletion-vector (merge-on-read) dedup: equivalence with rewrite mode.
+"""Deletion-vector (merge-on-read) dedup: the flagship's deduped table.
 
-The two materialization modes must be interchangeable: identical rollup
-tiers (bit-for-bit), identical token checksums, and the merge-on-read
-payload view must equal the physically rewritten deduped table row-for-row
-(the token-array-equality invariant, BASELINE.json input_hint).
+References are built without engine code: a pandas keep-first dedup of the
+raw files (event time recomputed from ``doc_id``) feeds the DuckDB tier
+oracle of ``tests/test_rollup.py``, a plain per-row loop gives the token
+checksums, and the merge-on-read view must equal the deduped rows
+row-for-row (the token-array-equality invariant, BASELINE.json input_hint).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import pytest
 import ray.data
 
@@ -26,6 +29,10 @@ from contest_parsing_ray.stages.deletion_vector import (
     read_deduped_dv,
     read_sidecar,
 )
+from test_rollup import _norm, _oracle
+
+TIERS = {"1m": 60_000_000, "5m": 300_000_000, "1h": 3_600_000_000}
+MASK64 = (1 << 64) - 1
 
 
 def _tier_frame(out_dir: str, tier: str) -> pd.DataFrame:
@@ -40,52 +47,72 @@ def _tier_frame(out_dir: str, tier: str) -> pd.DataFrame:
 
 
 @pytest.fixture(scope="module")
-def both_modes(sequences_dir, tmp_path_factory):
-    outs = {}
-    for mode in ("deletion_vector", "rewrite"):
-        out = str(tmp_path_factory.mktemp(f"dv_{mode}"))
-        cfg = PipelineConfig(out_dir=out, dedup_materialize=mode)
-        run_rollup_pipeline(sequences_dir, cfg, resume=False)
-        outs[mode] = out
-    return outs
-
-
-def test_tiers_bit_identical_across_modes(both_modes):
-    for tier in ("1m", "5m", "1h"):
-        a = _tier_frame(both_modes["deletion_vector"], tier)
-        b = _tier_frame(both_modes["rewrite"], tier)
-        pd.testing.assert_frame_equal(a, b)
-
-
-def test_token_checksums_identical_across_modes(both_modes):
-    cks = {}
-    for mode, out in both_modes.items():
-        with open(os.path.join(out, "manifests", "1m.json")) as f:
-            cks[mode] = json.load(f)["token_checksums"]
-    assert cks["deletion_vector"] == cks["rewrite"]
-    assert len(cks["deletion_vector"]) == 8
-
-
-def test_merge_on_read_payload_equals_rewrite(both_modes):
-    """Token-array equality: the DV view yields exactly the rewrite-mode
-    deduped table (same doc_ids, byte-identical token arrays)."""
-    dv = read_deduped_dv(
-        os.path.join(both_modes["deletion_vector"], "deduped")
-    ).to_pandas()
-    rw = ray.data.read_parquet(
-        os.path.join(both_modes["rewrite"], "deduped", "data")
-    ).to_pandas()
-    assert len(dv) == len(rw)
-    for df in (dv, rw):
-        df["tok_bytes"] = df["tokens"].map(
-            lambda a: np.asarray(a, dtype=np.int32).tobytes()
-        )
-    a = dv[["doc_id", "n_tok", "tok_bytes"]].sort_values("doc_id").reset_index(
+def kept_rows(sequences_dir) -> pd.DataFrame:
+    """Pandas keep-first dedup of the raw files in sorted file order, with
+    event time recomputed from doc_id ('<source>/<minute>/<seq>'), the
+    token bytes and a per-row loop checksum sum((i+1)*(t_i+1)) mod 2^64."""
+    files = sorted(pads.dataset(sequences_dir).files)
+    raw = pd.concat(
+        [pq.read_table(f).to_pandas() for f in files], ignore_index=True
+    )
+    kept = raw.drop_duplicates(subset="doc_id", keep="first").reset_index(
         drop=True
     )
-    b = rw[["doc_id", "n_tok", "tok_bytes"]].sort_values("doc_id").reset_index(
-        drop=True
+    fields = kept["doc_id"].str.split("/", expand=True)
+    minute = fields[1].astype(np.int64)
+    seq = fields[2].astype(np.int64)
+    kept["event_time_us"] = minute * 60_000_000 + (seq * 997_003) % 60_000_000
+    kept["tok_bytes"] = kept["tokens"].map(
+        lambda a: np.asarray(a, dtype=np.int32).tobytes()
     )
+    cks = []
+    for toks in kept["tokens"]:
+        ck = 0
+        for i, t in enumerate(toks):
+            ck += (i + 1) * (int(t) + 1)
+        cks.append(ck & MASK64)
+    kept["token_ck"] = cks
+    return kept
+
+
+@pytest.fixture(scope="module")
+def default_build(sequences_dir, tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("dv_default"))
+    run_rollup_pipeline(sequences_dir, PipelineConfig(out_dir=out), resume=False)
+    return out
+
+
+def test_tiers_match_oracle(default_build, kept_rows):
+    """Non-filled tier rows == the DuckDB oracle over the pandas dedup."""
+    for tier, width in TIERS.items():
+        got = _tier_frame(default_build, tier)
+        got = got[~got["filled"]].assign(source=lambda d: d["source"].astype(str))
+        want = _oracle(kept_rows[["source", "n_tok", "event_time_us"]], width, "nearest")
+        pd.testing.assert_frame_equal(_norm(got), _norm(want), check_dtype=False)
+
+
+def test_token_checksums_match_row_loop(default_build, kept_rows):
+    want = {
+        str(src): sum(cks) & MASK64
+        for src, cks in kept_rows.groupby("source")["token_ck"]
+    }
+    for tier in TIERS:
+        with open(os.path.join(default_build, "manifests", f"{tier}.json")) as f:
+            got = json.load(f)["token_checksums"]
+        assert {k: int(v) & MASK64 for k, v in got.items()} == want
+    assert len(want) == 8
+
+
+def test_merge_on_read_payload_equals_pandas_dedup(default_build, kept_rows):
+    """Token-array equality: the DV view yields exactly the deduped rows
+    (same doc_ids, byte-identical token arrays)."""
+    dv = read_deduped_dv(os.path.join(default_build, "deduped")).to_pandas()
+    dv["tok_bytes"] = dv["tokens"].map(
+        lambda a: np.asarray(a, dtype=np.int32).tobytes()
+    )
+    cols = ["doc_id", "n_tok", "tok_bytes"]
+    a = dv[cols].sort_values("doc_id").reset_index(drop=True)
+    b = kept_rows[cols].sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -141,6 +168,21 @@ def test_dv_distributed_decision_matches_local(sequences_dir, tmp_path):
     pd.testing.assert_frame_equal(a, b)
 
 
+def test_dv_bloom_probe_matches_exact(sequences_dir, tmp_path):
+    """bloom_threshold=1 broadcasts the duplicated keys as a Bloom filter
+    (false positives become extra suspects): the deletion vectors must be
+    identical to the exact-probe build under both keep policies."""
+    for keep in ("first", "none"):
+        out_e = str(tmp_path / f"exact_{keep}")
+        out_b = str(tmp_path / f"bloom_{keep}")
+        build_deduped_dv(sequences_dir, out_e, keep=keep)
+        build_deduped_dv(sequences_dir, out_b, keep=keep, bloom_threshold=1)
+        dv_e, dv_b = load_deletion_vectors(out_e), load_deletion_vectors(out_b)
+        assert dv_e and dv_e.keys() == dv_b.keys(), keep
+        for k in dv_e:
+            np.testing.assert_array_equal(dv_e[k], dv_b[k])
+
+
 def test_dv_no_duplicates_input(tmp_path):
     """An input with zero duplicate keys produces empty vectors and a
     sidecar covering every row."""
@@ -174,8 +216,9 @@ def test_fused_partials_written_and_equal_to_sidecar_path(
 ):
     """The scan-fused partials (clean per-file shards + decide winners
     shards) must merge to the same tier points as recomputing partials
-    from the sidecar (salt='auto' disables fusion, so it exercises the
-    sidecar path on the same input)."""
+    from the sidecar (a copy of the build with ``partials/`` and the tier
+    manifests deleted reuses the deduped table and takes the sidecar
+    path)."""
     out_f = str(tmp_path / "fused")
     run_rollup_pipeline(
         sequences_dir, PipelineConfig(out_dir=out_f), resume=False
@@ -189,11 +232,13 @@ def test_fused_partials_written_and_equal_to_sidecar_path(
         assert json.load(f)["partials_fingerprint"]
 
     out_s = str(tmp_path / "sidecar")
-    run_rollup_pipeline(
-        sequences_dir, PipelineConfig(out_dir=out_s, salt="auto"),
-        resume=False,
-    )
-    for tier in ("1m", "5m", "1h"):
+    shutil.copytree(out_f, out_s)
+    shutil.rmtree(fused_partials_dir(os.path.join(out_s, "deduped")))
+    for tier in TIERS:
+        os.remove(os.path.join(out_s, "manifests", f"{tier}.json"))
+    m = run_rollup_pipeline(sequences_dir, PipelineConfig(out_dir=out_s))
+    assert "dv_scan_write" not in m["stage_seconds"]  # deduped table reused
+    for tier in TIERS:
         pd.testing.assert_frame_equal(
             _tier_frame(out_f, tier), _tier_frame(out_s, tier)
         )

@@ -19,16 +19,22 @@ def out_dir(tmp_path):
 
 
 def test_pipeline_end_to_end_and_resume(sequences_dir, out_dir):
-    # rewrite mode: the physical deduped-table layout (the default
-    # deletion_vector layout is covered by tests/test_deletion_vector.py)
-    cfg = PipelineConfig(
-        tiers=("1m", "1h"), out_dir=out_dir, dedup_materialize="rewrite"
-    )
+    cfg = PipelineConfig(tiers=("1m", "1h"), out_dir=out_dir)
     m1 = run_rollup_pipeline(sequences_dir, cfg)
     assert set(m1["tiers"]) == {"1m", "1h"}
-    # deduped table written with token checksums in tier manifests
-    assert os.path.isdir(os.path.join(out_dir, "deduped", "data"))
+    # deduped table kept merge-on-read: deletion vectors, stats sidecar,
+    # scan-fused partials and a completed manifest, no payload copy
     import json
+
+    dedup_dir = os.path.join(out_dir, "deduped")
+    assert not os.path.exists(os.path.join(dedup_dir, "data"))
+    for sub in ("deletion_vectors", os.path.join("sidecar", "data"), "partials"):
+        assert any(
+            f.endswith(".parquet") for f in os.listdir(os.path.join(dedup_dir, sub))
+        ), sub
+    dv_man = json.load(open(os.path.join(dedup_dir, "dv_manifest.json")))
+    assert dv_man["completed"] and dv_man["n_deleted"] > 0
+    # token checksums in tier manifests
     man = json.load(open(os.path.join(out_dir, "manifests", "1m.json")))
     assert len(man.get("token_checksums", {})) == 8
     assert m1["tiers"]["1m"]["points"] > m1["tiers"]["1h"]["points"] > 0
@@ -92,67 +98,6 @@ def test_retention_expiry(sequences_dir, out_dir):
     man = read_tier_manifest(out_dir, "1m")
     assert man["retention"][0]["dropped"] == res["dropped"]
     assert man["total_rows"] == res["kept"]
-
-
-def test_skew_histogram_and_salt(sequences_dir):
-    from contest_parsing_ray.sources.ingest import read_sequences
-    from contest_parsing_ray.stages._shuffle import choose_salt, key_histogram
-
-    ds = read_sequences(sequences_dir, with_tokens=False)
-    hist = key_histogram(ds, "source")
-    # the generator makes web-crawl ~80% of rows (FIXTURES F1)
-    assert hist.iloc[0]["source"] == "web-crawl"
-    assert 0.7 < hist.iloc[0]["share"] < 0.9
-    salt = choose_salt(hist, num_partitions=16)
-    assert salt >= 12  # hot key split across most partitions
-    # uniform histogram -> no salting
-    import pandas as pd
-
-    uni = pd.DataFrame({"source": ["a", "b"], "cnt": [5, 5], "share": [0.5, 0.5]})
-    assert choose_salt(uni, num_partitions=2) == 1
-
-
-def test_pipeline_auto_salt_matches_unsalted(sequences_dir, tmp_path):
-    """salt='auto' measures the skewed fixture (web-crawl ~80% of rows),
-    picks a factor, and still produces the identical rollup output."""
-    import pyarrow.dataset as pads
-
-    from contest_parsing_ray.config import PipelineConfig
-    from contest_parsing_ray.pipelines.rollup_pipeline import run_rollup_pipeline
-
-    outs = {}
-    for label, salt in (("auto", "auto"), ("unsalted", 1)):
-        cfg = PipelineConfig(
-            out_dir=str(tmp_path / label), tiers=("1h",), salt=salt,
-            ingest_tokens=False,
-        )
-        m = run_rollup_pipeline(
-            sequences_dir, cfg, with_gapfill=False, with_compression=False,
-            resume=False,
-        )
-        if label == "auto":
-            assert m["salt"] >= 1  # measured, recorded in metrics
-        outs[label] = (
-            pads.dataset(str(tmp_path / label / "rollup" / "data"),
-                         partitioning="hive")
-            .to_table()
-            .to_pandas()
-            .sort_values(["source", "bucket_us"])
-            .reset_index(drop=True)
-        )
-    a, b = outs["auto"], outs["unsalted"]
-    assert (a["cnt"] == b["cnt"]).all()
-    np.testing.assert_allclose(a["sum_v"], b["sum_v"])
-    np.testing.assert_allclose(a["p95_v"], b["p95_v"], rtol=1e-9)
-
-
-def test_bad_salt_spec():
-    from contest_parsing_ray.config import PipelineConfig
-
-    with pytest.raises(ValueError, match="salt"):
-        PipelineConfig(salt=0)
-    with pytest.raises(ValueError, match="salt"):
-        PipelineConfig(salt="lots")
 
 
 def test_csv_sink_roundtrip(sequences_dir, tmp_path):

@@ -56,15 +56,38 @@ def test_rollup_matches_duckdb(sequences_dir, mode):
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_salted_rollup_matches_unsalted(sequences_dir):
-    events = read_sequences(sequences_dir, with_tokens=False)
-    plain = rollup_tiers(events, {"1m": TIERS["1m"]}, value_col="n_tok")
-    salted = rollup_tiers(events, {"1m": TIERS["1m"]}, value_col="n_tok", salt=4)
-    a = _norm(plain["1m"].to_pandas())
-    b = _norm(salted["1m"].to_pandas())
-    # salt adds a second merge level; counts/sums/min/max identical, p95
-    # identical while summaries stay exact (groups below cap)
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
+def test_hot_source_spreads_over_exchange(sequences_dir):
+    """Skew handling without salt: per-file partial combining shrinks the
+    hot source's share (~80% of raw rows, ~37% of partial rows), and the
+    (source, bucket_1m) exchange key spreads its partial rows so the
+    largest of P=16 partitions holds at most 2/P of them (~7.8%); hashed on
+    source alone the largest would hold ~46%."""
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from contest_parsing_ray.sources.ingest import derive_event_time
+    from contest_parsing_ray.stages._shuffle import add_hash_partition
+    from contest_parsing_ray.stages.rollup import PartialRollup
+
+    P = 16
+    partial = PartialRollup(TIERS, "n_tok")
+    raw, per_file = [], []
+    for f in sorted(pads.dataset(sequences_dir).files):
+        t = derive_event_time(pq.read_table(f, columns=["doc_id", "n_tok", "source"]))
+        raw.append(t["source"].to_pandas())
+        per_file.append(partial(t))
+    partials = pa.concat_tables(per_file)
+    raw_share = pd.concat(raw).value_counts(normalize=True).iloc[0]
+    hot_share = partials["source"].to_pandas().value_counts(normalize=True).iloc[0]
+    assert raw_share > 0.75 and hot_share < raw_share / 2
+
+    def largest_share(cols: list[str]) -> float:
+        part = add_hash_partition(partials, cols, P)["__part"].to_numpy()
+        return np.bincount(part, minlength=P).max() / len(part)
+
+    assert largest_share(["source", "bucket_1m"]) <= 2 / P
+    assert largest_share(["source"]) >= hot_share
 
 
 def test_hierarchical_floor_reaggregate(sequences_dir):

@@ -158,9 +158,7 @@ def test_compress_roundtrip(sequences_dir):
 
     r = _small_rollup(sequences_dir)
     chunks = compress_series(r, value_col="sum_v", chunk_points=64)
-    # concurrency=2: an actor pool sized to the whole test session (4 CPUs)
-    # starves the upstream read/sort tasks and the pipeline stalls
-    back = decompress_chunks(chunks, concurrency=2).to_pandas()
+    back = decompress_chunks(chunks).to_pandas()
     orig = r.to_pandas()[["source", "bucket_us", "sum_v"]].rename(
         columns={"sum_v": "value"}
     )
@@ -188,7 +186,7 @@ def test_read_range_prunes_and_trims(sequences_dir, tmp_path):
     lo = mn + (mx - mn) // 4
     hi = mn + 3 * (mx - mn) // 4
 
-    got = read_range(d, lo, hi, concurrency=2).to_pandas()
+    got = read_range(d, lo, hi).to_pandas()
     want = orig[(orig["bucket_us"] >= lo) & (orig["bucket_us"] <= hi)]
     assert 0 < len(want) < len(orig)
     pd.testing.assert_frame_equal(
@@ -205,9 +203,82 @@ def test_read_range_prunes_and_trims(sequences_dir, tmp_path):
     assert overlapping < all_chunks.num_rows
 
     # full window = identity; disjoint window = empty
-    full = read_range(d, mn, mx, concurrency=2).to_pandas()
+    full = read_range(d, mn, mx).to_pandas()
     assert len(full) == len(orig)
-    assert read_range(d, mx + W1M, mx + 2 * W1M, concurrency=2).count() == 0
+    assert read_range(d, mx + W1M, mx + 2 * W1M).count() == 0
+
+
+_READ_RANGE_CHILD = """
+import json, os, sys, threading
+import ray
+from ray.data import DataContext
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+from contest_parsing_ray.stages.compress import read_range
+
+d, lo, hi, limit = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+out = {}
+
+def run():
+    df = read_range(d, lo, hi).to_pandas().sort_values(["source", "bucket_us"])
+    out["rows"] = df[["source", "bucket_us", "value"]].values.tolist()
+
+th = threading.Thread(target=run, daemon=True)
+th.start()
+th.join(limit)
+print(json.dumps(out.get("rows")), flush=True)
+if th.is_alive():
+    # wedged: stop this session's processes; a plain shutdown would let the
+    # stuck thread start a fresh session
+    ray._private.worker._global_node.kill_all_processes(check_alive=False, wait=True)
+else:
+    ray.shutdown()
+os._exit(0)
+"""
+
+
+def test_read_range_finishes_on_one_cpu_session(tmp_path):
+    """read_range on a session with a single CPU: the decode must not hold
+    that CPU between batches (an actor pool did, and the read never
+    finished). Runs in a subprocess with its own num_cpus=1 Ray session;
+    the child gives up after a deadline and reports None."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    from contest_parsing_ray.stages.compress import encode_chunk
+
+    rows, want = [], []
+    for src in ("a", "b"):
+        ts = np.arange(100, dtype=np.int64) * W1M
+        vals = np.arange(100, dtype=np.float64) * 1.5
+        for ci, lo in enumerate(range(0, 100, 16)):
+            c = encode_chunk(ts[lo : lo + 16], vals[lo : lo + 16])
+            c["source"] = src
+            c["chunk_id"] = np.int64(ci)
+            rows.append(c)
+        want += [[src, int(t), float(v)] for t, v in zip(ts, vals) if 20 * W1M <= t <= 60 * W1M]
+    d = tmp_path / "chunks"
+    d.mkdir()
+    pq.write_table(pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False),
+                   str(d / "chunks-0000.parquet"))
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _READ_RANGE_CHILD, str(d), str(20 * W1M),
+         str(60 * W1M), "90"],
+        env=env, capture_output=True, text=True, timeout=240,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got is not None, "read_range did not finish on a num_cpus=1 session"
+    assert got == want
 
 
 def test_compress_bitstream_unit():
