@@ -333,9 +333,9 @@ def run_scaling() -> dict:
     # Amdahl decomposition is explicit in the recorded artifact
     stage_names = sorted(
         {k for r in reps for k in r.get("stage_seconds", {})}
-        # envelopes (dedup_* of probe+scan+decide, tiers_exchange inside
-        # tiers_write) — keeping them would double-count in hi_total/shares
-        - {"dedup_ingest", "dedup_exec_write", "tiers_exchange"}
+        # envelopes (dedup_* of probe+scan+decide) — keeping them would
+        # double-count in hi_total/shares
+        - {"dedup_ingest", "dedup_exec_write"}
     )
     stage_eff = {}
     hi_total = sum(

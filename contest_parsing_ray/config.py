@@ -5,9 +5,12 @@ Reference analog: ``ParseSettings`` (reference ``ParseSettings.py:7-55``) — th
 tier widths (the reference's ``rounding_acc`` grid, default "30s",
 ``ParseSettings.py:17-19``), the aggregate set, dedup keep policy
 (reference ``FileConcat.py:22`` keep='none' vs ``Joiner.py:104`` keep-first),
-the tier-merge thresholds and the output root. Hot-key skew needs no knob:
-per-batch partial combining plus the (source, bucket) exchange key spread
-the hot source (``stages/rollup.py``).
+the sketch cap, gap-fill, retention and compression settings and the output
+root. Execution choices are not knobs: the tier merge picks driver or
+exchange from the partial-state size (``DRIVER_MERGE_BYTES`` in
+``pipelines/rollup_pipeline.py``), and hot-key skew needs no knob because
+per-batch partial combining plus the (tier, source, bucket) exchange key
+spread the hot source (``stages/rollup.py``).
 """
 
 from __future__ import annotations
@@ -78,29 +81,6 @@ class PipelineConfig:
 
     # Compression chunk size (points per Gorilla chunk).
     chunk_points: int = 4096
-
-    # Adaptive execution: aggregate states (partial-rollup rows, rollup
-    # points) at or below this row count are merged/written driver-side —
-    # the coordinator-side combiner collapse — instead of paying a
-    # distributed shuffle whose fixed cost exceeds the work. Above it, the
-    # raw-task hash exchange runs (identical results, tested). 200k is the
-    # measured crossover: at 749k partials (10M-row flagship) the driver
-    # merge is ~16-21 s single-threaded and FLAT across CPU counts (it was
-    # the pipeline's Amdahl cap), while the raw-task exchange does the same
-    # merge in a few seconds and scales.
-    local_merge_threshold: int = 200_000
-
-    # Companion BYTES gate for the driver-side merge: partial rows carry
-    # variable-size quantile blobs (bigger per row with bigger partial
-    # batches), so row count alone under-estimates driver work. Above this
-    # materialized-partials size the distributed exchange runs even when
-    # the row count is under local_merge_threshold.
-    local_merge_bytes: int = 24 << 20
-
-    # Above this partial count the pipeline stops gathering merged rollup
-    # points on the driver (they may no longer be "tiny") and switches to
-    # the fully streaming merge -> gapfill -> union hive write.
-    streaming_write_threshold: int = 20_000_000
 
     # Flagship ingest: carry the token payload through dedup and keep the
     # deduped sequences table as a merge-on-read view — the input payload

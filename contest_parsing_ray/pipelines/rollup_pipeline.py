@@ -26,10 +26,23 @@ fixed costs are the serial fraction that caps scaling efficiency):
             (source, n_tok, event_time_us, token_ck). Token-integrity
             totals come off the materialized partials (driver-side
             wrap-sum, no extra pass).
-  [exec 4]  per-tier merge + gap-fill chains, UNIONed and written
-            hive-partitioned (tier, source) in one execution.
-  [exec 5]  compress: read tiers → one delta-of-delta/Gorilla pass →
-            out/chunks/tier=<t>/.
+  [exec 4]  tier merge: the partials become tier-tagged rows (tier,
+            source, bucket_us, stats, qsum) and merge on that one key, one
+            _merge_partition call per tier. At or below DRIVER_MERGE_BYTES
+            of partial state this runs in the driver; above it, through ONE
+            raw task exchange on (tier, source, bucket_us). Either way each
+            group merges once, so the tiers do not depend on the partition
+            count. The merged points (one per (source, bucket), orders of
+            magnitude below the partials) are gathered; the mergeable
+            state, gap-fill and the hive write (tier, source) run
+            driver-side.
+  [exec 5]  compress: one driver-side delta-of-delta/Gorilla pass over the
+            tiers → out/chunks/tier=<t>/.
+
+Incremental append (continuous aggregate): when only new input files
+appeared, the delta's partials go through the same tier merge after the
+stored state of the sources they touch, and only those sources' state,
+data and chunks are rewritten.
 
 Resume: tiers whose manifest matches the (input, config) fingerprints are
 skipped; the deduped table is reused when its own manifest matches.
@@ -37,24 +50,23 @@ skipped; the deduped table is reused when its own manifest matches.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
 import numpy as np
+import pandas as pd
+import pyarrow as pa
 import ray.data
 
 from ..config import PipelineConfig
 from ..sources.ingest import read_sequences
-from ..stages._shuffle import hash_partitioned_map
-from ..stages.compress import compress_series
+from ..stages import _shuffle
 from ..stages.dedup import dedup
-from ..stages.gapfill import gapfill
 from ..stages.retention import (
-    read_tier,
     read_tier_manifest,
     tier_needs_build,
     write_tier_manifest,
-    write_tiers,
 )
 from ..stages.rollup import PartialRollup, _merge_partition
 from ..state.manifest import (
@@ -92,6 +104,168 @@ def _fused_partial_fn(cfg: PipelineConfig) -> PartialRollup:
     )
 
 
+# The tier merge runs in the driver process at or below this many bytes of
+# partial state, and per partition of one raw task exchange above it. The
+# gate is on bytes, not rows: each partial row carries a quantile blob, and
+# a 112k-row / 90 MB partial state measured 17-43 s in the single-threaded
+# driver merge against ~3 s through the exchange.
+DRIVER_MERGE_BYTES = 24 << 20
+
+# Every tier merges on this one key, so one exchange serves all tiers and
+# each (tier, source, bucket) group is merged exactly once.
+TIER_KEY = ["tier", "source", "bucket_us"]
+_TAGGED = pa.schema(
+    [
+        ("tier", pa.string()),
+        ("source", pa.string()),
+        ("bucket_us", pa.int64()),
+        ("cnt", pa.int64()),
+        ("sum_v", pa.float64()),
+        ("min_v", pa.float64()),
+        ("max_v", pa.float64()),
+        ("qsum", pa.binary()),
+    ]
+)
+
+
+def _tier_tagged(t: pa.Table, tiers: list[str]) -> pa.Table:
+    """Partial rows (one ``bucket_<tier>`` column per tier) as tier-tagged
+    rows in the ``_TAGGED`` schema: one row per partial and tier."""
+    return pa.concat_tables(
+        [
+            pa.table(
+                [
+                    pa.repeat(name, len(t)),
+                    t["source"],
+                    t[f"bucket_{name}"],
+                    *(t[c] for c in _TAGGED.names[3:]),
+                ],
+                schema=_TAGGED,
+            )
+            for name in tiers
+        ]
+    )
+
+
+def _merge_tagged(t: pa.Table, cap: int) -> pd.DataFrame:
+    """Final points plus mergeable state (``qsum``) of tier-tagged rows:
+    one ``_merge_partition`` call per tier. The rows are first sorted on
+    their stats and blob, so each group merges its rows in one canonical
+    order: the float sums and the blob bytes depend only on which rows the
+    group holds, not on the order the partials arrived in (Ray Data does
+    not keep block order) or on the partition count."""
+    df = t.sort_by([(c, "ascending") for c in _TAGGED.names[3:]]).to_pandas()
+    outs = [
+        _merge_partition(g, "source", "bucket_us", cap, 0.95, True).assign(
+            tier=name
+        )
+        for name, g in df.groupby("tier", sort=False)
+    ]
+    if not outs:
+        return _merge_partition(df, "source", "bucket_us", cap, 0.95, True).assign(
+            tier=pd.Series([], dtype=object)
+        )
+    return pd.concat(outs, ignore_index=True)
+
+
+def _merge_tiers(
+    partials: ray.data.Dataset,
+    tiers: list[str],
+    cap: int,
+    metrics: dict,
+    prior: pa.Table | None = None,
+) -> pd.DataFrame:
+    """The one tier merge of the build and the append.
+
+    Merges tier-tagged ``prior`` rows (an append's stored state) and the
+    materialized ``partials``, tier-tagged, on ``TIER_KEY``. At or below
+    ``DRIVER_MERGE_BYTES`` this runs in the driver as one partition; above
+    it the partial blocks are tagged in tasks and merged per partition of
+    one raw task exchange. Returns the merged points with their state,
+    sorted by ``TIER_KEY``, and records the decision in
+    ``metrics["tier_merge"]``.
+    """
+    prior = prior if prior is not None else _TAGGED.empty_table()
+    blocks = partials.to_arrow_refs()
+    n_rows = partials.count() + len(prior)
+    n_bytes = (partials.size_bytes() or 0) + prior.nbytes
+    if n_bytes <= DRIVER_MERGE_BYTES:
+        tagged = pa.concat_tables(
+            [prior, *(_tier_tagged(b, tiers) for b in ray.get(blocks))]
+        )
+        merged = _merge_tagged(tagged, cap)
+        n_parts = 1
+    else:
+        tag = ray.remote(num_cpus=1)(_tier_tagged)
+        refs = _shuffle.raw_hash_exchange(
+            ray.data.from_arrow_refs(
+                [ray.put(prior), *(tag.remote(b, tiers) for b in blocks)]
+            ),
+            TIER_KEY,
+            functools.partial(_merge_tagged, cap=cap),
+            input_bytes=n_bytes,
+        )
+        n_parts = len(refs)
+        merged = pd.concat(
+            [t.to_pandas() for t in ray.get(refs) if len(t)], ignore_index=True
+        )
+    metrics["tier_merge"] = {
+        "partitions": n_parts,
+        "partial_rows": int(n_rows),
+        "partial_bytes": int(n_bytes),
+    }
+    return merged.sort_values(TIER_KEY, kind="stable", ignore_index=True)
+
+
+def _write_merged(
+    merged: pd.DataFrame,
+    tiers: dict,
+    cfg: PipelineConfig,
+    with_gapfill: bool,
+    input_fp: str,
+    config_fp: str,
+    extras: dict[str, dict],
+    sources: list[str] | None = None,
+) -> dict[str, dict]:
+    """Write each tier's state and its (gap-filled) public data from the
+    merged frame; ``sources`` limits the rewrite to those sources (the
+    append). Returns the tier manifests."""
+    from ..stages.gapfill import fill_group_pandas
+    from ..stages.retention import write_tier_state_local, write_tiers_local
+
+    manifests = {}
+    for name, width in tiers.items():
+        m = merged[merged["tier"] == name].drop(columns=["tier"])
+        write_tier_state_local(cfg.out_dir, name, m, sources=sources)
+        data = m.drop(columns=["qsum"])
+        if with_gapfill and len(data):
+            data = pd.concat(
+                [
+                    fill_group_pandas(g, width, cfg.gapfill_mode)
+                    for _, g in data.groupby("source", sort=False)
+                ],
+                ignore_index=True,
+            )
+        manifests.update(
+            write_tiers_local(
+                {name: data}, cfg.out_dir, input_fp, config_fp,
+                extra_manifest=extras[name], sources=sources,
+            )
+        )
+    return manifests
+
+
+def _token_totals(partials: ray.data.Dataset) -> dict[str, int]:
+    """Per-source token checksum: the wrapping uint64 sum of the partials'
+    ``ck_v`` column."""
+    df = partials.select_columns(["source", "ck_v"]).to_pandas()
+    with np.errstate(over="ignore"):
+        return {
+            str(src): int(np.sum(ck.to_numpy().view(np.uint64), dtype=np.uint64))
+            for src, ck in df.groupby("source")["ck_v"]
+        }
+
+
 def _build_deduped(
     input_path: str, cfg: PipelineConfig, dedup_dir: str,
     stage_seconds: dict | None = None,
@@ -110,7 +284,6 @@ def _build_deduped(
             dedup_dir,
             key="doc_id",
             keep=cfg.dedup_keep,
-            local_threshold=cfg.local_merge_threshold,
             stage_seconds=stage_seconds,
             partial_fn=_fused_partial_fn(cfg),
             partials_fingerprint=_fused_partials_fp(cfg),
@@ -255,172 +428,21 @@ def run_rollup_pipeline(
             # proportionally fewer rows (measured at 30M rows: ~9M -> ~1.2M
             # partials).
         ).materialize()
-    token_totals: dict[str, int] = {}
-    if cfg.ingest_tokens:
-        pdf = partials.select_columns(["source", "ck_v"]).to_pandas()
-        with np.errstate(over="ignore"):
-            totals = pdf.groupby("source")["ck_v"].agg(
-                lambda s: int(np.sum(s.to_numpy().view(np.uint64), dtype=np.uint64))
-            )
-        token_totals = {str(k): int(v) for k, v in totals.items()}
+    token_totals = _token_totals(partials) if cfg.ingest_tokens else {}
     metrics["stage_seconds"]["partials"] = time.perf_counter() - t0
 
-    # [exec 4] merge + gapfill + write for every tier.
-    # ADAPTIVE: the partial state after per-batch combining is usually tiny
-    # (~#sources x #buckets x #blocks rows) — far below what justifies a
-    # distributed shuffle whose fixed cost is seconds. Below the threshold
-    # the merge/gap-fill/write run driver-side (the combiner-tree collapse
-    # every real aggregation engine does on its coordinator); above it, the
-    # distributed hash-partitioned path runs. Both produce identical
-    # layouts and are equality-tested against each other.
+    # [exec 4] one merge for every tier (driver-side or one exchange, see
+    # _merge_tiers), then state, gap-fill and the hive write from the driver
     t0 = time.perf_counter()
-    n_partials = partials.count()
+    merged = _merge_tiers(partials, list(todo), cfg.quantile_cap, metrics)
     extra = {
         "token_checksums": token_totals,
         "input_files": input_file_fingerprints(input_path),
     }
-    # the driver-local combiner collapse is gated on BYTES as well as rows:
-    # partial ROWS stopped tracking driver work once the partials stage
-    # moved to 256k batches — each partial row carries a ~8x bigger qsum
-    # blob, and a 112k-row / 90 MB partial state measured 17-43 s in the
-    # single-threaded driver merge vs ~3 s through the distributed exchange
-    partials_bytes = partials.size_bytes() or 0
-    if (
-        n_partials <= cfg.local_merge_threshold
-        and partials_bytes <= cfg.local_merge_bytes
-    ):
-        import pandas as pd
-
-        from ..stages.retention import write_tier_state_local
-
-        pdf_all = partials.to_pandas()
-        frames = {}
-        for name, width in todo.items():
-            bcol = f"bucket_{name}"
-            # keep_summary: the qsum blobs become the tier's mergeable
-            # STATE (continuous aggregate) so later appends can combine
-            # delta partials without a from-scratch rebuild
-            merged = _merge_partition(
-                pdf_all, "source", bcol, cfg.quantile_cap, 0.95, True
-            )
-            write_tier_state_local(cfg.out_dir, name, merged)
-            merged = merged.drop(columns=["qsum"])
-            if with_gapfill:
-                from ..stages.gapfill import fill_group_pandas
-
-                merged = pd.concat(
-                    [
-                        fill_group_pandas(g, width, cfg.gapfill_mode)
-                        for _, g in merged.groupby("source", sort=False)
-                    ],
-                    ignore_index=True,
-                )
-            frames[name] = merged
-        from ..stages.retention import write_tiers_local
-
-        manifests = write_tiers_local(
-            frames, cfg.out_dir, input_fp, config_fp, extra_manifest=extra
-        )
-    elif n_partials <= cfg.streaming_write_threshold:
-        # raw-task exchange, not Ray's sort-based groupby shuffle: the
-        # partial state is small (~#sources x #buckets x #blocks rows) but
-        # the sort shuffle's per-partition overhead measured 50.9 s at 10M
-        # rows where the same movement via split/reduce tasks takes ~4 s
-        # (see _shuffle.raw_hash_exchange). All tiers' exchanges are
-        # launched before any gather so the reduce waves overlap. The
-        # MERGED points are bounded by #(source x bucket) — orders of
-        # magnitude below the partials — so gap-fill + hive write run
-        # driver-side (write_tiers_local), which saves two more
-        # distributed executions of pure fixed cost per run.
-        import pandas as pd
-
-        from ..stages._shuffle import raw_hash_exchange
-        from ..stages.gapfill import fill_group_pandas
-        from ..stages.retention import write_tier_state_local, write_tiers_local
-
-        # ONE fused exchange for ALL tiers, partitioned by the finest
-        # tier's key: the finest tier's groups are complete per partition
-        # (final points), while coarser tiers come out as CONSOLIDATED
-        # mergeable slices (same schema: stats + qsum) that the driver
-        # combines with one more vectorized _merge_partition over ~P x
-        # #coarse_groups rows. Replaces one exchange per tier — exchange
-        # fixed cost was the dominant flat term in tiers_write.
-        tier_names = list(todo)
-        finest = tier_names[
-            int(np.argmin([todo[n] for n in tier_names]))
-        ]
-
-        def fused_merge(t: "pa.Table") -> pd.DataFrame:
-            df = t.to_pandas()
-            outs = []
-            for name in tier_names:
-                m = _merge_partition(
-                    df, "source", f"bucket_{name}", cfg.quantile_cap, 0.95,
-                    True,
-                )
-                m.insert(0, "tier", name)
-                outs.append(m)
-            return pd.concat(outs, ignore_index=True)
-
-        refs = raw_hash_exchange(
-            partials,
-            ["source", f"bucket_{finest}"],
-            fused_merge,
-            input_bytes=partials_bytes,
-        )
-        parts = [t.to_pandas() for t in ray.get(refs) if t is not None]
-        metrics["stage_seconds"]["tiers_exchange"] = time.perf_counter() - t0
-        allm = (
-            pd.concat([p for p in parts if len(p)], ignore_index=True)
-            if parts
-            else pd.DataFrame()
-        )
-        frames = {}
-        for name, width in todo.items():
-            sl = allm[allm["tier"] == name].drop(columns=["tier"]) if len(allm) else allm
-            if name != finest and len(sl):
-                # coarse tiers: combine the per-partition slices (same
-                # mergeable schema) — final points above the slice cap are
-                # compact-of-compacts: deterministic, exact below cap
-                sl = _merge_partition(
-                    sl, "source", "bucket_us", cfg.quantile_cap, 0.95, True
-                )
-            merged = sl
-            if len(merged):
-                write_tier_state_local(cfg.out_dir, name, merged)
-                merged = merged.drop(columns=["qsum"])
-            if with_gapfill and len(merged):
-                merged = pd.concat(
-                    [
-                        fill_group_pandas(g, width, cfg.gapfill_mode)
-                        for _, g in merged.groupby("source", sort=False)
-                    ],
-                    ignore_index=True,
-                )
-            frames[name] = merged
-        manifests = write_tiers_local(
-            frames, cfg.out_dir, input_fp, config_fp, extra_manifest=extra
-        )
-    else:
-        # 100 TB path: rollup points themselves are too many to pass the
-        # driver — fully streaming merge + gap-fill + ONE union hive write
-        tier_dss = {}
-        for name, width in todo.items():
-            bcol = f"bucket_{name}"
-            tier_ds = hash_partitioned_map(
-                partials,
-                ["source", bcol],
-                lambda df, _b=bcol: _merge_partition(
-                    df, "source", _b, cfg.quantile_cap, 0.95, False
-                ),
-                batch_format="pandas",
-            )
-            if with_gapfill:
-                tier_ds = gapfill(tier_ds, width, mode=cfg.gapfill_mode)
-            tier_dss[name] = tier_ds
-        manifests = write_tiers(
-            tier_dss, cfg.out_dir, input_fp, config_fp, extra_manifest=extra
-        )
+    manifests = _write_merged(
+        merged, todo, cfg, with_gapfill, input_fp, config_fp,
+        {name: extra for name in todo},
+    )
     for name, manifest in manifests.items():
         metrics["tiers"][name] = {
             "points": manifest["total_rows"],
@@ -428,42 +450,11 @@ def run_rollup_pipeline(
         }
     metrics["stage_seconds"]["tiers_write"] = time.perf_counter() - t0
 
-    # [exec 5] one compression pass over all tiers (adaptive like the merge)
+    # [exec 5] chunks are a pure function of the (compact) tiers: encode
+    # them driver-side
     if with_compression and todo:
         t0 = time.perf_counter()
-        import pyarrow as pa
-
-        total_points = sum(m["total_rows"] for m in manifests.values())
-        if total_points <= cfg.local_merge_threshold:
-            # driver-side encode: rollup points are tiny relative to events
-            _recompress_tiers(cfg, todo)
-        else:
-            chunk_dir = os.path.join(cfg.out_dir, "chunks")
-            clear_dir(chunk_dir)
-
-            def tag(b: "pa.Table", _n: str) -> "pa.Table":
-                # hive path discovery may already materialize the tier column
-                if "tier" in b.column_names:
-                    return b
-                return b.append_column(
-                    "tier", pa.array([_n] * len(b), type=pa.string())
-                )
-
-            tagged = None
-            for name in todo:
-                t = read_tier(cfg.out_dir, name).map_batches(
-                    lambda b, _n=name: tag(b, _n), batch_format="pyarrow"
-                )
-                tagged = t if tagged is None else tagged.union(t)
-            chunks = compress_series(
-                tagged,
-                value_col="sum_v",
-                key_col="source",
-                ts_col="bucket_us",
-                chunk_points=cfg.chunk_points,
-                extra_group_cols=("tier",),
-            )
-            chunks.write_parquet(chunk_dir, partition_cols=["tier"])
+        _recompress_tiers(cfg, todo)
         metrics["stage_seconds"]["compress"] = time.perf_counter() - t0
 
     # retention expiry (only with an explicit clock — deterministic)
@@ -511,20 +502,8 @@ def _try_incremental_append(
     quantile_cap; beyond it both paths are deterministic compactions
     (documented divergence in the last ulp of p95).
     """
-    import time
-
-    import pandas as pd
-    import pyarrow as pa
-
     from ..stages.deletion_vector import append_deduped_dv, sidecar_dir
-    from ..stages.gapfill import fill_group_pandas
-    from ..stages.retention import (
-        read_tier_manifest,
-        read_tier_state,
-        tier_data_dir,
-        tier_state_dir,
-        write_tier_manifest,
-    )
+    from ..stages.retention import read_tier_state, tier_state_exists
 
     if not (cfg.ingest_tokens and cfg.dedup_keep == "first"):
         return None
@@ -539,7 +518,7 @@ def _try_incremental_append(
             and m.get("input_files")
         ):
             return None
-        if not os.path.isdir(tier_state_dir(cfg.out_dir, name)):
+        if not tier_state_exists(cfg.out_dir, name):
             return None
         manifests[name] = m
     prior = manifests[next(iter(tiers))]["input_files"]
@@ -571,85 +550,54 @@ def _try_incremental_append(
     # delta partials (the appended sidecar rows only)
     t0 = time.perf_counter()
     pruned_cols = ["source", "n_tok", "event_time_us", "token_ck"]
-    delta = ray.data.read_parquet(sidecar_files, columns=pruned_cols)
-    pdf = delta.map_batches(
-        PartialRollup(
-            dict(tiers), "n_tok", "source", "event_time_us",
-            cfg.quantile_cap, "nearest", checksum_col="token_ck",
-        ),
+    partials = ray.data.read_parquet(sidecar_files, columns=pruned_cols).map_batches(
+        _fused_partial_fn(cfg),
         batch_format="pyarrow",
         batch_size=262144,
-    ).to_pandas()
+    ).materialize()
+    delta_ck = _token_totals(partials)
     metrics["stage_seconds"]["append_partials"] = time.perf_counter() - t0
 
-    # per-source token checksum totals: wrap-add the delta into manifests
-    with np.errstate(over="ignore"):
-        delta_ck = {
-            str(k): int(v)
-            for k, v in pdf.groupby("source")["ck_v"]
-            .agg(lambda s: int(np.sum(s.to_numpy().view(np.uint64), dtype=np.uint64)))
-            .items()
-        }
-
+    # the same merge as the build, over the stored state of the affected
+    # sources followed by the delta partials; then rewrite those sources
     t0 = time.perf_counter()
-    import pyarrow.parquet as pq
-
-    for name, width in tiers.items():
-        merged_delta = _merge_partition(
-            pdf, "source", f"bucket_{name}", cfg.quantile_cap, 0.95, True
-        )
-        affected_sources = sorted(set(merged_delta["source"]))
-        state = read_tier_state(cfg.out_dir, name, affected_sources)
-        combined = _merge_partition(
-            pd.concat([state, merged_delta], ignore_index=True),
-            "source", "bucket_us", cfg.quantile_cap, 0.95, True,
-        )
-        # rewrite state + regenerate data for the affected sources only
-        man = manifests[name]
-        for src, g in combined.groupby("source", sort=False):
-            sdir = os.path.join(tier_state_dir(cfg.out_dir, name), f"source={src}")
-            os.makedirs(sdir, exist_ok=True)
-            tmp = os.path.join(sdir, "state-0000.parquet.tmp")
-            pq.write_table(
+    affected_sources = sorted(delta_ck)
+    state = []
+    for name in tiers:
+        st = read_tier_state(cfg.out_dir, name, affected_sources)
+        if len(st):
+            state.append(
                 pa.Table.from_pandas(
-                    g.drop(columns=["source"]), preserve_index=False
-                ),
-                tmp,
+                    st.assign(tier=name)[_TAGGED.names],
+                    schema=_TAGGED,
+                    preserve_index=False,
+                )
             )
-            os.replace(tmp, os.path.join(sdir, "state-0000.parquet"))
-            data = g.drop(columns=["qsum"])
-            if with_gapfill:
-                data = fill_group_pandas(data, width, cfg.gapfill_mode)
-            ddir = os.path.join(tier_data_dir(cfg.out_dir, name), f"source={src}")
-            os.makedirs(ddir, exist_ok=True)
-            out = data.drop(columns=["source"])
-            tmp = os.path.join(ddir, "part-0000.parquet.tmp")
-            pq.write_table(
-                pa.Table.from_pandas(out, preserve_index=False), tmp
-            )
-            os.replace(tmp, os.path.join(ddir, "part-0000.parquet"))
-            num = data.select_dtypes(include=[np.number]).to_numpy(
-                dtype=np.float64
-            )
-            ck = int(np.abs(np.nan_to_num(num)).sum() * 1000) & 0xFFFFFFFFFFFF
-            man["partitions"][str(src)] = {
-                "rows": int(len(data)), "checksum": ck
-            }
+    merged = _merge_tiers(
+        partials, list(tiers), cfg.quantile_cap, metrics,
+        prior=pa.concat_tables(state) if state else None,
+    )
+    extras = {}
+    for name, man in manifests.items():
+        # per-source token checksum totals: wrap-add the delta
+        totals = dict(man.get("token_checksums", {}))
         with np.errstate(over="ignore"):
             for src, d in delta_ck.items():
-                old = int(man.get("token_checksums", {}).get(src, 0))
-                man.setdefault("token_checksums", {})[src] = int(
-                    np.uint64(old) + np.uint64(d & 0xFFFFFFFFFFFFFFFF)
+                totals[src] = int(
+                    np.uint64(int(totals.get(src, 0)))
+                    + np.uint64(d & 0xFFFFFFFFFFFFFFFF)
                 )
-        man["total_rows"] = int(
-            sum(p["rows"] for p in man["partitions"].values())
-        )
-        man["input_fingerprint"] = input_fp
-        man["input_files"] = current_files
-        man.setdefault("appends", []).append(
-            {"new_files": new_files, "sources": affected_sources}
-        )
-        write_tier_manifest(cfg.out_dir, name, man)
+        extras[name] = {
+            "token_checksums": totals,
+            "input_files": current_files,
+            "appends": man.get("appends", [])
+            + [{"new_files": new_files, "sources": affected_sources}],
+        }
+    written = _write_merged(
+        merged, tiers, cfg, with_gapfill, input_fp, config_fp, extras,
+        sources=affected_sources,
+    )
+    for name, man in written.items():
         metrics["tiers"][name] = {
             "points": man["total_rows"],
             "partitions": len(man["partitions"]),
@@ -668,10 +616,8 @@ def _try_incremental_append(
 
 
 def _recompress_tiers(cfg: PipelineConfig, tiers: dict) -> None:
-    """Driver-side chunk rebuild over the (compact) tier data — the full
-    build's local compress branch and the append path."""
-    import pandas as pd
-    import pyarrow as pa_mod
+    """Driver-side chunk rebuild over the (compact) tier data — the compress
+    stage of the build and of the append."""
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
@@ -702,6 +648,6 @@ def _recompress_tiers(cfg: PipelineConfig, tiers: dict) -> None:
         tdir = os.path.join(chunk_dir, f"tier={name}")
         os.makedirs(tdir, exist_ok=True)
         pq.write_table(
-            pa_mod.Table.from_pandas(pd.DataFrame(rows), preserve_index=False),
+            pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False),
             os.path.join(tdir, "chunks-0000.parquet"),
         )

@@ -288,7 +288,7 @@ def build_deduped_dv(
     out_dir: str,
     key: str = "doc_id",
     keep: str = "first",
-    local_threshold: int = 2_000_000,
+    local_threshold: int = 200_000,
     bloom_threshold: int = 50_000_000,
     decode_rows: int = 2048,
     stage_seconds: dict | None = None,

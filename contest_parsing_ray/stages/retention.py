@@ -3,37 +3,38 @@
 Layout (resumable, partitioned — never one giant file):
 
     out/deduped/data/source=<s>/*.parquet       the deduped sequences table
-    out/rollup/data/tier=<t>/source=<s>/*.parquet  ALL tiers, ONE write
+    out/rollup/data/tier=<t>/source=<s>/*.parquet  rollup points per tier
+    out/rollup/state/tier=<t>/source=<s>/*.parquet mergeable tier state
     out/chunks/tier=<t>/*.parquet                compressed segments
     out/manifests/<t>.json                       per-tier lineage manifest
 
 Reference analog: the per-stage Parquet sinks (``MetricsParser.py:139-143``
 etc.) + output clearing (``JoinManager.py:189-195``), upgraded with the
 atomicity/lineage design from SURVEY §4 (idempotent writes, per-partition
-manifest, skip-completed-on-resume). All todo tiers are written in ONE
-distributed execution (union of the lazy per-tier chains, hive-partitioned
-by tier/source); per-partition stats come from a driver-side read of the
-written files below ``distributed_threshold_bytes`` — rollup tiers are
-compact by design (one row per (source, bucket)) — and from one Ray task
-per partition above it.
+manifest, skip-completed-on-resume). Rollup tiers are compact by design
+(one row per (source, bucket)), so the pipeline merges them into driver
+memory and writes them from there: one parquet file per (tier, source),
+each written tmp-then-move, with the per-partition stats computed from the
+frame being written. The mergeable tier STATE (``rollup/state/``) is
+written the same way. An incremental append rewrites only the sources it
+touched.
 
 Every file op goes through ``pyarrow.fs`` (``..fsutil``), so ``out_dir``
 may be a plain local path or an ``s3://``-style URI; resolved filesystems
-are picklable and ride into the Ray tasks of the distributed branches.
+are picklable and ride into the Ray tasks of the parallel retention pass.
 """
 
 from __future__ import annotations
 
 import json
-import posixpath
 
 import numpy as np
 import pyarrow as pa
-import ray.data
+import ray
 from pyarrow import fs as pafs
 
 from ..fsutil import join_path, resolve_fs
-from ..state.manifest import clear_dir, fingerprint_config, fingerprint_input
+from ..state.manifest import clear_dir
 
 
 def _is_dir(fsys: pafs.FileSystem, path: str) -> bool:
@@ -85,119 +86,38 @@ def tier_data_dir(out_dir: str, tier: str) -> str:
     return join_path(out_dir, "rollup", "data", f"tier={tier}")
 
 
-def read_tier(out_dir: str, tier: str) -> ray.data.Dataset:
-    return ray.data.read_parquet(tier_data_dir(out_dir, tier))
+def _write_atomic(fsys: pafs.FileSystem, table: pa.Table, path: str) -> None:
+    """Write one parquet file as tmp-then-move, so a reader never sees a
+    half-written file and a rewrite replaces the old file in one step."""
+    import pyarrow.parquet as pq
+
+    tmp = path + ".tmp"
+    pq.write_table(table, tmp, filesystem=fsys)
+    fsys.move(tmp, path)
 
 
-def _stats_of_frame(df, key_col: str) -> dict:
-    stats: dict = {}
-    for k, g in df.groupby(key_col):
-        num = g.select_dtypes(include=[np.number]).to_numpy(dtype=np.float64)
-        ck = int(np.abs(np.nan_to_num(num)).sum() * 1000) & 0xFFFFFFFFFFFF
-        stats[str(k)] = {"rows": int(len(g)), "checksum": ck}
-    return stats
-
-
-def _partition_stats_from_disk(
-    data_dir: str, key_col: str, distributed_threshold_bytes: int = 256 << 20
-) -> dict:
-    """Per-partition (rows, checksum) for the manifest.
-
-    Rollup tiers are compact by design (one row per (key, bucket)), so the
-    default is a single driver read. Above ``distributed_threshold_bytes``
-    of on-disk parquet (pathological key cardinality) the stats compute as
-    ONE Ray task per hive partition dir — each task reads only its
-    partition, so nothing tier-sized ever lands on the driver."""
-    import pyarrow.dataset as pads
-
-    fsys, root = resolve_fs(data_dir)
-    infos = _ls(fsys, root)
-    subdirs = [
-        i.path
-        for i in infos
-        if i.type == pafs.FileType.Directory and "=" in posixpath.basename(i.path)
-    ]
-    total_bytes = sum(
-        i.size or 0
-        for i in fsys.get_file_info(pafs.FileSelector(root, recursive=True))
-        if i.is_file and i.path.endswith(".parquet")
-    )
-    if total_bytes <= distributed_threshold_bytes or not subdirs:
-        dset = pads.dataset(root, partitioning="hive", filesystem=fsys)
-        return _stats_of_frame(dset.to_table().to_pandas(), key_col)
-
-    @ray.remote(num_cpus=1)
-    def part_stats(pdir: str, key: str) -> tuple[str, dict]:
-        import pyarrow.dataset as pads_r
-
-        df = pads_r.dataset(pdir, filesystem=fsys).to_table().to_pandas()
-        num = df.select_dtypes(include=[np.number]).to_numpy(dtype=np.float64)
-        ck = int(np.abs(np.nan_to_num(num)).sum() * 1000) & 0xFFFFFFFFFFFF
-        return key, {"rows": int(len(df)), "checksum": ck}
-
-    out = ray.get(
-        [
-            part_stats.remote(d, posixpath.basename(d).split("=", 1)[1])
-            for d in subdirs
-        ]
-    )
-    return {k: v for k, v in out}
-
-
-def write_tiers(
-    tier_dss: dict[str, ray.data.Dataset],
-    out_dir: str,
-    input_fp: str,
-    config_fp: str,
-    key_col: str = "source",
-    extra_manifest: dict | None = None,
-) -> dict[str, dict]:
-    """Write every tier in ``tier_dss`` in ONE distributed execution.
-
-    Each dataset gets a ``tier`` tag column, the union is written
-    hive-partitioned by (tier, key); completed tiers not in ``tier_dss``
-    are left untouched on disk (their subdirs are not cleared)."""
-    tagged = None
-    for name, ds in tier_dss.items():
-        clear_dir(tier_data_dir(out_dir, name))
-        t = ds.map_batches(
-            lambda b, _n=name: b.append_column(
-                "tier", pa.array([_n] * len(b), type=pa.string())
-            ),
-            batch_format="pyarrow",
+def _write_per_key(
+    df, root: str, key_col: str, fname: str, keys: list[str] | None
+) -> list:
+    """One ``fname`` per key under ``root/<key_col>=<k>/``; returns the
+    written ``(key, group)`` pairs. Without ``keys`` the whole ``root`` is
+    cleared first; with it, only those keys' files are rewritten and every
+    other key's files stay as they are."""
+    if keys is None:
+        clear_dir(root)
+    else:
+        df = df[df[key_col].isin(keys)]
+    fsys, froot = resolve_fs(root)
+    groups = list(df.groupby(key_col, sort=False))
+    for k, g in groups:
+        pdir = join_path(froot, f"{key_col}={k}")
+        fsys.create_dir(pdir, recursive=True)
+        _write_atomic(
+            fsys,
+            pa.Table.from_pandas(g.drop(columns=[key_col]), preserve_index=False),
+            join_path(pdir, fname),
         )
-        tagged = t if tagged is None else tagged.union(t)
-    root = join_path(out_dir, "rollup", "data")
-    tagged.write_parquet(root, partition_cols=["tier", key_col])
-
-    manifests: dict[str, dict] = {}
-    for name in tier_dss:
-        stats = _partition_stats_from_disk(tier_data_dir(out_dir, name), key_col)
-        manifest = {
-            "tier": name,
-            "input_fingerprint": input_fp,
-            "config_fingerprint": config_fp,
-            "partitions": stats,
-            "total_rows": int(sum(p["rows"] for p in stats.values())),
-            "completed": True,
-        }
-        if extra_manifest:
-            manifest.update(extra_manifest)
-        write_tier_manifest(out_dir, name, manifest)
-        manifests[name] = manifest
-    return manifests
-
-
-__all__ = [
-    "write_tiers",
-    "tier_needs_build",
-    "read_tier",
-    "read_tier_manifest",
-    "write_tier_manifest",
-    "tier_data_dir",
-    "fingerprint_input",
-    "fingerprint_config",
-]
+    return groups
 
 
 def write_tiers_local(
@@ -207,40 +127,39 @@ def write_tiers_local(
     config_fp: str,
     key_col: str = "source",
     extra_manifest: dict | None = None,
+    sources: list[str] | None = None,
 ) -> dict[str, dict]:
-    """Small-state fast path: tiers already merged on the driver (pandas)
-    are written straight to the hive layout with pyarrow — zero distributed
-    executions. Same layout + manifests as :func:`write_tiers`; the caller
-    picks the path by partial-state size (adaptive execution)."""
+    """Write tiers merged on the driver (pandas) straight to the hive
+    layout with pyarrow, plus one lineage manifest per tier.
 
-    import pyarrow.parquet as pq
-
+    Without ``sources`` each tier is replaced whole. With ``sources`` (an
+    incremental append) only those sources' files are rewritten, and the
+    stored manifest is updated in place: those sources' partition stats
+    are replaced and every other field is kept unless ``extra_manifest``
+    sets it."""
     manifests: dict[str, dict] = {}
     for name, df in tier_frames.items():
-        tdir = tier_data_dir(out_dir, name)
-        clear_dir(tdir)
-        fsys, troot = resolve_fs(tdir)
-        stats: dict = {}
-        for k, g in df.groupby(key_col):
-            pdir = join_path(troot, f"{key_col}={k}")
-            fsys.create_dir(pdir, recursive=True)
-            out = g.drop(columns=[key_col])
-            pq.write_table(
-                pa.Table.from_pandas(out, preserve_index=False),
-                join_path(pdir, "part-0000.parquet"),
-                filesystem=fsys,
-            )
+        manifest = {}
+        if sources is not None:
+            manifest = read_tier_manifest(out_dir, name) or {}
+        stats = dict(manifest.get("partitions", {}))
+        for k, g in _write_per_key(
+            df, tier_data_dir(out_dir, name), key_col, "part-0000.parquet",
+            sources,
+        ):
             num = g.select_dtypes(include=[np.number]).to_numpy(dtype=np.float64)
             ck = int(np.abs(np.nan_to_num(num)).sum() * 1000) & 0xFFFFFFFFFFFF
             stats[str(k)] = {"rows": int(len(g)), "checksum": ck}
-        manifest = {
-            "tier": name,
-            "input_fingerprint": input_fp,
-            "config_fingerprint": config_fp,
-            "partitions": stats,
-            "total_rows": int(len(df)),
-            "completed": True,
-        }
+        manifest.update(
+            {
+                "tier": name,
+                "input_fingerprint": input_fp,
+                "config_fingerprint": config_fp,
+                "partitions": stats,
+                "total_rows": int(sum(p["rows"] for p in stats.values())),
+                "completed": True,
+            }
+        )
         if extra_manifest:
             manifest.update(extra_manifest)
         write_tier_manifest(out_dir, name, manifest)
@@ -293,9 +212,7 @@ def apply_retention(
         if n_keep == len(t):
             return len(t), 0
         filtered = t.filter(mask)
-        tmp = path + ".tmp"
-        pq.write_table(filtered, tmp, filesystem=fsys)
-        fsys.move(tmp, path)
+        _write_atomic(fsys, filtered, path)
         return len(filtered), len(t) - len(filtered)
 
     if len(jobs) <= 16:
@@ -329,23 +246,24 @@ def tier_state_dir(out_dir: str, tier: str) -> str:
 
 
 def write_tier_state_local(
-    out_dir: str, tier: str, merged, key_col: str = "source"
+    out_dir: str,
+    tier: str,
+    merged,
+    key_col: str = "source",
+    sources: list[str] | None = None,
 ) -> None:
-    """Write per-source state files (driver path; state is rollup-point
-    sized). ``merged`` must include the ``qsum`` column."""
-    import pyarrow.parquet as pq
+    """Write per-source state files (state is rollup-point sized, so it is
+    written from the driver). ``merged`` must include the ``qsum`` column;
+    ``sources`` works as in :func:`write_tiers_local`."""
+    _write_per_key(
+        merged, tier_state_dir(out_dir, tier), key_col, "state-0000.parquet",
+        sources,
+    )
 
-    sdir = tier_state_dir(out_dir, tier)
-    clear_dir(sdir)
-    fsys, sroot = resolve_fs(sdir)
-    for k, g in merged.groupby(key_col, sort=False):
-        pdir = join_path(sroot, f"{key_col}={k}")
-        fsys.create_dir(pdir, recursive=True)
-        pq.write_table(
-            pa.Table.from_pandas(g.drop(columns=[key_col]), preserve_index=False),
-            join_path(pdir, "state-0000.parquet"),
-            filesystem=fsys,
-        )
+
+def tier_state_exists(out_dir: str, tier: str) -> bool:
+    fsys, sroot = resolve_fs(tier_state_dir(out_dir, tier))
+    return _is_dir(fsys, sroot)
 
 
 def read_tier_state(out_dir: str, tier: str, sources: list[str] | None = None):

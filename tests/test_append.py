@@ -136,21 +136,33 @@ def test_append_modified_prior_file_rebuilds(corpus, tmp_path):
     assert m["tiers"], "rebuilt"
 
 
-def test_distributed_stats_match_driver(corpus, tmp_path):
-    """_partition_stats_from_disk: the per-partition Ray-task branch
-    (threshold=0) produces the identical manifest stats as the driver
-    read (verdict: distributed tier stats)."""
-    from contest_parsing_ray.stages.retention import (
-        _partition_stats_from_disk,
-        tier_data_dir,
-    )
+def test_append_after_exchange_build_appends(corpus, tmp_path, monkeypatch):
+    """A build whose tier merge ran through the exchange (P > 1) still
+    writes the mergeable state, so the next run appends instead of
+    rebuilding, and its tiers equal a from-scratch build."""
+    from contest_parsing_ray.pipelines import rollup_pipeline
 
+    monkeypatch.setattr(rollup_pipeline, "DRIVER_MERGE_BYTES", -1)
     out = str(tmp_path / "out")
-    run_rollup_pipeline(corpus, PipelineConfig(out_dir=out))
-    tdir = tier_data_dir(out, "1m")
-    a = _partition_stats_from_disk(tdir, "source")
-    b = _partition_stats_from_disk(tdir, "source", distributed_threshold_bytes=0)
-    assert a == b and len(a) == 8
+    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP)
+    m1 = run_rollup_pipeline(corpus, cfg)
+    assert m1["tier_merge"]["partitions"] > 1
+    pq.write_table(
+        make_sequences_table(2_000, seed=7),
+        os.path.join(corpus, "part-9000.parquet"),
+    )
+    m2 = run_rollup_pipeline(corpus, cfg)
+    assert m2.get("incremental_append") is True
+    assert m2["tier_merge"]["partitions"] > 1
+    monkeypatch.undo()
+
+    out2 = str(tmp_path / "scratch")
+    m3 = run_rollup_pipeline(
+        corpus, PipelineConfig(out_dir=out2, quantile_cap=CAP), resume=False
+    )
+    assert m3["tier_merge"]["partitions"] == 1
+    for tier in ("1m", "5m", "1h"):
+        pd.testing.assert_frame_equal(_tier(out, tier), _tier(out2, tier))
 
 
 def test_distributed_retention_many_partitions(tmp_path):

@@ -38,6 +38,11 @@ def test_pipeline_end_to_end_and_resume(sequences_dir, out_dir):
     man = json.load(open(os.path.join(out_dir, "manifests", "1m.json")))
     assert len(man.get("token_checksums", {})) == 8
     assert m1["tiers"]["1m"]["points"] > m1["tiers"]["1h"]["points"] > 0
+    # the tier-merge decision is in the run record
+    tm = m1["tier_merge"]
+    assert set(tm) == {"partitions", "partial_rows", "partial_bytes"}
+    assert tm["partitions"] == 1 and tm["partial_rows"] > 0
+    assert tm["partial_bytes"] > 0
 
     # outputs exist, partitioned by (tier, source), with manifests
     for tier in ("1m", "1h"):
@@ -61,6 +66,51 @@ def test_pipeline_end_to_end_and_resume(sequences_dir, out_dir):
     cfg2 = PipelineConfig(tiers=("1m", "1h"), out_dir=out_dir, gapfill_mode="linear")
     m3 = run_rollup_pipeline(sequences_dir, cfg2)
     assert m3["tiers"] != {}
+
+
+def _tree_bytes(root: str) -> dict[str, bytes]:
+    out = {}
+    for d, _, files in os.walk(root):
+        for f in files:
+            path = os.path.join(d, f)
+            out[os.path.relpath(path, root)] = open(path, "rb").read()
+    return out
+
+
+def test_tier_merge_exchange_matches_driver(sequences_dir, tmp_path, monkeypatch):
+    """The tier merge gives byte-identical tier data and state whether it
+    runs on the driver (P = 1) or through the exchange (P = 2, 7), also
+    when groups hold more values than quantile_cap and get compacted."""
+    import functools
+
+    from contest_parsing_ray.pipelines import rollup_pipeline
+    from contest_parsing_ray.stages import _shuffle
+    from contest_parsing_ray.stages.retention import read_tier_state
+
+    ref = str(tmp_path / "p1")
+    m = run_rollup_pipeline(
+        sequences_dir, PipelineConfig(out_dir=ref, quantile_cap=64), resume=False
+    )
+    assert m["tier_merge"]["partitions"] == 1
+    assert (read_tier_state(ref, "1h")["cnt"] > 64).any()
+    expect = _tree_bytes(os.path.join(ref, "rollup"))
+    assert any(k.startswith("state") for k in expect)
+
+    exchange = _shuffle.raw_hash_exchange
+    monkeypatch.setattr(rollup_pipeline, "DRIVER_MERGE_BYTES", -1)
+    for n_parts in (2, 7):
+        monkeypatch.setattr(
+            _shuffle,
+            "raw_hash_exchange",
+            functools.partial(exchange, num_partitions=n_parts),
+        )
+        out = str(tmp_path / f"p{n_parts}")
+        m = run_rollup_pipeline(
+            sequences_dir, PipelineConfig(out_dir=out, quantile_cap=64),
+            resume=False,
+        )
+        assert m["tier_merge"]["partitions"] == n_parts
+        assert _tree_bytes(os.path.join(out, "rollup")) == expect
 
 
 def test_pipeline_partial_resume(sequences_dir, out_dir):
