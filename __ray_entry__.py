@@ -968,18 +968,9 @@ def _q_range_read(sf_dir: str):
     return out.select_columns(["event_type", "bucket_us", "value"])
 
 
-def _fixture_partitions() -> int:
-    """Join partition count for the fixture-scale telemetry queries: the
-    data is a handful of rows, so partitions only buy actor spin-up time —
-    but each chained join's aggregators reserve CPU for the whole plan, so
-    on a small cluster (4-CPU pytest mirror) more than 2 deadlocks."""
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return 2 if cpus < 16 else 4
+# Exchange partition count for the fixture-scale telemetry queries: the data
+# is a handful of rows, so more partitions only add reduce tasks.
+FIXTURE_PARTITIONS = 2
 
 
 def _write_f2_service(d: str, svc: str, pod: str, t0: int) -> None:
@@ -1061,7 +1052,7 @@ def _q_telemetry_fixture(sf_dir: str):
     metrics = read_prometheus_json(f"{d}/metrics.json", 30_000_000)
     logs = read_structured_logs(f"{d}/ts-order-service.log", 30_000_000)
     return telemetry_join(
-        spans, metrics, logs, 30_000_000, num_partitions=_fixture_partitions()
+        spans, metrics, logs, 30_000_000, num_partitions=FIXTURE_PARTITIONS
     )
 
 
@@ -1077,7 +1068,7 @@ def _q_corpus_end_to_end(sf_dir: str):
     out = tempfile.mkdtemp(prefix="cpr_corpus_out_")
     write_f2_corpus(root)
     manifest = process_corpus(
-        root, out, 30_000_000, num_partitions=_fixture_partitions()
+        root, out, 30_000_000, num_partitions=FIXTURE_PARTITIONS
     )
     rows = [
         {

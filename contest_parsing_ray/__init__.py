@@ -23,11 +23,3 @@ caller (driver harness, ``bench.py``, or the pytest fixture).
 """
 
 __version__ = "0.2.0"
-
-from .compat import patch_hash_shuffle_schema_broadcast as _patch
-
-# Ray 2.49 hash-shuffle drops the schema broadcast when the first shuffled
-# block of a join input is empty (see compat.py) — install the fix before
-# any native Dataset.join plan is built.
-_patch()
-

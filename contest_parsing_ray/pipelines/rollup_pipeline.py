@@ -50,7 +50,6 @@ skipped; the deduped table is reused when its own manifest matches.
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 
@@ -131,6 +130,8 @@ _TAGGED = pa.schema(
 def _tier_tagged(t: pa.Table, tiers: list[str]) -> pa.Table:
     """Partial rows (one ``bucket_<tier>`` column per tier) as tier-tagged
     rows in the ``_TAGGED`` schema: one row per partial and tier."""
+    if not t.num_rows:  # an empty block may lack the partial columns
+        return _TAGGED.empty_table()
     return pa.concat_tables(
         [
             pa.table(
@@ -198,17 +199,19 @@ def _merge_tiers(
     else:
         tag = ray.remote(num_cpus=1)(_tier_tagged)
         refs = _shuffle.raw_hash_exchange(
-            ray.data.from_arrow_refs(
-                [ray.put(prior), *(tag.remote(b, tiers) for b in blocks)]
-            ),
-            TIER_KEY,
-            functools.partial(_merge_tagged, cap=cap),
+            [
+                (
+                    ray.data.from_arrow_refs(
+                        [ray.put(prior), *(tag.remote(b, tiers) for b in blocks)]
+                    ),
+                    TIER_KEY,
+                )
+            ],
+            lambda s, t: _merge_tagged(t, cap),
             input_bytes=n_bytes,
         )
         n_parts = len(refs)
-        merged = pd.concat(
-            [t.to_pandas() for t in ray.get(refs) if len(t)], ignore_index=True
-        )
+        merged = pd.concat(ray.get(refs), ignore_index=True)
     metrics["tier_merge"] = {
         "partitions": n_parts,
         "partial_rows": int(n_rows),
@@ -258,6 +261,9 @@ def _write_merged(
 def _token_totals(partials: ray.data.Dataset) -> dict[str, int]:
     """Per-source token checksum: the wrapping uint64 sum of the partials'
     ``ck_v`` column."""
+    schema = partials.schema()
+    if schema is None or "ck_v" not in schema.names:  # no partial rows
+        return {}
     df = partials.select_columns(["source", "ck_v"]).to_pandas()
     with np.errstate(over="ignore"):
         return {
@@ -624,14 +630,14 @@ def _recompress_tiers(cfg: PipelineConfig, tiers: dict) -> None:
     from ..stages.compress import encode_chunk
     from ..stages.retention import tier_data_dir
 
-    chunk_dir = os.path.join(cfg.out_dir, "chunks")
-    clear_dir(chunk_dir)
     for name in tiers:
-        df = (
-            pads.dataset(tier_data_dir(cfg.out_dir, name), partitioning="hive")
-            .to_table()
-            .to_pandas()
-        )
+        # per tier: a partial resume rebuilds only its own tiers' chunks
+        tdir = os.path.join(cfg.out_dir, "chunks", f"tier={name}")
+        clear_dir(tdir)
+        data_dir = tier_data_dir(cfg.out_dir, name)
+        if not os.path.isdir(data_dir):  # a tier with no points
+            continue
+        df = pads.dataset(data_dir, partitioning="hive").to_table().to_pandas()
         rows = []
         for src, g in df.groupby("source", sort=False):
             g = g.sort_values("bucket_us", kind="stable")
@@ -645,7 +651,6 @@ def _recompress_tiers(cfg: PipelineConfig, tiers: dict) -> None:
                 c["source"] = src
                 c["chunk_id"] = np.int64(ci)
                 rows.append(c)
-        tdir = os.path.join(chunk_dir, f"tier={name}")
         os.makedirs(tdir, exist_ok=True)
         pq.write_table(
             pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False),

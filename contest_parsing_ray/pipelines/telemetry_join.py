@@ -142,7 +142,7 @@ def cumulative_log_features(
     # all rows of one service must co-locate (running sums are per service)
     return hash_partitioned_map(
         logs, ["service"], per_partition_pa,
-        num_partitions=num_partitions or 16, batch_format="pyarrow"
+        num_partitions=num_partitions, batch_format="pyarrow"
     )
 
 

@@ -1,11 +1,13 @@
-"""Hash-partitioned shuffle helper — the engine's workhorse exchange.
+"""The engine's one keyed exchange, and its hashing.
 
-Ray Data's ``groupby(cols).map_groups(fn)`` makes one Python call per
-distinct group; for high-cardinality keys (doc_id dedup, (key, bucket)
-rollup merges) that is millions of interpreter calls. The scalable idiom is
-to shuffle on ``__part = hash64(cols) % P`` (one small int key, P ~ a few x
-cluster cores) and run ONE vectorized function per partition, which handles
-all of its groups with pandas/numpy in C.
+Every keyed shuffle — group-bys, dedup, joins, the tier merge, the
+deletion-vector decide — goes through :func:`raw_hash_exchange`: split
+tasks cut each input block on ``hash64(cols) % P``, and one reduce task per
+partition runs ONE vectorized function over all of its groups (pandas /
+numpy / Arrow in C), instead of one Python call per distinct key. The
+exchange is plain Ray tasks: no sort, no aggregator actors, no CPU held
+while waiting, so it runs on a 1-CPU session. P is about one reduce task
+per core, floored by input volume (:func:`exchange_partitions`).
 
 Hashing is vectorized over the raw Arrow buffers (no Python per row) and is
 uniform in the key hash, so input skew (the 80%-hot source, FIXTURES.md F1)
@@ -19,9 +21,9 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
+from ray.data.block import BlockAccessor
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -206,38 +208,145 @@ def add_hash_partition(
     return batch.append_column(out_col, pa.array(part, type=pa.int64()))
 
 
-# Upper bound on what one partition may hold: groupby("__part").map_groups
-# materializes a whole partition as ONE in-memory table in a worker, so the
-# partition count must grow with data volume, not just cluster width.
+# Upper bound on what one partition may hold: a reduce task holds its whole
+# partition as ONE in-memory table, so the partition count must grow with
+# data volume, not just cluster width.
 TARGET_PARTITION_BYTES = 256 << 20
 
+# Input bytes one split task takes on: blocks stream in and are grouped
+# until a group reaches this size, so KB-sized partial blocks share a task
+# (one task per block costs more in dispatch and per-reduce fan-in than the
+# split itself) while unreduced rows still spread over many tasks.
+SPLIT_TASK_BYTES = 32 << 20
 
-def default_num_partitions(
+
+def exchange_partitions(
     input_bytes: int | None = None,
     target_partition_bytes: int = TARGET_PARTITION_BYTES,
 ) -> int:
-    """Partition count for hash-partitioned exchanges.
-
-    Base: ~CPUs/2, clamped. Measured on this Ray version (sort-based
-    shuffle): P=64 on a 32-CPU node took 50s for a 1M-row dedup, P=16 took
-    7s — the per-partition task/block overhead of the sort shuffle
-    dominates well before data volume does, so never default to more
-    partitions than ~half the cluster's cores.
-
-    When ``input_bytes`` is known, the count is additionally floored at
-    ``ceil(input_bytes / target_partition_bytes)`` so one partition never
-    exceeds a worker-heap-sized table at 100x the data — the CPU-derived
-    cap is an overhead trade-off, not a memory-safety bound, so the bytes
-    floor may exceed it (clamped at 4096 partitions as a runaway guard).
-    """
+    """Partition count of a keyed exchange: about one reduce task per core
+    (4 to 128), floored at ``ceil(input_bytes / target_partition_bytes)``
+    when the input volume is known so one partition never exceeds a
+    worker-heap-sized table (clamped at 4096 as a runaway guard)."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:
         cpus = 8
-    p = max(4, min(64, cpus // 2))
+    p = max(4, min(128, cpus))
     if input_bytes:
         p = max(p, min(4096, -(-int(input_bytes) // target_partition_bytes)))
     return p
+
+
+def _to_arrow(block) -> pa.Table:
+    if isinstance(block, pa.Table):
+        return block
+    return BlockAccessor.for_block(block).to_arrow()
+
+
+def _concat(tables: list[pa.Table]) -> pa.Table:
+    # permissive: the same column can arrive int64 in one block and double
+    # (or null-typed) in another
+    if len(tables) == 1:
+        return tables[0]
+    return pa.concat_tables(tables, promote_options="permissive")
+
+
+@ray.remote(num_cpus=1)
+def _split(cols: list[str], P: int, *blocks):
+    """Cut a group of blocks into P key-hash partitions (one stable argsort
+    + zero-copy slices). Zero-column empty blocks carry no schema and are
+    skipped; a group of only those yields no shards (None)."""
+    ts = [t for t in map(_to_arrow, blocks) if t.num_columns]
+    if not ts:
+        return [None] * P if P > 1 else None
+    t = _concat(ts)
+    part = add_hash_partition(t, cols, P)["__part"].to_numpy()
+    order = np.argsort(part, kind="stable")
+    t = t.take(pa.array(order))
+    bounds = np.searchsorted(part[order], np.arange(P + 1))
+    out = [t.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return out if P > 1 else out[0]
+
+
+@ray.remote(num_cpus=1, num_returns=2)
+def _reduce(s: int, fn: Callable, n_shards: list[int], *shards):
+    """Partition ``s``: concatenate each input's shards and call
+    ``fn(s, *tables)`` unless every input is empty there. An empty input
+    of a partition the others reach is passed as its schema's empty table
+    (an outer join needs that side's columns), or as a zero-column table
+    when no block of it carried a schema. Returns the block and its row
+    count."""
+    tables, i = [], 0
+    for n in n_shards:
+        mine = [t for t in shards[i : i + n] if t is not None]
+        i += n
+        rows = [t for t in mine if t.num_rows]
+        if rows:
+            tables.append(_concat(rows).combine_chunks())
+        else:
+            tables.append(mine[0].schema.empty_table() if mine else pa.table({}))
+    if not any(t.num_rows for t in tables):
+        return None, 0
+    out = BlockAccessor.batch_to_block(fn(s, *tables))
+    return out, len(out)
+
+
+def raw_hash_exchange(
+    inputs: list[tuple[ray.data.Dataset, list[str]]],
+    fn: Callable,
+    num_partitions: int | None = None,
+    input_bytes: int | None = None,
+) -> list["ray.ObjectRef"]:
+    """The engine's keyed exchange, built from plain Ray tasks.
+
+    Every ``(Dataset, key cols)`` input is split on the same
+    :func:`add_hash_partition` scheme into P partitions, so rows with equal
+    key values (across inputs too) land in the same partition. Reduce task
+    ``s`` calls ``fn(s, table_0, ..., table_n)`` with partition ``s`` of
+    every input, once, and only if some input has rows there.
+
+    Map side: input blocks stream in as their Dataset executes and are cut
+    by split tasks of about ``SPLIT_TASK_BYTES`` each. Nothing here holds a
+    CPU while waiting on another task, so the exchange cannot wedge a small
+    session. The exchange runs when called and returns one ``ObjectRef``
+    per partition whose ``fn`` output has rows (a ``pa.Table``, or the
+    pandas block ``fn`` returned). P defaults to
+    :func:`exchange_partitions` of ``input_bytes``.
+    """
+    P = num_partitions or exchange_partitions(input_bytes)
+    split = _split.options(num_returns=P)
+    n_shards, flat = [], []
+    for ds, cols in inputs:
+        shards: list[list] = [[] for _ in range(P)]
+        for group in _block_groups(ds):
+            refs = split.remote(cols, P, *group)
+            for s, r in enumerate(refs if P > 1 else [refs]):
+                shards[s].append(r)
+        n_shards.append(len(shards[0]))
+        flat.append(shards)
+    fn_ref = ray.put(fn)
+    outs = [
+        _reduce.remote(s, fn_ref, n_shards, *(r for sh in flat for r in sh[s]))
+        for s in range(P)
+    ]
+    n_rows = ray.get([n for _, n in outs])
+    return [block for (block, _), n in zip(outs, n_rows) if n]
+
+
+def _block_groups(ds: ray.data.Dataset):
+    """Block refs of ``ds`` as it executes, grouped up to
+    ``SPLIT_TASK_BYTES``."""
+    group, group_bytes = [], 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            group.append(ref)
+            group_bytes += meta.size_bytes or 0
+            if group_bytes >= SPLIT_TASK_BYTES:
+                yield group
+                group, group_bytes = [], 0
+    if group:
+        yield group
 
 
 def hash_partitioned_map(
@@ -248,42 +357,39 @@ def hash_partitioned_map(
     batch_format: str = "pyarrow",
     input_bytes: int | None = None,
 ) -> ray.data.Dataset:
-    """Shuffle by hash(cols) % P and apply ``fn`` once per partition.
+    """Exchange on hash(cols) % P and apply ``fn`` once per non-empty
+    partition (one :func:`raw_hash_exchange` input).
 
-    ``fn`` receives the whole partition (pa.Table or pd.DataFrame incl. the
-    ``__part`` column — drop not needed, it is removed after) and must
-    handle ALL groups inside vectorized. All rows with equal ``cols`` values
-    are guaranteed co-located in one call. Callers that shuffle unreduced
-    data (not pre-aggregated partials) should pass ``input_bytes`` so the
-    partition count scales with volume (see :func:`default_num_partitions`).
+    ``fn`` receives the whole partition (pa.Table or pd.DataFrame per
+    ``batch_format``) and must handle ALL groups inside vectorized. All rows
+    with equal ``cols`` values are guaranteed co-located in one call.
+    Callers that shuffle unreduced data (not pre-aggregated partials) should
+    pass ``input_bytes`` so the partition count scales with volume (see
+    :func:`exchange_partitions`).
     """
-    if num_partitions is None:
-        num_partitions = default_num_partitions(input_bytes)
-    parted = ds.map_batches(
-        lambda b: add_hash_partition(b, cols, num_partitions), batch_format="pyarrow"
-    )
+    if batch_format == "pandas":
 
-    if batch_format == "pyarrow":
-
-        def run(t: pa.Table) -> pa.Table:
-            out = fn(t.drop_columns(["__part"]))
-            return out
+        def run(s: int, t: pa.Table):
+            return fn(BlockAccessor.for_block(t).to_pandas())
 
     else:
 
-        def run(df: pd.DataFrame) -> pd.DataFrame:
-            return fn(df.drop(columns="__part"))
+        def run(s: int, t: pa.Table):
+            return fn(t)
 
-    return parted.groupby("__part").map_groups(run, batch_format=batch_format)
+    # through the module global, so a wrapper installed on
+    # ``raw_hash_exchange`` sees every exchange
+    return ray.data.from_arrow_refs(
+        raw_hash_exchange([(ds, cols)], run, num_partitions, input_bytes)
+    )
 
 
 def partial_value_counts(ds: ray.data.Dataset, col: str) -> ray.data.Dataset:
     """Distributed exact value counts of one column → ``(col, cnt)``.
 
     Per-batch ``value_counts`` partials collapse the stream to ~cardinality
-    rows before the groupby exchange (the partial-before-shuffle rule);
-    the fragile positional rename of Ray's ``sum(cnt)`` output column is
-    centralized here.
+    rows before the exchange (the partial-before-shuffle rule); each
+    partition then sums its partials per value.
     """
 
     def counts(b: pa.Table) -> pa.Table:
@@ -292,105 +398,15 @@ def partial_value_counts(ds: ray.data.Dataset, col: str) -> ray.data.Dataset:
             {col: vc.field("values"), "cnt": vc.field("counts").cast(pa.int64())}
         )
 
-    merged = (
-        ds.select_columns([col])
-        .map_batches(counts, batch_format="pyarrow")
-        .groupby(col)
-        .sum("cnt")
+    def merge(t: pa.Table) -> pa.Table:
+        out = t.group_by(col, use_threads=False).aggregate([("cnt", "sum")])
+        return pa.table({col: out[col], "cnt": out["cnt_sum"]})
+
+    return hash_partitioned_map(
+        ds.select_columns([col]).map_batches(counts, batch_format="pyarrow"),
+        [col],
+        merge,
     )
-    return merged.map_batches(
-        lambda b: b.rename_columns([col, "cnt"]), batch_format="pyarrow"
-    )
-
-
-def raw_hash_exchange(
-    ds: ray.data.Dataset,
-    cols: list[str],
-    fn: Callable[[pa.Table], pa.Table],
-    num_partitions: int | None = None,
-    input_bytes: int | None = None,
-    pass_partition: bool = False,
-) -> list["ray.ObjectRef"]:
-    """Hash-partitioned map over a MATERIALIZED Dataset via raw Ray tasks.
-
-    Same contract as :func:`hash_partitioned_map` (all rows with equal
-    ``cols`` co-locate into one ``fn`` call) but built as a direct
-    map/reduce: each block splits into P sub-tables (one vectorized
-    argsort + zero-copy slices), each reduce task concatenates its shard
-    from every block and applies ``fn``. No sort exchange, no block
-    accounting — measured 50.9 s -> ~4 s for the 10M-row tier merge vs
-    ``groupby("__part").map_groups`` (Ray's sort-based shuffle pays per-
-    partition overhead far above the ~90 MB of actual partial-state
-    movement). Use for SMALL aggregate states that are already
-    materialized; the Dataset path remains right for streaming inputs.
-
-    Returns one ObjectRef[pa.Table] per partition (wrap with
-    ``ray.data.from_arrow_refs`` to continue as a Dataset).
-    """
-    if num_partitions is None:
-        # default_num_partitions' cpus/2 cap guards the SORT shuffle's
-        # per-partition overhead; raw tasks have none, so use ~1 reduce
-        # task per core — the reduce wave fills the cluster and each
-        # task's partition (hence its cold-page first-touch cost, the
-        # dominant merge cost on this host) halves.
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            cpus = 8
-        num_partitions = max(4, min(128, cpus))
-        if input_bytes:
-            num_partitions = max(
-                num_partitions,
-                min(4096, -(-int(input_bytes) // TARGET_PARTITION_BYTES)),
-            )
-    P = num_partitions
-    blocks = ds.to_arrow_refs()
-    if not blocks:
-        return []
-
-    @ray.remote(num_cpus=1, num_returns=P)
-    def split(*tables: pa.Table):
-        t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
-        t = add_hash_partition(t, cols, P)
-        part = t["__part"].to_numpy(zero_copy_only=False)
-        order = np.argsort(part, kind="stable")
-        ts = t.take(pa.array(order))
-        bounds = np.searchsorted(part[order], np.arange(P + 1))
-        out = [ts.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        return out if P > 1 else out[0]
-
-    @ray.remote(num_cpus=1)
-    def reduce(part_idx, *parts):
-        ts = [p for p in parts if p is not None and len(p)]
-        if not ts:
-            t = parts[0].schema.empty_table() if parts else None
-        else:
-            t = pa.concat_tables(ts).combine_chunks()
-        if t is None:
-            return None
-        t = t.drop_columns(["__part"])
-        out = fn(t, part_idx) if pass_partition else fn(t)
-        if isinstance(out, pd.DataFrame):
-            out = pa.Table.from_pandas(out, preserve_index=False)
-        return out
-
-    # group tiny blocks into ~2P split tasks: a materialized aggregate often
-    # lands as hundreds of KB-sized blocks (one per upstream task), and one
-    # split task per block costs more in dispatch + per-reduce object fan-in
-    # than the split work itself (measured: 227 blocks -> 681 tasks/5.4k
-    # return objects for a 3-tier merge; grouped: 48 tasks/1.2k objects)
-    n_split = max(1, min(len(blocks), 2 * P))
-    bounds = np.linspace(0, len(blocks), n_split + 1, dtype=np.int64)
-    shard_refs: list[list] = [[] for _ in range(P)]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi == lo:
-            continue
-        refs = split.remote(*blocks[lo:hi])
-        if P == 1:
-            refs = [refs]
-        for s, r in enumerate(refs):
-            shard_refs[s].append(r)
-    return [reduce.remote(s, *shard_refs[s]) for s in range(P)]
 
 
 def pool_size(concurrency):

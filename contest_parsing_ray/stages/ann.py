@@ -68,7 +68,7 @@ def brute_force_topk(
 
     return hash_partitioned_map(
         partials, ["query_id"], _merge_topk(k, id_col),
-        num_partitions=16, batch_format="pandas",
+        batch_format="pandas",
     )
 
 
@@ -214,7 +214,7 @@ def ivf_topk_cosine(
 
     return hash_partitioned_map(
         partials, ["query_id"], _merge_topk(k, id_col),
-        num_partitions=16, batch_format="pandas",
+        batch_format="pandas",
     )
 
 
@@ -316,7 +316,6 @@ def lsh_bucket_neardup(
         cand,
         ["id_a", "id_b"],
         lambda df: df.drop_duplicates(subset=["id_a", "id_b"]),
-        num_partitions=16,
         batch_format="pandas",
     )
 
@@ -493,5 +492,5 @@ def pq_topk_cosine(
     )
     return hash_partitioned_map(
         partials, ["query_id"], _merge_topk(k, id_col),
-        num_partitions=16, batch_format="pandas",
+        batch_format="pandas",
     )

@@ -6,15 +6,14 @@ split by level, plus a running DISTINCT EventId count (reference
 ``Joiner.py:221-267``; the reference computes it with an O(T x S) nested
 loop of whole-frame filters, ``Joiner.py:238-252``).
 
-Scale design: two-phase. (1) per-bucket counts via the same partial
-aggregation pattern as rollup (one shuffle over partials, never raw rows);
-(2) a per-key vectorized cumsum over the bucket axis inside ``map_groups``
-— there are few keys (sources / services) and at most one row per
-(key, bucket), so groups are small and the Python-call-per-group cost is
-per KEY, not per row. Running distinct counts avoid state entirely: the
-first-occurrence bucket of each (key, value) pair is an aggregate
-(min bucket), and the running distinct count is the cumsum of
-first-occurrence counts per bucket.
+Scale design: per-batch partial counts per (key, bucket) — the same
+partial aggregation pattern as rollup — then ONE keyed exchange on the key
+(never raw rows), whose partitions sum the partials and take a vectorized
+per-key cumsum over the bucket axis with a pandas ``groupby``. Running
+distinct counts avoid state entirely: the first-occurrence bucket of each
+(key, value) pair is an aggregate (min bucket, one exchange on the pair),
+and the running distinct count is the cumsum of first-occurrence counts
+per bucket (a second exchange on the key).
 """
 
 from __future__ import annotations
@@ -70,22 +69,15 @@ def cumulative_counts(
     partials = ds.map_batches(
         _PartialBucketCount(width_us, key_col, ts_col), batch_format="pyarrow"
     )
-    per_bucket = hash_partitioned_map(
-        partials,
-        [key_col, "bucket_us"],
-        lambda df: df.groupby([key_col, "bucket_us"], sort=False,
-                              dropna=False)["cnt"]
-        .sum()
-        .reset_index(),
-        batch_format="pandas",
-    )
 
-    def running(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("bucket_us", kind="stable").reset_index(drop=True)
-        g["running_cnt"] = g["cnt"].cumsum().astype(np.int64)
+    def running(df: pd.DataFrame) -> pd.DataFrame:
+        g = (df.groupby([key_col, "bucket_us"], sort=True, dropna=False)
+             ["cnt"].sum().reset_index())
+        g["running_cnt"] = (g.groupby(key_col, sort=False, dropna=False)
+                            ["cnt"].cumsum().astype(np.int64))
         return g
 
-    return per_bucket.groupby(key_col).map_groups(running, batch_format="pandas")
+    return hash_partitioned_map(partials, [key_col], running, batch_format="pandas")
 
 
 def cumulative_distinct(
@@ -139,25 +131,27 @@ def cumulative_distinct(
             )
 
     partials = ds.map_batches(_PartialFirstSeen(), batch_format="pyarrow")
-    first_seen = hash_partitioned_map(
-        partials,
-        [key_col, value_col],
-        lambda df: df.groupby([key_col, value_col], sort=False,
-                              dropna=False)["first_bucket"]
-        .min()
-        .reset_index(),
-        batch_format="pandas",
+
+    def new_per_bucket(df: pd.DataFrame) -> pd.DataFrame:
+        # a pair's first bucket is final here: all its partials co-locate
+        first = (df.groupby([key_col, value_col], sort=False, dropna=False)
+                 ["first_bucket"].min().reset_index())
+        return (first.groupby([key_col, "first_bucket"], sort=False,
+                              dropna=False)
+                .size().reset_index(name="new_distinct"))
+
+    new_counts = hash_partitioned_map(
+        partials, [key_col, value_col], new_per_bucket, batch_format="pandas"
     )
 
-    def per_key(g: pd.DataFrame) -> pd.DataFrame:
-        counts = (
-            g.groupby("first_bucket", sort=True).size().rename("new_distinct").reset_index()
-        )
-        counts["running_distinct"] = counts["new_distinct"].cumsum().astype(np.int64)
-        counts.insert(0, key_col, g[key_col].iloc[0])
-        return counts.rename(columns={"first_bucket": "bucket_us"})
+    def per_key(df: pd.DataFrame) -> pd.DataFrame:
+        g = (df.groupby([key_col, "first_bucket"], sort=True, dropna=False)
+             ["new_distinct"].sum().reset_index())
+        g["running_distinct"] = (g.groupby(key_col, sort=False, dropna=False)
+                                 ["new_distinct"].cumsum().astype(np.int64))
+        return g.rename(columns={"first_bucket": "bucket_us"})
 
-    return first_seen.groupby(key_col).map_groups(per_key, batch_format="pandas")
+    return hash_partitioned_map(new_counts, [key_col], per_key, batch_format="pandas")
 
 
 def approx_distinct(

@@ -10,13 +10,13 @@ Reference analogs:
   (nondeterministic); here "first" is made deterministic: the kept row is
   the minimum under ``tiebreak_cols`` ordering (SURVEY §2.7 D2 note).
 
-Scale design: a naive ``groupby(key).map_groups(head(1))`` makes one Python
-call per distinct key — millions of calls. Instead we hash-partition:
-``part = hash64(key) % num_partitions`` (vectorized), one shuffle on the
-small int key, then ONE vectorized pandas ``drop_duplicates`` /
-``groupby.filter`` per partition. Key-hash is uniform, so the hot-source
-skew of the input does not skew partitions. Heavy payload columns (tokens)
-ride the shuffle untouched — the per-row token-array-equality invariant is
+Scale design: a per-key call (``groupby(key)`` + one function per group)
+would make one Python call per distinct key — millions of calls. Instead
+the engine's keyed exchange (``_shuffle.raw_hash_exchange``) splits rows
+on ``hash64(key) % num_partitions`` (vectorized) and runs ONE vectorized
+pandas ``drop_duplicates`` / ``groupby`` per partition. Key-hash is
+uniform, so the hot-source skew of the input does not skew partitions.
+Heavy payload columns (tokens) ride the exchange untouched — the per-row token-array-equality invariant is
 exactly that they come out byte-identical (checked in tests via the
 checksum from ``sources.ingest.token_checksum``).
 
@@ -83,7 +83,7 @@ def dedup(
     This exchange moves UNREDUCED rows, so at scale pass ``input_bytes``
     (e.g. the on-disk parquet size) — the partition count then grows with
     volume so no partition exceeds a worker-heap-sized table
-    (``_shuffle.default_num_partitions``)."""
+    (``_shuffle.exchange_partitions``)."""
     if keep not in ("first", "none"):
         raise ValueError("keep must be 'first' or 'none'")
 

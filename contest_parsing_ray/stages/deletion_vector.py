@@ -71,11 +71,16 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..fsutil import is_uri
 from ._shuffle import hash64_strings
 from .dedup import BloomFilter, ShardedBloom, duplicated_key_probe_files
 
 _FLAG = "__dup"
 _SIDECAR_COLS = ["source", "n_tok", "event_time_us", "token_ck"]
+_SIDECAR_SCHEMA = pa.schema(
+    [("source", pa.string()), ("n_tok", pa.int32()),
+     ("event_time_us", pa.int64()), ("token_ck", pa.int64())]
+)
 _DUP_COLS = ["key", "file_idx", "pos"]
 
 
@@ -137,6 +142,7 @@ def read_fused_partials(out_dir: str, expected_fp: str):
     built under a different rollup config (the caller then recomputes
     partials from the sidecar — the two paths merge to identical tier
     points below the quantile cap)."""
+    _require_local(out_dir)
     try:
         manifest = _read_dv_manifest(out_dir)
     except OSError:
@@ -149,6 +155,16 @@ def read_fused_partials(out_dir: str, expected_fp: str):
     ):
         return None
     return ray.data.read_parquet(d)
+
+
+def _require_local(out_dir: str) -> None:
+    """The sidecar, deletion vectors and fused partials are written and
+    read with local-path calls; a URI ``out_dir`` would silently leave
+    them empty next to a valid manifest, so it raises instead."""
+    if is_uri(out_dir):
+        raise ValueError(
+            f"deletion-vector dedup needs a local out_dir, got URI {out_dir!r}"
+        )
 
 
 def _probe_mask(probe, keys: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -254,7 +270,7 @@ class _ScanFile:
                     pending, pending_rows = [], 0
             if pending:
                 yield pa.concat_tables(pending).combine_chunks()
-            if self.partial_fn is not None:
+            if self.partial_fn is not None and clean_stats:
                 stats = pa.concat_tables(clean_stats).combine_chunks()
                 if len(stats):
                     rows = self.partial_fn(stats)
@@ -307,6 +323,7 @@ def build_deduped_dv(
     """
     import time
 
+    _require_local(out_dir)
     if keep not in ("first", "none"):
         raise ValueError("keep must be 'first' or 'none'")
     if partial_fn is not None and partials_fingerprint is None:
@@ -411,11 +428,11 @@ def build_deduped_dv(
             # occurrences. (100 TB path)
             from ._shuffle import raw_hash_exchange
 
-            suspects = ray.data.read_parquet(dup_root).materialize()
+            suspects = ray.data.read_parquet(dup_root)
             win_cols = _SIDECAR_COLS + _DUP_COLS
             sdir, ddir = sidecar_dir(out_dir), dv_dir(out_dir)
 
-            def decide_shard(t: pa.Table, part: int) -> pa.Table:
+            def decide_shard(part: int, t: pa.Table) -> pa.Table:
                 df = t.select(_DUP_COLS).to_pandas()
                 losers = _decide_losers(df, keep)
                 lose_mask = np.zeros(len(df), dtype=bool)
@@ -451,14 +468,8 @@ def build_deduped_dv(
                     )
                 return pa.table({"n_deleted": pa.array([len(dv)], pa.int64())})
 
-            counts = ray.get(
-                raw_hash_exchange(
-                    suspects, ["key"], decide_shard, pass_partition=True
-                )
-            )
-            n_deleted = int(
-                sum(c["n_deleted"][0].as_py() for c in counts if c is not None)
-            )
+            counts = ray.get(raw_hash_exchange([(suspects, ["key"])], decide_shard))
+            n_deleted = int(sum(c["n_deleted"][0].as_py() for c in counts))
     shutil.rmtree(raw_dir, ignore_errors=True)
     if stage_seconds is not None:
         stage_seconds["dv_decide_write"] = time.perf_counter() - t0
@@ -503,10 +514,13 @@ def load_deletion_vectors(out_dir: str) -> dict[int, np.ndarray]:
 
 
 def read_sidecar(out_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
-    """The pruned survivor projection (what rollup passes read)."""
-    return ray.data.read_parquet(
-        sidecar_dir(out_dir), columns=columns or _SIDECAR_COLS
-    )
+    """The pruned survivor projection (what rollup passes read); empty
+    when no row survived (a zero-row input writes no sidecar file)."""
+    columns = columns or _SIDECAR_COLS
+    d = sidecar_dir(out_dir)
+    if not any(f.endswith(".parquet") for f in os.listdir(d)):
+        return ray.data.from_arrow(_SIDECAR_SCHEMA.empty_table().select(columns))
+    return ray.data.read_parquet(d, columns=columns)
 
 
 class _ReadDeduped:
@@ -613,6 +627,7 @@ def append_deduped_dv(
     """
     import time
 
+    _require_local(out_dir)
     if keep != "first":
         raise ValueError("append supports keep='first' only")
     manifest = _read_dv_manifest(out_dir)

@@ -12,13 +12,15 @@ Modes:
 - ``linear`` — linear interpolation between the neighboring observed
   buckets (count stays 0 for filled rows in both modes).
 
-Execution: one ``map_groups`` per source over the ROLLUP rows (not raw
-events) — rollup rows are tiny (one per bucket), so even years of 1m
-buckets per source is ~O(10^5-10^6) small rows per group: safely in-memory
-and the Python cost is per source, with vectorized pandas reindexing
-inside. For sources whose full bucket range exceeds memory, partition the
-bucket range and carry the last observed row per boundary (the actor-pool
-variant in ``compress.py`` shows the carried-state pattern).
+Execution: one keyed exchange on the source over the ROLLUP rows (not raw
+events); each partition runs :func:`fill_group_pandas` per source of a
+pandas ``groupby``. Rollup rows are tiny (one per bucket), so even years of
+1m buckets per source is ~O(10^5-10^6) small rows per group: safely
+in-memory and the Python cost is per source, with vectorized pandas
+reindexing inside. For sources whose full bucket range exceeds memory,
+partition the bucket range and carry the last observed row per boundary
+(the actor-pool variant in ``compress.py`` shows the carried-state
+pattern).
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import ray.data
+
+from ._shuffle import hash_partitioned_map
 
 VALUE_COLS = ("sum_v", "min_v", "max_v", "p95_v")
 
@@ -42,10 +46,16 @@ def gapfill(
     if mode not in ("locf", "linear"):
         raise ValueError("mode must be 'locf' or 'linear'")
 
-    def fill(g: pd.DataFrame) -> pd.DataFrame:
-        return fill_group_pandas(g, width_us, mode, key_col, value_cols)
+    def fill(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat(
+            [
+                fill_group_pandas(g, width_us, mode, key_col, value_cols)
+                for _, g in df.groupby(key_col, sort=False, dropna=False)
+            ],
+            ignore_index=True,
+        )
 
-    return rollup.groupby(key_col).map_groups(fill, batch_format="pandas")
+    return hash_partitioned_map(rollup, [key_col], fill, batch_format="pandas")
 
 
 def fill_group_pandas(
@@ -55,8 +65,8 @@ def fill_group_pandas(
     key_col: str = "source",
     value_cols: tuple[str, ...] = VALUE_COLS,
 ) -> pd.DataFrame:
-    """Gap-fill ONE key's rows (shared by the distributed map_groups path
-    and the driver-side small-state fast path)."""
+    """Gap-fill ONE key's rows (shared by the exchange path and the
+    driver-side tier writer)."""
     g = g.sort_values("bucket_us", kind="stable")
     lo, hi = int(g["bucket_us"].iloc[0]), int(g["bucket_us"].iloc[-1])
     grid = np.arange(lo, hi + width_us, width_us, dtype=np.int64)

@@ -3,7 +3,7 @@
 The scale shape every monitoring/training-data pipeline needs for value
 distributions (latency buckets, token-length spreads): per-batch
 ``bincount`` partials collapse each batch to at most ``n_keys × n_bins``
-tiny rows BEFORE the exchange, so the groupby shuffle moves O(bins), never
+tiny rows BEFORE the exchange, so the keyed exchange moves O(bins), never
 O(rows) — the same partial-before-shuffle rule as ``stages/rollup.py``.
 Reference analog: the per-bucket aggregates of ``Joiner.py:345-354``,
 generalized from point stats to a distribution.
@@ -15,6 +15,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
+
+from ._shuffle import hash_partitioned_map
 
 
 def value_histogram(
@@ -66,14 +68,15 @@ def value_histogram(
         partial, batch_format="pyarrow"
     )
 
-    def rename(b: pa.Table) -> pa.Table:
-        return b.rename_columns([key_col, "bin", "cnt"])
+    def merge(t: pa.Table) -> pa.Table:
+        out = t.group_by([key_col, "bin"], use_threads=False).aggregate(
+            [("cnt", "sum")]
+        )
+        return out.select([key_col, "bin", "cnt_sum"]).rename_columns(
+            [key_col, "bin", "cnt"]
+        )
 
-    return (
-        partials.groupby([key_col, "bin"])
-        .sum("cnt")
-        .map_batches(rename, batch_format="pyarrow")
-    )
+    return hash_partitioned_map(partials, [key_col, "bin"], merge)
 
 
 def value_drift_psi(
@@ -168,8 +171,6 @@ def value_drift_psi(
         partial, batch_format="pyarrow"
     )
 
-    from ._shuffle import hash_partitioned_map
-
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
             return pd.DataFrame(
@@ -230,7 +231,6 @@ def key_mix_entropy(
     import pandas as pd
     import pyarrow as pa
 
-    from ._shuffle import hash_partitioned_map
 
     def partial(t: pa.Table) -> pa.Table:
         e = t[entity_col].combine_chunks().dictionary_encode()
@@ -386,7 +386,6 @@ def activity_gini(
     import pandas as pd
     import pyarrow as pa
 
-    from ._shuffle import hash_partitioned_map
 
     def partial(t: pa.Table) -> pa.Table:
         e = t[entity_col].combine_chunks().dictionary_encode()

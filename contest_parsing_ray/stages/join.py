@@ -9,10 +9,10 @@ Reference analogs (SURVEY §2.4):
 
 Scale rules: the small side is shipped ONCE via ``ray.put`` and merged
 inside every ``map_batches`` task (no shuffle, no per-batch reshipping);
-the large-large case uses Ray Data's native hash-partitioned
-``Dataset.join`` when available (Ray >= 2.46) with an explicit partition
-count, falling back to a union + hash-partition + per-partition pandas
-merge that co-locates both sides by key (same exchange, hand-rolled).
+the large-large case is the engine's keyed exchange
+(``_shuffle.raw_hash_exchange``) with both sides as inputs: equal keys of
+the two sides co-locate in one reduce task, which joins them with
+``pa.Table.join``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ._shuffle import add_hash_partition
+from . import _shuffle
 
 
 def pin_schema(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset:
@@ -74,9 +74,9 @@ def broadcast_join(
 
     # plain task pool, NOT an actor pool: the small side is a zero-copy
     # object-store read per task, and an actor here reserves a whole CPU
-    # for the DAG's lifetime — on a small cluster that wedges pipelines
-    # already carrying several joins' aggregator actors (observed 4-CPU
-    # deadlock with 3 chained joins + this stage as an actor pool)
+    # for the DAG's lifetime — on a small cluster that wedges multi-stage
+    # pipelines (observed 4-CPU deadlock with 3 chained joins + this stage
+    # as an actor pool)
     def join_batch(batch: pd.DataFrame) -> pd.DataFrame:
         sm = ray.get(small_ref)
         out = batch.merge(sm, on=on, how=how)
@@ -116,9 +116,9 @@ def broadcast_semi_join(
         lambda b: pa.table({on: b[on].combine_chunks().unique()}),
         batch_format="pyarrow",
     )
-    # Ray quirk: ZERO-COLUMN empty pandas blocks (e.g. out of an empty
-    # map_groups partition upstream) bypass map_batches UDFs entirely and
-    # come back from to_arrow_refs as DataFrames — normalize/skip them
+    # Ray quirk: ZERO-COLUMN empty pandas blocks bypass map_batches UDFs
+    # entirely and come back from to_arrow_refs as DataFrames —
+    # normalize/skip them
     blocks = []
     for bl in ray.get(uniq.to_arrow_refs()):
         if isinstance(bl, pd.DataFrame):
@@ -191,73 +191,42 @@ def hash_join(
     num_partitions: int | None = None,
     right_on: list[str] | None = None,
 ) -> ray.data.Dataset:
-    """Hash-partitioned equi-join of two Datasets.
+    """Hash-partitioned equi-join of two Datasets: a two-input
+    :func:`raw_hash_exchange` whose reduce joins each partition's two sides
+    with ``pa.Table.join`` (the call Ray's own join aggregator makes).
 
-    Uses ``Dataset.join`` (native hash shuffle) when present; otherwise a
-    union + hash-partition + per-partition pandas merge. Hot join keys
-    should be pre-salted by the caller (append a salt col to both sides).
-
-    Each join partition is served by an aggregator actor; sizing them at
-    1 CPU each with partitions >> cluster CPUs deadlocks a small cluster
-    (observed on 4 CPUs), so partitions default to ~the CPU count and
-    aggregators reserve fractional CPUs.
+    ``how`` is Ray's join type (``inner``, ``left_outer``, ``right_outer``,
+    ``full_outer``, ``left_semi``, ...); clashing right-side columns get
+    the ``_r`` suffix. Hot join keys should be pre-salted by the caller
+    (append a salt col to both sides).
     """
-    if num_partitions is None:
-        try:
-            cpus = int(ray.cluster_resources().get("CPU", 4))
-        except Exception:
-            cpus = 4
-        # every join operator in a DAG instantiates its aggregator actors
-        # UP FRONT; a pipeline chaining two joins therefore needs
-        # 2 x num_partitions x num_cpus_per_aggregator < cluster CPUs or it
-        # deadlocks (observed on 4 CPUs). Keep the footprint small.
-        num_partitions = max(2, min(64, cpus // 2))
-    if hasattr(left, "join"):
-        return left.join(
-            right,
-            join_type=how,
-            num_partitions=num_partitions,
-            on=tuple(on),
-            right_on=tuple(right_on) if right_on else None,
+    right_on = list(right_on or on)
+
+    def join_partition(s: int, lt: pa.Table, rt: pa.Table) -> pa.Table:
+        # a side none of whose blocks carried a schema joins as its keys only
+        if not lt.num_columns:
+            lt = _keys_only(rt.schema, right_on, on)
+        if not rt.num_columns:
+            rt = _keys_only(lt.schema, on, right_on)
+        return lt.join(
+            rt,
+            keys=list(on),
+            right_keys=right_on,
+            join_type=how.replace("_", " "),
             right_suffix="_r",
-            aggregator_ray_remote_args={"num_cpus": 0.25},
-        )
-    return _fallback_union_join(left, right, on, how, num_partitions, right_on)
-
-
-def _fallback_union_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: list[str],
-    how: str,
-    num_partitions: int,
-    right_on: list[str] | None = None,
-) -> ray.data.Dataset:
-    right_on = right_on or on
-    lcols = left.schema().names
-    rcols = right.schema().names
-
-    def tag(side: int, key_cols: list[str]):
-        def fn(b: pa.Table) -> pa.Table:
-            b = add_hash_partition(b, key_cols, num_partitions)
-            return b.append_column("__side", pa.array(np.full(len(b), side, np.int8)))
-
-        return fn
-
-    both = left.map_batches(tag(0, on), batch_format="pyarrow").union(
-        right.map_batches(tag(1, right_on), batch_format="pyarrow")
-    )
-
-    def join_partition(df: pd.DataFrame) -> pd.DataFrame:
-        l = df[df["__side"] == 0][[c for c in lcols]]
-        r = df[df["__side"] == 1][[c for c in rcols]]
-        return l.merge(
-            r, left_on=on, right_on=right_on, how=how, suffixes=("", "_r")
         )
 
-    return both.groupby("__part").map_groups(
-        lambda g: join_partition(g.drop(columns="__part")), batch_format="pandas"
+    return ray.data.from_arrow_refs(
+        _shuffle.raw_hash_exchange(
+            [(left, list(on)), (right, right_on)], join_partition, num_partitions
+        )
     )
+
+
+def _keys_only(schema: pa.Schema, keys: list[str], names: list[str]) -> pa.Table:
+    return pa.schema(
+        [schema.field(k).with_name(n) for k, n in zip(keys, names)]
+    ).empty_table()
 
 
 def align_concat(
@@ -272,8 +241,6 @@ def align_concat(
     Union all shards, co-locate by key hash, then one vectorized
     groupby-first-non-null per partition."""
     import pyarrow as pa
-
-    from ._shuffle import hash_partitioned_map
 
     all_cols: list[str] = []
     for ds in datasets:
@@ -295,7 +262,7 @@ def align_concat(
     def coalesce(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby(key_cols, sort=False).first().reset_index()
 
-    return hash_partitioned_map(
+    return _shuffle.hash_partitioned_map(
         unioned, key_cols, coalesce, num_partitions=num_partitions,
         batch_format="pandas",
     )

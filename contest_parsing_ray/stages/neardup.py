@@ -225,11 +225,9 @@ def _attach_pair_texts(
     class small BY CONSTRUCTION (banded-LSH / prefix-filtered candidates,
     orders of magnitude below the corpus) — the same driver-size
     assumption as ``broadcast_join``; if candidates ever rival the corpus
-    the hash-shuffle ``stages/join.py::hash_join`` is the fallback. A
-    replicated-dict join-back beats two join operators here because each
-    native join instantiates its aggregator-actor pool up front (~seconds
-    of fixed wall, measured 7.5 s for the two joins at sf0.1 vs <1 s for
-    this shape)."""
+    the exchange-based ``stages/join.py::hash_join`` is the fallback. A
+    replicated-dict join-back beats two join operators here: it moves
+    neither side through an exchange."""
     from .join import broadcast_semi_join
 
     cand = candidates.materialize()

@@ -12,8 +12,8 @@ tie-break discipline the engine applies to the reference's unordered
 Scale design: open/high/low/close are MERGEABLE — a partial per batch
 carries ``(open_ts, open_ord, open_v, close_ts, close_ord, close_v,
 high, low, cnt)`` per (key, bucket), so only ~#groups rows per batch
-enter the exchange (the same partial-before-shuffle story as
-``stages/rollup.py``); the final merge re-runs the identical combiner
+enter the engine's keyed exchange (the same partial-before-shuffle story
+as ``stages/rollup.py``); the final merge re-runs the identical combiner
 once per hash partition.
 """
 
@@ -375,7 +375,7 @@ def lttb_downsample(
     series length, so select per tier/chunk first if a single key's raw
     series exceeds worker memory. The exchange moves UNREDUCED rows, so
     the partition count is floored by the input's byte size
-    (``default_num_partitions`` bytes floor) when Ray can estimate it."""
+    (``_shuffle.exchange_partitions``) when Ray can estimate it."""
     input_bytes = None
     try:
         input_bytes = events.size_bytes()

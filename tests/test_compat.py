@@ -1,11 +1,12 @@
-"""Regression tests for compat.patch_hash_shuffle_schema_broadcast.
+"""Regression tests: hash joins whose inputs start with empty blocks.
 
-Round-1 failure: a native ``Dataset.join`` whose input sequence starts with
-an EMPTY block (typical for the output of another join / groupby, where most
-partitions of a small dataset are empty) lost the schema broadcast inside
-Ray's hash shuffle and crashed with ``ArrowInvalid: No match or multiple
-matches for key field reference`` during finalize (seen at num_cpus=32,
-16 partitions, in the driver's telemetry_join_fixture run).
+Round-1 failure: a hash join whose input sequence starts with EMPTY blocks
+(typical for the output of another join or group-by, where most partitions
+of a small dataset are empty) lost the input's schema inside Ray's native
+hash shuffle and crashed with ``ArrowInvalid: No match or multiple matches
+for key field reference`` (seen at num_cpus=32, 16 partitions, in the
+driver's telemetry_join_fixture run). The engine's join runs on its own
+keyed exchange; these pin that empty leading blocks join correctly.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-import contest_parsing_ray  # noqa: F401  (installs the patch on import)
-from contest_parsing_ray.compat import patch_hash_shuffle_schema_broadcast
+from contest_parsing_ray.stages.join import hash_join
 
 
 def _blocks_dataset(tables: list[pa.Table]) -> ray.data.Dataset:
@@ -24,17 +24,11 @@ def _blocks_dataset(tables: list[pa.Table]) -> ray.data.Dataset:
     return ds
 
 
-def test_patch_installs():
-    assert patch_hash_shuffle_schema_broadcast() is True
-
-
 def test_native_join_with_empty_leading_blocks():
     schema_l = pa.schema([("k", pa.string()), ("v", pa.int64())])
     schema_r = pa.schema([("k", pa.string()), ("w", pa.int64())])
-    # 15 empty blocks FIRST, then the single data block: without the patch
-    # the schema broadcast is dropped and most of the 16 join partitions
-    # finalize against a column-less left table. (8 partitions: 8 x 0.25
-    # CPU aggregators must fit the 4-CPU test cluster alongside shuffle tasks.)
+    # 15 empty blocks FIRST, then the single data block: most of the 8 join
+    # partitions see no rows of either side
     left = _blocks_dataset(
         [schema_l.empty_table()] * 15
         + [pa.table({"k": ["a", "b"], "v": [1, 2]}, schema=schema_l)]
@@ -43,12 +37,8 @@ def test_native_join_with_empty_leading_blocks():
         [schema_r.empty_table()] * 15
         + [pa.table({"k": ["a", "b"], "w": [10, 20]}, schema=schema_r)]
     )
-    out = left.join(
-        right,
-        join_type="inner",
-        num_partitions=8,
-        on=("k",),
-        aggregator_ray_remote_args={"num_cpus": 0.25},
+    out = hash_join(
+        left, right, on=["k"], how="inner", num_partitions=8
     ).to_pandas()
     assert len(out) == 2
     assert sorted(out.columns) == ["k", "v", "w"]
@@ -60,9 +50,7 @@ def test_native_join_with_empty_leading_blocks():
 
 
 def test_chained_joins_with_empty_blocks():
-    """Two chained native joins — the shape that crashed in round 1."""
-    from contest_parsing_ray.stages.join import hash_join
-
+    """Two chained joins — the shape that crashed in round 1."""
     schema_l = pa.schema([("k", pa.string()), ("t", pa.int64())])
     left = _blocks_dataset(
         [schema_l.empty_table()] * 7

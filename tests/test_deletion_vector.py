@@ -287,3 +287,25 @@ def test_dv_manifest_io_accepts_file_uri(tmp_path):
     m = _read_dv_manifest(uri)
     assert m["policy"] == "first"
     assert _read_dv_manifest(out) == m  # plain-path read sees the same file
+
+
+def test_dv_uri_out_dir_raises(tmp_path, sequences_dir):
+    """The deletion-vector build, its append and the fused-partials read
+    write and read local paths only: a URI out_dir raises instead of
+    leaving an empty sidecar next to a valid manifest."""
+    from contest_parsing_ray.stages.deletion_vector import (
+        append_deduped_dv,
+        build_deduped_dv,
+        read_fused_partials,
+    )
+
+    out = str(tmp_path / "dv_out")
+    uri = "file://" + out
+    for call in (
+        lambda: build_deduped_dv(sequences_dir, uri),
+        lambda: append_deduped_dv(sequences_dir, uri),
+        lambda: read_fused_partials(uri, "fp"),
+    ):
+        with pytest.raises(ValueError, match="local out_dir"):
+            call()
+    assert not os.path.exists(out)

@@ -124,6 +124,43 @@ def test_pipeline_partial_resume(sequences_dir, out_dir):
     assert "1h" in m["tiers"]
 
 
+def test_partial_resume_keeps_other_tiers_chunks(sequences_dir, tmp_path):
+    """Deleting one tier manifest and resuming rebuilds that tier only; the
+    chunks of every tier (skipped ones included) equal a fresh build's."""
+    fresh, out = str(tmp_path / "fresh"), str(tmp_path / "out")
+    run_rollup_pipeline(sequences_dir, PipelineConfig(out_dir=fresh), resume=False)
+    run_rollup_pipeline(sequences_dir, PipelineConfig(out_dir=out), resume=False)
+    os.remove(os.path.join(out, "manifests", "1m.json"))
+    m = run_rollup_pipeline(sequences_dir, PipelineConfig(out_dir=out))
+    assert sorted(m["tiers_skipped_by_resume"]) == ["1h", "5m"]
+    want = _tree_bytes(os.path.join(fresh, "chunks"))
+    assert {k.split(os.sep)[0] for k in want} == {"tier=1m", "tier=5m", "tier=1h"}
+    assert _tree_bytes(os.path.join(out, "chunks")) == want
+
+
+def test_empty_input_file_builds_no_points(tmp_path):
+    """A zero-row input file gives a build with 0 points, not a crash."""
+    import pyarrow.parquet as pq
+
+    from contest_parsing_ray.sources.synthetic import write_sequences_parquet
+
+    src = write_sequences_parquet(str(tmp_path / "src"), n_rows=10, seed=1, num_files=1)
+    f = next(x for x in sorted(os.listdir(src)) if x.endswith(".parquet"))
+    os.makedirs(tmp_path / "seq")
+    pq.write_table(
+        pq.read_table(os.path.join(src, f)).slice(0, 0),
+        str(tmp_path / "seq" / "part-0.parquet"),
+    )
+    m = run_rollup_pipeline(
+        str(tmp_path / "seq"), PipelineConfig(out_dir=str(tmp_path / "out")),
+        resume=False,
+    )
+    assert {t: v["points"] for t, v in m["tiers"].items()} == {
+        "1m": 0, "5m": 0, "1h": 0,
+    }
+    assert m["tier_merge"]["partial_rows"] == 0
+
+
 def test_retention_expiry(sequences_dir, out_dir):
     """Retention policy: old buckets dropped per tier, manifest updated."""
     from contest_parsing_ray.stages.retention import (

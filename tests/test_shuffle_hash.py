@@ -84,19 +84,121 @@ def test_blocked_hash_property(values, block_bytes):
 
 def test_default_num_partitions_bytes_floor():
     """Partition count grows with input volume (verdict: auto-size hash
-    partitions): the CPU-derived default is only an overhead trade-off; the
-    bytes floor keeps one partition under a worker-heap-sized table."""
-    from contest_parsing_ray.stages._shuffle import default_num_partitions
+    partitions): the CPU-derived default (about one reduce task per core)
+    is only an overhead trade-off; the bytes floor keeps one partition
+    under a worker-heap-sized table."""
+    from contest_parsing_ray.stages._shuffle import exchange_partitions
 
-    base = default_num_partitions()
-    assert 4 <= base <= 64
+    base = exchange_partitions()
+    assert 4 <= base <= 128
     # small input: CPU-based default wins
-    assert default_num_partitions(input_bytes=1 << 20) == base
+    assert exchange_partitions(input_bytes=1 << 20) == base
     # 10 GiB at 256 MiB target -> at least 40 partitions
-    assert default_num_partitions(input_bytes=10 << 30) == max(base, 40)
+    assert exchange_partitions(input_bytes=10 << 30) == max(base, 40)
     # the bytes floor may exceed the CPU cap, clamped at 4096
-    assert default_num_partitions(input_bytes=1 << 50) == 4096
+    assert exchange_partitions(input_bytes=1 << 50) == 4096
     # explicit target honored, exact ceiling division
-    assert default_num_partitions(
+    assert exchange_partitions(
         input_bytes=(1 << 30) + 1, target_partition_bytes=1 << 30
     ) == max(base, 2)
+
+
+def test_exchange_on_empty_dataset_returns_empty():
+    import ray.data
+
+    from contest_parsing_ray.stages._shuffle import hash_partitioned_map
+    from contest_parsing_ray.stages.join import hash_join
+
+    schema = pa.schema([("k", pa.string()), ("v", pa.int64())])
+    for empty in (ray.data.from_items([]), ray.data.from_arrow(schema.empty_table())):
+        assert hash_partitioned_map(empty, ["k"], lambda t: t).count() == 0
+        assert hash_join(empty, empty, on=["k"]).count() == 0
+    left = ray.data.from_arrow(pa.table({"k": ["a", "b"], "v": [1, 2]}))
+    out = hash_join(left, ray.data.from_items([]), on=["k"], how="left_outer")
+    assert sorted(out.to_pandas()["v"]) == [1, 2]
+
+
+_ONE_CPU_CHILD = """
+import json, os, sys, threading
+import pandas as pd
+import pyarrow as pa
+import ray
+from ray.data import DataContext
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+from contest_parsing_ray.stages.cumulative import cumulative_counts
+from contest_parsing_ray.stages.dedup import dedup
+from contest_parsing_ray.stages.gapfill import gapfill
+from contest_parsing_ray.stages.join import hash_join
+
+out = {}
+
+def rows(ds, cols):
+    df = ds.to_pandas().sort_values(cols)
+    return df[cols].astype(object).where(df[cols].notna(), None).values.tolist()
+
+def run():
+    docs = ray.data.from_arrow(pa.table({"doc_id": ["a", "b", "a", "c"],
+                                         "v": [1, 2, 3, 4]}))
+    out["dedup"] = rows(dedup(docs), ["doc_id", "v"])
+    sl = pa.schema([("k", pa.string()), ("t", pa.int64())])
+    left = ray.data.from_arrow([sl.empty_table()] * 7
+                               + [pa.table({"k": ["a", "b", "c"], "t": [1, 2, 3]},
+                                           schema=sl)])
+    r1 = ray.data.from_arrow(pa.table({"k": ["a", "b", "c"], "x": [7, 8, 9]}))
+    r2 = ray.data.from_arrow(pa.table({"k": ["a", "b"], "y": [4, 5]}))
+    j = hash_join(hash_join(left, r1, on=["k"], how="inner"), r2, on=["k"],
+                  how="left_outer")
+    out["join"] = rows(j, ["k", "t", "x", "y"])
+    roll = ray.data.from_pandas(pd.DataFrame({
+        "source": ["s", "s"], "bucket_us": [0, 120], "cnt": [1, 2],
+        "sum_v": [1.0, 2.0], "min_v": [1.0, 2.0], "max_v": [1.0, 2.0],
+        "p95_v": [1.0, 2.0]}))
+    out["gapfill"] = rows(gapfill(roll, 60), ["bucket_us", "cnt", "sum_v", "filled"])
+    ev = ray.data.from_pandas(pd.DataFrame({"source": ["s", "s", "u"],
+                                            "event_time_us": [0, 70, 10]}))
+    out["cumulative"] = rows(cumulative_counts(ev, 60),
+                             ["source", "bucket_us", "cnt", "running_cnt"])
+
+th = threading.Thread(target=run, daemon=True)
+th.start()
+th.join(float(sys.argv[1]))
+print(json.dumps(out if not th.is_alive() else None), flush=True)
+if th.is_alive():
+    # wedged: stop this session's processes; a plain shutdown would let the
+    # stuck thread start a fresh session
+    ray._private.worker._global_node.kill_all_processes(check_alive=False, wait=True)
+else:
+    ray.shutdown()
+os._exit(0)
+"""
+
+
+def test_exchanges_finish_on_one_cpu_session():
+    """dedup, two chained hash joins over empty leading blocks, gapfill and
+    cumulative_counts on a session with a single CPU: the exchange holds no
+    CPU while it waits, so none of them may wedge. Runs in a subprocess with
+    its own num_cpus=1 Ray session; the child gives up after a deadline and
+    reports None."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_CHILD, "120"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got is not None, "an exchange did not finish on a num_cpus=1 session"
+    assert got == {
+        "dedup": [["a", 1], ["b", 2], ["c", 4]],
+        "join": [["a", 1, 7, 4.0], ["b", 2, 8, 5.0], ["c", 3, 9, None]],
+        "gapfill": [[0, 1, 1.0, False], [60, 0, 1.0, True], [120, 2, 2.0, False]],
+        "cumulative": [["s", 0, 1, 1], ["s", 60, 1, 2], ["u", 0, 1, 1]],
+    }
