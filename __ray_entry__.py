@@ -454,7 +454,7 @@ def _q_token_counts(sf_dir: str):
     from contest_parsing_ray.stages.text import TokenCount
 
     docs = _docs(sf_dir)
-    out = docs.map_batches(TokenCount, batch_format="pandas", concurrency=2)
+    out = docs.map_batches(TokenCount(), batch_format="pandas")
     return out.select_columns(["doc_id", "n_words", "n_ws_tokens"])
 
 
@@ -592,7 +592,7 @@ def _q_quality(sf_dir: str):
     from contest_parsing_ray.stages.text import QualityScore
 
     docs = _docs(sf_dir)
-    out = docs.map_batches(QualityScore, batch_format="pandas", concurrency=2)
+    out = docs.map_batches(QualityScore(), batch_format="pandas")
     return out.select_columns(
         ["doc_id", "n_chars_text", "alpha_ratio", "digit_ratio", "punct_ratio", "mean_word_len"]
     )
@@ -619,7 +619,7 @@ def _q_langid(sf_dir: str):
     from contest_parsing_ray.stages.text import LangId
 
     docs = _docs(sf_dir)
-    out = docs.map_batches(LangId, batch_format="pandas", concurrency=2)
+    out = docs.map_batches(LangId(), batch_format="pandas")
     return out.select_columns(["doc_id", "lang_pred", "lang_score"])
 
 
@@ -627,7 +627,7 @@ def _q_fingerprint(sf_dir: str):
     from contest_parsing_ray.stages.text import Fingerprint
 
     docs = _docs(sf_dir)
-    out = docs.map_batches(Fingerprint, batch_format="pyarrow", concurrency=2)
+    out = docs.map_batches(Fingerprint(), batch_format="pyarrow")
     return out.select_columns(["doc_id", "fingerprint"])
 
 

@@ -59,7 +59,8 @@ import pyarrow as pa
 import ray.data
 
 from ..config import PipelineConfig
-from ..sources.ingest import read_sequences
+from ..fsutil import file_infos
+from ..sources.ingest import EVENTS_SCHEMA, read_sequences
 from ..stages import _shuffle
 from ..stages.dedup import dedup
 from ..stages.retention import (
@@ -411,9 +412,14 @@ def run_rollup_pipeline(
 
             deduped = read_sidecar(dedup_dir, columns=pruned_cols)
         else:
-            deduped = ray.data.read_parquet(
-                os.path.join(dedup_dir, "data"), columns=pruned_cols
-            )
+            data_dir = os.path.join(dedup_dir, "data")
+            if any(i.path.endswith(".parquet") for i in file_infos(data_dir)[1]):
+                deduped = ray.data.read_parquet(data_dir, columns=pruned_cols)
+            else:
+                # a zero-row input writes no deduped file
+                deduped = ray.data.from_arrow(
+                    EVENTS_SCHEMA.empty_table().select(pruned_cols)
+                )
         partials = deduped.map_batches(
             PartialRollup(
                 todo,
@@ -560,7 +566,12 @@ def _try_incremental_append(
         _fused_partial_fn(cfg),
         batch_format="pyarrow",
         batch_size=262144,
-    ).materialize()
+    )
+    # the blob bytes of the merged state follow the order of rows within
+    # each partial, so the delta batches must not depend on which read task
+    # finishes first
+    partials.context.execution_options.preserve_order = True
+    partials = partials.materialize()
     delta_ck = _token_totals(partials)
     metrics["stage_seconds"]["append_partials"] = time.perf_counter() - t0
 

@@ -88,27 +88,47 @@ def token_checksum(batch: pa.Table) -> pa.Table:
     equality invariant: tokens must survive ingest/dedup/shuffle
     byte-identical, per BASELINE.json input_hint).
 
-    checksum = sum((i+1) * (token_i + 1)) mod 2^64 — cheap, vectorized via
-    Arrow list offsets + numpy segment sums.
+    checksum = sum((i+1) * (token_i + 1)) mod 2^64 over a row's tokens
+    t_0..t_{L-1}. With g = off + i a token's index in the flat values
+    buffer (off = the row's first index), the row checksum is
+
+        sum(g * t_g) - (off - 1) * sum(t_g) + L(L+1)/2      (mod 2^64)
+
+    so two segment sums (``np.add.reduceat``) over the flat tokens give
+    every row's checksum with no per-token position array. A null token
+    list raises ValueError (its checksum is undefined).
     """
     tokens = batch["tokens"]
-    if isinstance(tokens, pa.ChunkedArray):
-        tokens = tokens.combine_chunks()
-    # list_value_length + flatten are slice-safe (raw .offsets buffers are not)
-    lengths = pc.list_value_length(tokens).to_numpy(zero_copy_only=False).astype(np.int64)
-    flat = tokens.flatten().to_numpy(zero_copy_only=False).astype(np.uint64)
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    pos = (
-        np.arange(len(flat), dtype=np.int64) - np.repeat(offsets[:-1], lengths)
-    ).astype(np.uint64)
+    chunks = tokens.chunks if isinstance(tokens, pa.ChunkedArray) else [tokens]
+    sums = [_list_checksums(c) for c in chunks]
+    out = np.concatenate(sums) if sums else np.zeros(0, dtype=np.uint64)
+    return batch.append_column("token_ck", pa.array(out.view(np.int64), type=pa.int64()))
+
+
+def _list_checksums(tokens: pa.Array) -> np.ndarray:
+    """:func:`token_checksum` of one list array, as uint64."""
+    if tokens.null_count:
+        raise ValueError("token_checksum: null token list")
+    offsets = tokens.offsets.to_numpy()  # slice-aware, len(tokens) + 1
+    if len(offsets) < 2:
+        return np.zeros(0, dtype=np.uint64)
+    base, end = int(offsets[0]), int(offsets[-1])
+    starts = offsets[:-1] - base
+    # one buffer for both sums; the trailing 0 is a sentinel so a trailing
+    # empty row's start index (== total) stays in range for reduceat
+    buf = np.empty(end - base + 1, dtype=np.uint64)
+    buf[-1] = 0
+    buf[:-1] = tokens.values.slice(base, end - base).to_numpy(zero_copy_only=False)
     with np.errstate(over="ignore"):
-        weighted = (pos + np.uint64(1)) * (flat + np.uint64(1))
-    if len(flat):
-        # sentinel so trailing empty rows don't corrupt reduceat segments
-        weighted = np.append(weighted, np.uint64(0))
-        sums = np.add.reduceat(weighted, offsets[:-1])
-        sums = np.where(lengths == 0, np.uint64(0), sums)
-    else:
-        sums = np.zeros(len(lengths), dtype=np.uint64)
-    return batch.append_column("token_ck", pa.array(sums.view(np.int64), type=pa.int64()))
+        sum_t = np.add.reduceat(buf, starts)
+        buf[:-1] *= np.arange(end - base, dtype=np.uint64)
+        sum_gt = np.add.reduceat(buf, starts)
+        lengths = np.diff(offsets).astype(np.uint64)
+        ck = (
+            sum_gt
+            - (starts.astype(np.uint64) - np.uint64(1)) * sum_t
+            + lengths * (lengths + np.uint64(1)) // np.uint64(2)
+        )
+    # reduceat returns buf[start] for an empty segment
+    ck[lengths == 0] = 0
+    return ck

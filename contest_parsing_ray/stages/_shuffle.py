@@ -238,6 +238,26 @@ def exchange_partitions(
     return p
 
 
+def file_groups(paths: list[str], filesystem=None) -> list[list[int]]:
+    """Cut an ordered file list into G <= ``len(paths)`` contiguous groups
+    of near-equal file count (positions into ``paths``), with G =
+    :func:`exchange_partitions` of the files' on-disk bytes: the
+    file-granular passes (the doc_id probe, the payload scan) run one task
+    per group, so task count follows the cluster, not the file count. One
+    file per task only when there are at least as many groups as files;
+    the bytes floor keeps a group near ``TARGET_PARTITION_BYTES``."""
+    if not paths:
+        return []
+    import pyarrow.fs as pafs
+
+    fsys = filesystem or pafs.LocalFileSystem()
+    nbytes = sum(max(0, info.size or 0) for info in fsys.get_file_info(paths))
+    g = min(len(paths), exchange_partitions(nbytes))
+    q, r = divmod(len(paths), g)
+    bounds = [i * q + min(i, r) for i in range(g + 1)]
+    return [list(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def _to_arrow(block) -> pa.Table:
     if isinstance(block, pa.Table):
         return block

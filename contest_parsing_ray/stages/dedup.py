@@ -33,7 +33,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ._shuffle import hash64_strings, hash_partitioned_map
+from ._shuffle import file_groups, hash64_strings, hash_partitioned_map
 
 
 class BloomFilter:
@@ -132,7 +132,6 @@ class ShardedBloom:
 def duplicated_key_probe_files(
     input_path: str,
     key: str = "doc_id",
-    num_shards: int | None = None,
     exact_threshold: int = 50_000_000,
     bits_per_key: int = 10,
 ) -> "np.ndarray | ShardedBloom":
@@ -143,15 +142,19 @@ def duplicated_key_probe_files(
     bytes/row of (hash, count) partials through a sort exchange (measured
     75 s at 10M rows / 16 CPUs), while this map/reduce moves the same
     information as plain numpy uint64 arrays (~8 bytes/row pre-uniqued per
-    file) through the object store with no sort, no block accounting.
+    group) through the object store with no sort, no block accounting.
 
-    map (1 task/file): read ONLY ``key``, hash64, per-file unique+counts,
-    split by ``hash %% num_shards`` → ``num_shards`` return objects, so each
-    reduce task fetches exactly its shard from every file (a direct
-    all-to-all, never via the driver).
+    The files are cut into G groups (:func:`_shuffle.file_groups`: G
+    follows the cluster's cores and the corpus bytes, at most one group per
+    file), and the hashes into G shards.
+    map (1 task/group): read ONLY ``key`` of each file in the group,
+    hash64, unique+counts over the whole group, split by ``hash %% G`` → G
+    return objects, so each reduce task fetches exactly its shard from
+    every group (a direct all-to-all, never via the driver).
     reduce (1 task/shard): merge counts, keep hashes with total > 1; emit
     the raw sorted array when small, else a Bloom bitset (the 100 TB path).
     Driver assembles either a sorted exact array or a :class:`ShardedBloom`.
+    The exact array does not depend on G.
     """
     import pyarrow.dataset as pads
 
@@ -163,18 +166,26 @@ def duplicated_key_probe_files(
     frag_paths = [f.path for f in dset.get_fragments()]
     if not frag_paths:
         return np.array([], dtype=np.uint64)
-    if num_shards is None:
-        num_shards = max(4, min(32, len(frag_paths)))
+    groups = file_groups(frag_paths, fsys)
+    num_shards = len(groups)
 
     @ray.remote(num_cpus=1, num_returns=num_shards)
-    def map_file(path: str):
+    def map_group(paths: list[str]):
         import pyarrow.parquet as pq
 
         # each task reserves 1 CPU, but pyarrow's internal read pool spawns
         # a thread per HOST core — N concurrent reads × host threads thrash
         # (measured: the probe ran 7x SLOWER at 16 CPUs than at 4)
-        t = pq.read_table(path, columns=[key], use_threads=False, filesystem=fsys)
-        h = hash64_strings(t[key])
+        h = np.concatenate(
+            [
+                hash64_strings(
+                    pq.read_table(
+                        p, columns=[key], use_threads=False, filesystem=fsys
+                    )[key]
+                )
+                for p in paths
+            ]
+        )
         uniq, cnt = np.unique(h, return_counts=True)
         sid = (uniq % np.uint64(num_shards)).astype(np.int64)
         order = np.argsort(sid, kind="stable")
@@ -202,8 +213,8 @@ def duplicated_key_probe_files(
         return ("bloom", (bloom.m, bloom.bits.tobytes()), len(dups))
 
     shard_refs: list[list] = [[] for _ in range(num_shards)]
-    for path in frag_paths:
-        refs = map_file.remote(path)
+    for g in groups:
+        refs = map_group.remote([frag_paths[i] for i in g])
         if num_shards == 1:
             refs = [refs]
         for s, r in enumerate(refs):

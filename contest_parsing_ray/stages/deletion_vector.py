@@ -36,8 +36,10 @@ Execution (two passes, ONE full decode, nothing heavy ever re-encoded):
 
     exec 1  doc_id-only probe → duplicated key hashes (broadcast; exact
             array or ShardedBloom — ``dedup.duplicated_key_probe_files``)
-    exec 2  per-file streaming scan (Ray Data over the file list,
-            row-group batches): token_ck + event_time_us + probe flag;
+    exec 2  streaming scan, one task per file group (Ray Data over the
+            groups of ``_shuffle.file_groups``: about one per core, at
+            most one per file), each file in row-group batches:
+            token_ck + event_time_us + probe flag;
             sink-fused hive write partitioned by flag. Flagged rows carry
             (key, file_idx, pos); clean rows land directly as final
             sidecar files (metadata rename, no bytes copied).
@@ -72,7 +74,7 @@ import ray
 import ray.data
 
 from ..fsutil import is_uri
-from ._shuffle import hash64_strings
+from ._shuffle import file_groups, hash64_strings
 from .dedup import BloomFilter, ShardedBloom, duplicated_key_probe_files
 
 _FLAG = "__dup"
@@ -167,6 +169,20 @@ def _require_local(out_dir: str) -> None:
         )
 
 
+def _scan_items(files: list[str], first_idx: int = 0) -> ray.data.Dataset:
+    """One item per file group (:func:`_shuffle.file_groups`) listing its
+    ``path``s and ``file_idx``s (``first_idx`` + position in ``files``),
+    one block per item, so each scan task takes exactly one group."""
+    groups = file_groups(files)
+    return ray.data.from_items(
+        [
+            {"path": [files[i] for i in g], "file_idx": [first_idx + i for i in g]}
+            for g in groups
+        ],
+        override_num_blocks=max(1, len(groups)),
+    )
+
+
 def _probe_mask(probe, keys: pa.ChunkedArray | pa.Array) -> np.ndarray:
     h = hash64_strings(keys)
     if isinstance(probe, (BloomFilter, ShardedBloom)):
@@ -178,17 +194,20 @@ def _probe_mask(probe, keys: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
 
 class _ScanFile:
-    """Per-file streaming scan: decode row-group batches, emit the stats
-    sidecar row for every input row, flag duplicate suspects. Stateless
-    per call but holds the probe ref (fetched once per actor/worker).
+    """Streaming scan of one file group (an item of :func:`_scan_items`),
+    file by file: decode row-group batches, emit the stats sidecar row for
+    every input row, flag duplicate suspects, and write each file's own
+    ``clean-{file_idx}`` partials, so neither the partials nor the tiers
+    depend on how files are grouped. Stateless per call but holds the
+    probe ref (fetched once per actor/worker).
 
-    ``decode_rows`` is deliberately CACHE-sized, not throughput-sized: the
-    checksum's temporaries are ~8 B/token, so a 65536-row batch churns
-    ~1.5 GB of DRAM per batch and N concurrent scanners collapse to ~1.5
-    effective cores (measured: 32 files / 16 CPUs ran 19 s at 65536 rows
-    vs 1.4 s at 2048 rows — per-task CPU inflates 30x when the working set
-    leaves L2/L3). Output tables are coalesced to ``yield_rows`` before
-    leaving the task so the sidecar doesn't fragment into tiny blocks."""
+    ``decode_rows`` is deliberately CACHE-sized, not throughput-sized: a
+    batch's working set (decoded tokens plus the checksum buffers, ~20
+    B/token) must stay in L2/L3 while every core runs a scanner. The
+    older checksum kernel's ~8 temporaries per token made 65536-row
+    batches 14x slower than 2048-row ones (32 files on 16 CPUs: 19 s vs
+    1.4 s). Output tables are coalesced to ``yield_rows`` before leaving
+    the task so the sidecar doesn't fragment into tiny blocks."""
 
     def __init__(self, probe_ref, decode_rows: int = 2048,
                  yield_rows: int = 65536, partial_fn=None,
@@ -211,13 +230,14 @@ class _ScanFile:
 
         if self._probe is None:
             self._probe = ray.get(self._probe_ref)
+        pending: list[pa.Table] = []
+        pending_rows = 0
         for path, fidx in zip(
-            files["path"].to_pylist(), files["file_idx"].to_pylist()
+            pa.compute.list_flatten(files["path"]).to_pylist(),
+            pa.compute.list_flatten(files["file_idx"]).to_pylist(),
         ):
             pf = pq.ParquetFile(path)
             offset = 0
-            pending: list[pa.Table] = []
-            pending_rows = 0
             clean_stats: list[pa.Table] = []
             for rb in pf.iter_batches(
                 batch_size=self.decode_rows,
@@ -268,8 +288,6 @@ class _ScanFile:
                 if pending_rows >= self.yield_rows:
                     yield pa.concat_tables(pending).combine_chunks()
                     pending, pending_rows = [], 0
-            if pending:
-                yield pa.concat_tables(pending).combine_chunks()
             if self.partial_fn is not None and clean_stats:
                 stats = pa.concat_tables(clean_stats).combine_chunks()
                 if len(stats):
@@ -281,6 +299,8 @@ class _ScanFile:
                                 self.partials_dir, f"clean-{fidx:04d}.parquet"
                             ),
                         )
+        if pending:
+            yield pa.concat_tables(pending).combine_chunks()
 
 
 def _decide_losers(df: pd.DataFrame, keep: str) -> np.ndarray:
@@ -349,13 +369,7 @@ def build_deduped_dv(
     if partial_fn is not None:
         pdir = fused_partials_dir(out_dir)
         _create_dir(pdir)
-    # one block per file so the per-file scan tasks actually fan out
-    # (from_items packs items into few blocks by default -> serial scan)
-    file_items = ray.data.from_items(
-        [{"path": p, "file_idx": i} for i, p in enumerate(files)],
-        override_num_blocks=len(files),
-    )
-    file_items.map_batches(
+    _scan_items(files).map_batches(
         _ScanFile(probe_ref, decode_rows, partial_fn=partial_fn,
                   partials_dir=pdir),
         batch_size=1,
@@ -574,26 +588,31 @@ def read_deduped_dv(out_dir: str, batch_rows: int = 65536) -> ray.data.Dataset:
 
 
 def _flagged_occurrences(
-    files: list[str], file_idx: list[int], probe_ref, key: str = "doc_id"
+    files: list[str], probe_ref, key: str = "doc_id"
 ) -> pd.DataFrame:
-    """(file_idx, pos, key) of probe-flagged rows — doc_id-only raw tasks
-    (no payload decode), one per file."""
+    """(file_idx, pos, key) of probe-flagged rows, file_idx = position in
+    ``files`` — doc_id-only raw tasks (no payload decode), one per file
+    group (:func:`_shuffle.file_groups`)."""
 
     @ray.remote(num_cpus=1)
-    def scan(path: str, fidx: int):
+    def scan(paths: list[str], fidxs: list[int]) -> pd.DataFrame:
         probe = ray.get(probe_ref)
-        t = pq.read_table(path, columns=[key], use_threads=False)
-        mask = _probe_mask(probe, t[key])
-        pos = np.flatnonzero(mask)
-        keys = t[key].take(pa.array(pos)).to_pylist()
-        return fidx, pos.astype(np.int64), keys
+        frames = []
+        for path, fidx in zip(paths, fidxs):
+            t = pq.read_table(path, columns=[key], use_threads=False)
+            pos = np.flatnonzero(_probe_mask(probe, t[key]))
+            frames.append(
+                pd.DataFrame(
+                    {"file_idx": np.full(len(pos), fidx, dtype=np.int32),
+                     "pos": pos.astype(np.int64),
+                     "key": t[key].take(pa.array(pos)).to_pylist()}
+                )
+            )
+        return pd.concat(frames, ignore_index=True)
 
-    out = ray.get([scan.remote(p, i) for p, i in zip(files, file_idx)])
-    frames = [
-        pd.DataFrame({"file_idx": np.full(len(pos), fidx, dtype=np.int32),
-                      "pos": pos, "key": keys})
-        for fidx, pos, keys in out
-    ]
+    frames = ray.get(
+        [scan.remote([files[i] for i in g], g) for g in file_groups(files)]
+    )
     return (
         pd.concat(frames, ignore_index=True)
         if frames
@@ -654,12 +673,7 @@ def append_deduped_dv(
     t0 = time.perf_counter()
     raw_dir = os.path.join(out_dir, "_sidecar_raw")
     shutil.rmtree(raw_dir, ignore_errors=True)
-    new_idx = list(range(len(prior_files), len(files)))
-    file_items = ray.data.from_items(
-        [{"path": p, "file_idx": i} for p, i in zip(new_files, new_idx)],
-        override_num_blocks=len(new_files),
-    )
-    file_items.map_batches(
+    _scan_items(new_files, first_idx=len(prior_files)).map_batches(
         _ScanFile(probe_ref, decode_rows), batch_size=1, batch_format="pyarrow"
     ).write_parquet(raw_dir, partition_cols=[_FLAG])
     if stage_seconds is not None:
@@ -671,7 +685,8 @@ def append_deduped_dv(
     ok_root = os.path.join(raw_dir, f"{_FLAG}=ok")
     appended_sidecar: list[str] = []
     if os.path.isdir(ok_root):
-        for f in os.listdir(ok_root):
+        # sorted: one write's file names differ only in the task index
+        for f in sorted(os.listdir(ok_root)):
             dst = f"append{seq:04d}-{f}"
             os.rename(
                 os.path.join(ok_root, f), os.path.join(sidecar_dir(out_dir), dst)
@@ -683,9 +698,7 @@ def append_deduped_dv(
     dup_root = os.path.join(raw_dir, f"{_FLAG}=dup")
     if os.path.isdir(dup_root):
         new_flagged = pads.dataset(dup_root).to_table()
-        old_occ = _flagged_occurrences(
-            prior_files, list(range(len(prior_files))), probe_ref, key
-        )
+        old_occ = _flagged_occurrences(prior_files, probe_ref, key)
         nf = new_flagged.select(_DUP_COLS).to_pandas()
         allocc = pd.concat(
             [old_occ[["key", "file_idx", "pos"]], nf[["key", "file_idx", "pos"]]],

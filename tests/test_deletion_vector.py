@@ -15,6 +15,7 @@ import shutil
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
@@ -309,3 +310,82 @@ def test_dv_uri_out_dir_raises(tmp_path, sequences_dir):
         with pytest.raises(ValueError, match="local out_dir"):
             call()
     assert not os.path.exists(out)
+
+
+def _output_bytes(out_dir: str) -> dict[str, bytes]:
+    """Deletion vectors, tier data/state and chunks, by relative path."""
+    got = {}
+    for sub in ("deduped/deletion_vectors", "rollup", "chunks"):
+        for dp, _, fs in os.walk(os.path.join(out_dir, sub)):
+            for f in fs:
+                p = os.path.join(dp, f)
+                with open(p, "rb") as fh:
+                    got[os.path.relpath(p, out_dir)] = fh.read()
+    return got
+
+
+def test_file_grouping_does_not_change_outputs(tmp_path, monkeypatch):
+    """The probe, the payload scan and the append's flagged-occurrence pass
+    run one task per file group. Forcing one group (G = 1) and one file per
+    group (G = len(files)) gives byte-identical deletion vectors, tier
+    data/state and chunks, for a build and for a one-file append; the probe
+    returns the same exact array at both G (the doc_ids pandas finds
+    duplicated), and its Bloom path flags a superset."""
+    from contest_parsing_ray.sources.synthetic import write_sequences_parquet
+    from contest_parsing_ray.stages import _shuffle
+    from contest_parsing_ray.stages._shuffle import hash64_strings
+    from contest_parsing_ray.stages.dedup import duplicated_key_probe_files
+
+    src = str(tmp_path / "src")
+    write_sequences_parquet(src, n_rows=6_000, seed=5, num_files=7)
+    names = sorted(f for f in os.listdir(src) if f.endswith(".parquet"))
+    # the appended file also repeats rows of the first file, so the append
+    # decides new copies against old occurrences
+    last = os.path.join(src, names[-1])
+    pq.write_table(
+        pa.concat_tables([
+            pq.read_table(last),
+            pq.read_table(os.path.join(src, names[0])).slice(0, 50),
+        ]),
+        last,
+    )
+    doc_ids = pd.concat(
+        [pq.read_table(os.path.join(src, f), columns=["doc_id"]).to_pandas()
+         for f in names],
+        ignore_index=True,
+    )["doc_id"]
+    want_probe = np.unique(hash64_strings(
+        pa.array(doc_ids[doc_ids.duplicated(keep=False)].unique())
+    ))
+    assert len(want_probe) > 0
+    base_files = len(names) - 1
+
+    runs = {}
+    for g in (1, base_files):
+        monkeypatch.setattr(
+            _shuffle, "exchange_partitions", lambda input_bytes=None, **kw: g
+        )
+        inp, out = str(tmp_path / f"in{g}"), str(tmp_path / f"out{g}")
+        os.makedirs(inp)
+        for f in names[:-1]:
+            os.link(os.path.join(src, f), os.path.join(inp, f))
+        assert len(_shuffle.file_groups(sorted(
+            os.path.join(inp, f) for f in os.listdir(inp)))) == g
+        run_rollup_pipeline(inp, PipelineConfig(out_dir=out), resume=False)
+        build = _output_bytes(out)
+        os.link(last, os.path.join(inp, names[-1]))
+        m = run_rollup_pipeline(inp, PipelineConfig(out_dir=out), resume=True)
+        assert m.get("incremental_append") is True
+        exact = duplicated_key_probe_files(src, "doc_id")
+        np.testing.assert_array_equal(exact, want_probe)
+        bloom = duplicated_key_probe_files(src, "doc_id", exact_threshold=1)
+        assert bloom.contains_hashes(want_probe).all()
+        runs[g] = (build, _output_bytes(out))
+
+    (b1, a1), (bn, an) = runs[1], runs[base_files]
+    assert any(k.startswith("deduped/deletion_vectors") for k in b1)
+    assert any(k.startswith("rollup/state") for k in b1)
+    assert any(k.startswith("chunks") for k in b1)
+    assert b1 == bn
+    assert a1 == an
+    assert a1 != b1  # the append changed the outputs it is compared on

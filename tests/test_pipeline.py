@@ -139,7 +139,8 @@ def test_partial_resume_keeps_other_tiers_chunks(sequences_dir, tmp_path):
 
 
 def test_empty_input_file_builds_no_points(tmp_path):
-    """A zero-row input file gives a build with 0 points, not a crash."""
+    """A zero-row input file gives a build with 0 points, not a crash, with
+    and without tokens."""
     import pyarrow.parquet as pq
 
     from contest_parsing_ray.sources.synthetic import write_sequences_parquet
@@ -151,14 +152,17 @@ def test_empty_input_file_builds_no_points(tmp_path):
         pq.read_table(os.path.join(src, f)).slice(0, 0),
         str(tmp_path / "seq" / "part-0.parquet"),
     )
-    m = run_rollup_pipeline(
-        str(tmp_path / "seq"), PipelineConfig(out_dir=str(tmp_path / "out")),
-        resume=False,
-    )
-    assert {t: v["points"] for t, v in m["tiers"].items()} == {
-        "1m": 0, "5m": 0, "1h": 0,
-    }
-    assert m["tier_merge"]["partial_rows"] == 0
+    for tokens in (True, False):
+        m = run_rollup_pipeline(
+            str(tmp_path / "seq"),
+            PipelineConfig(out_dir=str(tmp_path / f"out-{tokens}"),
+                           ingest_tokens=tokens),
+            resume=False,
+        )
+        assert {t: v["points"] for t, v in m["tiers"].items()} == {
+            "1m": 0, "5m": 0, "1h": 0,
+        }, tokens
+        assert m["tier_merge"]["partial_rows"] == 0, tokens
 
 
 def test_retention_expiry(sequences_dir, out_dir):
