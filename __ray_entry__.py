@@ -466,8 +466,7 @@ def _q_pack_offsets(sf_dir: str):
     token counts in doc_id order; pack id + cut-straddle flag per doc.
 
     The count stage is a stateless Arrow task (ONE RE2 count_substring_regex
-    kernel), not an actor pool — actor spin-up dominated this query's wall
-    at bench scale (~4 s of a 9 s run)."""
+    kernel)."""
     from contest_parsing_ray.stages.packing import pack_offsets
 
     def count_tokens(b):
@@ -635,8 +634,7 @@ def _q_minhash(sf_dir: str):
     from contest_parsing_ray.stages.neardup import minhash_lsh_pairs
 
     docs = _docs(sf_dir)
-    return minhash_lsh_pairs(docs, id_col="doc_id", jaccard_threshold=0.5,
-                             concurrency=8)
+    return minhash_lsh_pairs(docs, id_col="doc_id", jaccard_threshold=0.5)
 
 
 def _q_minhash_clusters(sf_dir: str):
@@ -645,9 +643,7 @@ def _q_minhash_clusters(sf_dir: str):
     from contest_parsing_ray.stages.neardup import cluster_pairs, minhash_lsh_pairs
 
     docs = _docs(sf_dir)
-    pairs = minhash_lsh_pairs(
-        docs, id_col="doc_id", jaccard_threshold=0.5, concurrency=2
-    )
+    pairs = minhash_lsh_pairs(docs, id_col="doc_id", jaccard_threshold=0.5)
     return cluster_pairs(pairs)
 
 
@@ -662,23 +658,21 @@ def _q_ngram_jaccard(sf_dir: str):
     from contest_parsing_ray.stages.neardup import ngram_jaccard_pairs
 
     docs = _docs(sf_dir)
-    return ngram_jaccard_pairs(
-        docs, id_col="doc_id", n=3, threshold=0.8, concurrency=2
-    )
+    return ngram_jaccard_pairs(docs, id_col="doc_id", n=3, threshold=0.8)
 
 
 def _q_simhash(sf_dir: str):
     from contest_parsing_ray.stages.neardup import simhash_docs
 
     docs = _docs(sf_dir)
-    return simhash_docs(docs, concurrency=2).select_columns(["doc_id", "simhash"])
+    return simhash_docs(docs).select_columns(["doc_id", "simhash"])
 
 
 def _q_simhash_pairs(sf_dir: str):
     from contest_parsing_ray.stages.neardup import simhash_neardup_pairs
 
     docs = _docs(sf_dir)
-    return simhash_neardup_pairs(docs, max_hamming=6, concurrency=2)
+    return simhash_neardup_pairs(docs, max_hamming=6)
 
 
 def _q_pq(sf_dir: str):
@@ -768,7 +762,7 @@ def _q_multimodal(sf_dir: str):
         )
 
     media = docs.map_batches(to_media, batch_format="pandas")
-    out = decode_features(media, fake=True, concurrency=2, batch_size=64)
+    out = decode_features(media, batch_size=64)
     return out.select_columns(["doc_id", "n_bytes"])
 
 
@@ -797,7 +791,7 @@ def _q_multimodal_wav(sf_dir: str):
         )
 
     media = docs.map_batches(to_media, batch_format="pyarrow")
-    out = decode_wav_features(media, concurrency=8, batch_size=64)
+    out = decode_wav_features(media, batch_size=64)
     out = _round_cols(out, ["rms", "peak", "zcr", "dc_mean", "duration_s"])
     return out.select_columns(
         ["doc_id", "sample_rate", "n_samples", "duration_s", "rms", "peak",
@@ -831,7 +825,7 @@ def _q_multimodal_png(sf_dir: str):
         )
 
     media = docs.map_batches(to_media, batch_format="pyarrow")
-    out = decode_png_features(media, concurrency=8, batch_size=64)
+    out = decode_png_features(media, batch_size=64)
     out = _round_cols(out, ["mean_px", "std_px"])
     return out.select_columns(
         ["doc_id", "width", "height", "n_channels", "mean_px", "std_px",
@@ -867,7 +861,7 @@ def _q_multimodal_jpeg(sf_dir: str):
         )
 
     media = docs.map_batches(to_media, batch_format="pyarrow")
-    out = decode_jpeg_features(media, concurrency=8, batch_size=64)
+    out = decode_jpeg_features(media, batch_size=64)
     out = _round_cols(out, ["mean_px", "std_px"])
     return out.select_columns(
         ["doc_id", "width", "height", "n_channels", "subsampled", "mean_px",
@@ -902,12 +896,11 @@ def _q_multimodal_video(sf_dir: str):
         )
 
     media = docs.map_batches(to_media, batch_format="pyarrow")
-    # autoscaling pool (1, 12): the per-frame numpy JPEG decode is the
-    # bench's slowest single query and is embarrassingly parallel across
-    # videos; batch 16 keeps resident payload bytes per actor bounded
-    # while giving the pool enough batches to fan out (5000 docs at sf0.1)
-    out = decode_video_features(media, frame_stride=2, concurrency=12,
-                                batch_size=16)
+    # the per-frame numpy JPEG decode is the bench's slowest single query
+    # and is embarrassingly parallel across videos; batch 16 keeps the
+    # payload bytes each task holds bounded while giving the task pool
+    # enough batches to fan out (5000 docs at sf0.1)
+    out = decode_video_features(media, frame_stride=2, batch_size=16)
     out = _round_cols(out, ["mean_px", "std_px", "motion"])
     return out.select_columns(
         ["doc_id", "width", "height", "n_frames", "n_sampled", "fps_x1000",
@@ -1280,10 +1273,8 @@ def _q_redact(sf_dir: str):
 
     docs = _docs(sf_dir)
     out = docs.map_batches(
-        RegexRedact,
-        fn_constructor_kwargs={"pattern": _REDACT_PAT, "replacement": "<ENT>"},
+        RegexRedact(pattern=_REDACT_PAT, replacement="<ENT>"),
         batch_format="pyarrow",
-        concurrency=(1, 4),
     )
     return out.select_columns(["doc_id", "text_redacted", "n_redacted"])
 
@@ -1293,9 +1284,7 @@ def _q_repetition(sf_dir: str):
     from contest_parsing_ray.stages.text import RepetitionScore
 
     docs = _docs(sf_dir)
-    out = docs.map_batches(
-        RepetitionScore, batch_format="pyarrow", concurrency=(1, 4)
-    )
+    out = docs.map_batches(RepetitionScore(), batch_format="pyarrow")
     return _round_cols(
         out.select_columns(
             ["doc_id", "n_words_sep", "n_distinct_words", "dup_word_frac"]

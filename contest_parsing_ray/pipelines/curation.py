@@ -18,8 +18,6 @@ from __future__ import annotations
 import pyarrow as pa
 import ray.data
 
-from ..stages._shuffle import pool_size
-
 from ..stages.dedup import dedup
 from ..stages.text import RepetitionScore, TokenCount
 
@@ -31,19 +29,14 @@ def curate_documents(
     text_col: str = "text",
     id_col: str = "doc_id",
     hash_col: str = "md5",
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     """docs → curated docs: token-count + repetition scores attached,
     low-quality rows dropped, exact duplicates (by ``hash_col``, computed
     here as md5 of the text when absent) collapsed to the lowest
     ``id_col``."""
-    out = docs.map_batches(
-        TokenCount, fn_constructor_kwargs={"text_col": text_col},
-        batch_format="pandas", concurrency=pool_size(concurrency),
-    )
+    out = docs.map_batches(TokenCount(text_col=text_col), batch_format="pandas")
     out = out.map_batches(
-        RepetitionScore, fn_constructor_kwargs={"text_col": text_col},
-        batch_format="pyarrow", concurrency=pool_size(concurrency),
+        RepetitionScore(text_col=text_col), batch_format="pyarrow"
     )
 
     def keep(b: pa.Table) -> pa.Table:

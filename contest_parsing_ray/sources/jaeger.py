@@ -111,7 +111,7 @@ class JaegerParser:
 
 
 def read_jaeger_json(
-    paths: str | list[str], rounding_us: int = 30_000_000, concurrency: int = 4
+    paths: str | list[str], rounding_us: int = 30_000_000
 ) -> ray.data.Dataset:
     files = ray.data.read_binary_files(paths)
     return files.map_batches(

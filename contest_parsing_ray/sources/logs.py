@@ -22,14 +22,15 @@ Events") faithfully:
    differing positions become ``<*>``.
 
 Mining runs PER FILE — the reference's parse unit (``parser.parse(
-log_file)``) — so event ids are deterministic regardless of batch/actor
+log_file)``) — so event ids are deterministic regardless of batch/task
 assignment; equal final templates hash to equal ``event_id`` (FNV-1a),
 which is what the downstream cumulative-distinct aggregate
 (``Joiner.py:246-252``) consumes.
 
-Engine shape: one actor task per file (files are the natural parallel
-unit and the miner needs whole-file context); per-actor state is the
-compiled line regex (ST1).
+Engine shape: one plain task per file (files are the natural parallel
+unit and the miner needs whole-file context); the line regex compiles
+at import, the parser instance holds only parameters, and no state
+carries from one file to the next (ST1).
 """
 
 from __future__ import annotations
@@ -146,9 +147,9 @@ def mine_event_ids(
 
 
 class LogParser:
-    """Actor-pool stage: one call per FILE (the AEL mining unit). Per-actor
-    state is the compiled regex; mining is whole-file, so event ids are
-    independent of actor/batch assignment (ST1)."""
+    """Per-file stage: one call per FILE (the AEL mining unit), run as a
+    plain task. The instance holds only parameters; mining is whole-file,
+    so event ids are independent of task/batch assignment (ST1)."""
 
     def __init__(self, rounding_us: int = 30_000_000, tz_shift_hours: int = 0,
                  merge_percent: float = 0.5, min_event_count: int = 2):
@@ -210,7 +211,6 @@ def read_structured_logs(
     paths: str | list[str],
     rounding_us: int = 30_000_000,
     tz_shift_hours: int = 0,
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     """One task per log file (the AEL mining unit) → parsed/mined rows."""
     import glob

@@ -87,7 +87,7 @@ def _parse_export(raw: bytes, rounding_us: int, drop_null: bool) -> pd.DataFrame
 
 
 class PrometheusParser:
-    """Actor-pool parser: one export file per input row."""
+    """Export parser: one export file per input row, run as a plain task."""
 
     def __init__(self, rounding_us: int = 30_000_000, drop_null: bool = True):
         self.rounding_us = rounding_us
@@ -106,13 +106,8 @@ def read_prometheus_json(
     paths: str | list[str],
     rounding_us: int = 30_000_000,
     drop_null: bool = True,
-    concurrency: int = 4,
 ) -> ray.data.Dataset:
     files = ray.data.read_binary_files(paths)
-    # parser state is a compiled-at-import regex + config: pass an INSTANCE
-    # (stateless task pool, elastic) instead of the class (actor pool that
-    # reserves a CPU for the DAG's whole lifetime and can deadlock small
-    # clusters when several pools coexist in one plan)
     return files.map_batches(
         PrometheusParser(rounding_us=rounding_us, drop_null=drop_null),
         batch_format="pandas",

@@ -428,24 +428,3 @@ def partial_value_counts(ds: ray.data.Dataset, col: str) -> ray.data.Dataset:
         merge,
     )
 
-
-def pool_size(concurrency):
-    """Resolve an actor-pool concurrency spec for ``map_batches``.
-
-    A tuple passes through verbatim. An int n becomes the autoscaling
-    range ``(min(n, cpus // 4), n)``: a plain (1, n) pool ramps one actor
-    at a time and the ramp dominates short runs (measured: the sf0.1
-    video query 5.9 s with (1, 12) vs 4.2 s with 12 actors up front),
-    while a FIXED pool reserves all n CPUs for the pipeline's lifetime
-    and wedges multi-stage pipelines on small clusters (observed 4.0/4.0
-    CPU with one task pending forever on the 4-CPU test session). The
-    cpus//4 floor gives big hosts an instant fan-out and leaves small
-    sessions at the always-safe minimum of 1."""
-    if isinstance(concurrency, tuple):
-        return concurrency
-    n = max(1, int(concurrency))
-    try:
-        avail = int(ray.cluster_resources().get("CPU", 0))
-    except Exception:
-        avail = 0
-    return (max(1, min(n, avail // 4)), n)

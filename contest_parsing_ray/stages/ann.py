@@ -3,23 +3,27 @@
 Build-brief operator family. Two paths:
 
 - ``brute_force_topk``: exact cosine top-k — the query matrix (small side)
-  is normalized once and broadcast via ``ray.put``; each batch does one
-  numpy matmul. This is the correctness baseline and is oracle-checkable
-  against DuckDB ``list_cosine_similarity``.
+  is normalized once in the driver and ships inside the stage instance;
+  each batch does one numpy matmul. This is the correctness baseline and
+  is oracle-checkable against DuckDB ``list_cosine_similarity``.
 - ``lsh_bucket_neardup``: random-hyperplane LSH (Charikar 2002) with
   FIXED seeded planes: vectors land in sign-pattern buckets; only
   within-bucket pairs are compared — the scale path (no all-pairs matmul,
   shuffle on bucket id). Recall < 1 by construction; measured in tests.
+
+Every per-batch stage here is a callable instance built in the driver and
+run as a plain task. Ray Data puts a map stage's function into the object
+store once per execution, so the arrays an instance holds (queries,
+centroids, codebooks, planes) are broadcast once, not once per batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import ray
 import ray.data
 
-from ._shuffle import hash_partitioned_map, pool_size
+from ._shuffle import hash_partitioned_map
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -41,11 +45,10 @@ def brute_force_topk(
     merge — the batches never ship full similarity matrices.
     """
     qmat = _normalize(np.asarray(queries, dtype=np.float64))
-    q_ref = ray.put((np.asarray(query_ids), qmat))
 
     class PartialTopK:
-        def __init__(self):
-            self.qids, self.q = ray.get(q_ref)
+        def __init__(self, qids: np.ndarray, q: np.ndarray):
+            self.qids, self.q = qids, q
 
         def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
             mat = _normalize(np.stack(batch[vec_col].to_numpy()).astype(np.float64))
@@ -63,7 +66,9 @@ def brute_force_topk(
             return pd.DataFrame(rows)
 
     partials = embeddings.map_batches(
-        PartialTopK, batch_format="pandas", batch_size=4096, concurrency=pool_size(4)
+        PartialTopK(np.asarray(query_ids), qmat),
+        batch_format="pandas",
+        batch_size=4096,
     )
 
     return hash_partitioned_map(
@@ -118,7 +123,7 @@ def ivf_topk_cosine(
     of every block contributes up to ``sample_per_block`` rows (coverage
     across the whole corpus without a count() pass), capped at
     ``train_sample`` total; the corpus itself never moves. Centroids are
-    broadcast ONCE via ``ray.put``.
+    broadcast ONCE, inside the stage instance.
 
     Search: one streaming pass. Each batch assigns its rows to their
     nearest centroid with a single matmul, then compares each cell's rows
@@ -161,14 +166,13 @@ def ivf_topk_cosine(
     npr = int(min(n_probe, k0))
     sims_qc = qmat @ cent.T  # (nq, k0)
     probes = np.argpartition(-sims_qc, npr - 1, axis=1)[:, :npr]
-    ref = ray.put((qids, qmat, cent, probes))
 
     class IVFPartial:
-        def __init__(self):
-            self.qids, self.q, self.cent, probes_ = ray.get(ref)
+        def __init__(self, qids, q, cent, probes):
+            self.qids, self.q, self.cent = qids, q, cent
             # inverted probe lists: cell -> indices of queries probing it
             self.cell_queries = [
-                np.flatnonzero((probes_ == c).any(axis=1))
+                np.flatnonzero((probes == c).any(axis=1))
                 for c in range(len(self.cent))
             ]
 
@@ -209,7 +213,9 @@ def ivf_topk_cosine(
             )
 
     partials = embeddings.map_batches(
-        IVFPartial, batch_format="pandas", batch_size=4096, concurrency=pool_size(4)
+        IVFPartial(qids, qmat, cent, probes),
+        batch_format="pandas",
+        batch_size=4096,
     )
 
     return hash_partitioned_map(
@@ -269,11 +275,10 @@ def lsh_bucket_neardup(
     num_tables = num_tables if num_tables is not None else auto_t
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((num_tables, num_planes, dim))
-    planes_ref = ray.put(planes)
 
     class Bucketize:
-        def __init__(self):
-            self.planes = ray.get(planes_ref)
+        def __init__(self, planes: np.ndarray):
+            self.planes = planes
 
         def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
             mat = _normalize(np.stack(batch[vec_col].to_numpy()).astype(np.float64))
@@ -291,7 +296,7 @@ def lsh_bucket_neardup(
             )
 
     bucketed = embeddings.map_batches(
-        Bucketize, batch_format="pandas", batch_size=4096, concurrency=pool_size(4)
+        Bucketize(planes), batch_format="pandas", batch_size=4096
     )
 
     def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
@@ -405,7 +410,7 @@ def pq_topk_cosine(
 
     Train: per-subspace L2 k-means over the SAME bounded block-order
     driver sample as :func:`ivf_topk_cosine` (no count pass, corpus never
-    moves); the m codebooks broadcast once via ``ray.put``.
+    moves); the m codebooks broadcast once, inside the stage instance.
 
     Search (asymmetric distance computation): per batch, ONE argmin
     matmul per subspace encodes rows to codes; each query's dot product
@@ -456,12 +461,12 @@ def pq_topk_cosine(
         books.append(cent)
 
     qmat = _normalize(np.asarray(queries, dtype=np.float64))
-    state_ref = ray.put((np.asarray(query_ids), qmat, splits, books))
 
     class PQPartial:
-        def __init__(self):
-            self.qids, self.q, self.splits, self.books = ray.get(state_ref)
-            # LUTs depend only on queries + codebooks: once per actor
+        def __init__(self, qids, q, splits, books):
+            self.qids, self.q, self.splits, self.books = qids, q, splits, books
+            # LUTs depend only on queries + codebooks: built once, in the
+            # driver, and shipped with the instance
             self.luts = [
                 self.q[:, dims] @ cent.T
                 for dims, cent in zip(self.splits, self.books)
@@ -488,7 +493,9 @@ def pq_topk_cosine(
             )
 
     partials = embeddings.map_batches(
-        PQPartial, batch_format="pandas", batch_size=4096, concurrency=pool_size(4)
+        PQPartial(np.asarray(query_ids), qmat, splits, books),
+        batch_format="pandas",
+        batch_size=4096,
     )
     return hash_partitioned_map(
         partials, ["query_id"], _merge_topk(k, id_col),

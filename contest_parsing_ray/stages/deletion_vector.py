@@ -199,7 +199,7 @@ class _ScanFile:
     every input row, flag duplicate suspects, and write each file's own
     ``clean-{file_idx}`` partials, so neither the partials nor the tiers
     depend on how files are grouped. Stateless per call but holds the
-    probe ref (fetched once per actor/worker).
+    probe ref (fetched on first use in each task).
 
     ``decode_rows`` is deliberately CACHE-sized, not throughput-sized: a
     batch's working set (decoded tokens plus the checksum buffers, ~20

@@ -19,8 +19,8 @@ pandas ``groupby``. Rollup rows are tiny (one per bucket), so even years of
 in-memory and the Python cost is per source, with vectorized pandas
 reindexing inside. For sources whose full bucket range exceeds memory,
 partition the bucket range and carry the last observed row per boundary
-(the actor-pool variant in ``compress.py`` shows the carried-state
-pattern).
+(the per-series encoder in ``compress.py`` carries its previous point the
+same way, inside one group).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Multimodal (image/audio/video) column plumbing + REAL WAV/PNG/JPEG codecs.
 
 Build-brief operator: binary payload columns with typed metadata, decoded /
-feature-extracted by actor-pool ``map_batches`` stages.
+feature-extracted by per-batch ``map_batches`` stages that run as plain
+tasks (each stage is a callable instance built in the driver).
 
 Four decode kernels:
 
@@ -16,10 +17,10 @@ Four decode kernels:
   entropy decode via a 16-bit-peek LUT, dequantize, einsum IDCT, chroma
   upsample, JFIF YCbCr→RGB): emits the same image features from the
   decoded pixels. Format per the public ITU-T T.81 spec.
-- ``DecodeStub`` — the generic opaque-payload stage: raises
-  ``NotImplementedError`` unless ``fake=True`` (deterministic fake
-  features from payload bytes). Kept as the extension point for codecs
-  genuinely absent from the container; VIDEO is no longer one of them —
+- ``DecodeStub`` — the generic opaque-payload stage: deterministic stub
+  features hashed from the payload bytes. Kept as the extension point for
+  codecs genuinely absent from the container; VIDEO is no longer one of
+  them —
   ``stages/video.py`` decodes RIFF/AVI + MJPEG for real on top of
   ``decode_jpeg`` (pure-struct demux, numpy frame decode).
 
@@ -29,9 +30,9 @@ Schema convention:
     media_type: string        -- "image/png", "audio/wav", ...
     meta_width/meta_height or meta_sample_rate: int32 (nullable)
 
-Large binary rows need SMALL batch sizes so batch x concurrency fits the
-worker heap (see the memory-aware sizing note in the build brief);
-``decode_features`` defaults to batch_size=32.
+Large binary rows need SMALL batch sizes so the payload bytes one decode
+task holds fit the worker heap (see the memory-aware sizing note in the
+build brief); ``decode_features`` defaults to batch_size=32.
 """
 
 from __future__ import annotations
@@ -42,28 +43,21 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from ._shuffle import _splitmix64, pool_size
+from ._shuffle import _splitmix64
 
 FEATURE_DIM = 8
 
 
 class DecodeStub:
-    """Actor-pool decode stage. Real decoders slot in by replacing
-    ``_decode_batch`` (model/codec loaded once per actor in __init__)."""
+    """Deterministic stub decode stage. Real decoders slot in by replacing
+    ``_decode_batch`` (a codec or model loaded once in ``__init__``)."""
 
-    def __init__(self, payload_col: str = "payload", fake: bool = False):
+    def __init__(self, payload_col: str = "payload"):
         self.payload_col = payload_col
-        self.fake = fake
-        # real impl: self.codec = load_codec(); here: nothing to load
 
     def _decode_batch(self, payloads: pa.Array) -> np.ndarray:
-        """(n, FEATURE_DIM) float32 features — deterministic fake, computed
+        """(n, FEATURE_DIM) float32 features — deterministic stub, computed
         buffer-level over the whole batch (no per-row Python)."""
-        if not self.fake:
-            raise NotImplementedError(
-                "media codecs are not available in this environment; "
-                "construct DecodeStub(fake=True) for the deterministic stub"
-            )
         from ._shuffle import hash64_strings
 
         row_hash = hash64_strings(payloads)  # one pass over the raw buffer
@@ -96,20 +90,14 @@ class DecodeStub:
 def decode_features(
     media: ray.data.Dataset,
     payload_col: str = "payload",
-    fake: bool = False,
-    concurrency: int = 4,
     batch_size: int = 32,
 ) -> ray.data.Dataset:
     """media(payload, media_type, meta_*) → (media_type, meta_*, n_bytes,
     features: fixed_size_list<float32>[8])."""
     return media.map_batches(
-        DecodeStub,
-        fn_constructor_kwargs={"payload_col": payload_col, "fake": fake},
+        DecodeStub(payload_col=payload_col),
         batch_format="pyarrow",
         batch_size=batch_size,
-        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
-        # see _shuffle.pool_size
-        concurrency=pool_size(concurrency),
     )
 
 
@@ -199,7 +187,7 @@ def decode_wav(payload: bytes) -> tuple[dict, np.ndarray]:
 
 
 class WavDecode:
-    """Actor-pool WAV decode + feature stage. Per-row chunk-header parsing
+    """WAV decode + feature stage. Per-row chunk-header parsing
     is unavoidable (RIFF is a per-blob container), but all sample math is
     numpy over the data-chunk buffer. Output columns: sample_rate,
     n_channels, n_samples, duration_s, rms, peak, zcr, dc_mean."""
@@ -259,19 +247,14 @@ def decode_wav_features(
     media: ray.data.Dataset,
     payload_col: str = "payload",
     strict: bool = True,
-    concurrency: int = 4,
     batch_size: int = 32,
 ) -> ray.data.Dataset:
     """media(payload=WAV bytes, ...) → per-row audio features decoded from
     the REAL samples (see :class:`WavDecode`)."""
     return media.map_batches(
-        WavDecode,
-        fn_constructor_kwargs={"payload_col": payload_col, "strict": strict},
+        WavDecode(payload_col=payload_col, strict=strict),
         batch_format="pyarrow",
         batch_size=batch_size,
-        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
-        # see _shuffle.pool_size
-        concurrency=pool_size(concurrency),
     )
 
 
@@ -466,7 +449,7 @@ def decode_png(payload: bytes) -> tuple[dict, np.ndarray]:
 
 
 class PngDecode:
-    """Actor-pool PNG decode + feature stage (mirrors :class:`WavDecode`).
+    """PNG decode + feature stage (mirrors :class:`WavDecode`).
 
     Output columns: width, height, n_channels, mean_px, std_px, min_px,
     max_px — computed from the actual decoded pixels."""
@@ -515,19 +498,14 @@ def decode_png_features(
     media: ray.data.Dataset,
     payload_col: str = "payload",
     strict: bool = True,
-    concurrency: int = 4,
     batch_size: int = 32,
 ) -> ray.data.Dataset:
     """media(payload=PNG bytes, ...) → per-row image features decoded from
     the REAL pixels (see :class:`PngDecode`)."""
     return media.map_batches(
-        PngDecode,
-        fn_constructor_kwargs={"payload_col": payload_col, "strict": strict},
+        PngDecode(payload_col=payload_col, strict=strict),
         batch_format="pyarrow",
         batch_size=batch_size,
-        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
-        # see _shuffle.pool_size
-        concurrency=pool_size(concurrency),
     )
 
 
@@ -1135,7 +1113,7 @@ def decode_jpeg(payload: bytes) -> tuple[dict, np.ndarray]:
 
 
 class JpegDecode:
-    """Actor-pool JPEG decode + feature stage (mirrors :class:`PngDecode`).
+    """JPEG decode + feature stage (mirrors :class:`PngDecode`).
 
     Output columns: width, height, n_channels, subsampled, mean_px,
     std_px, min_px, max_px — computed from the actual decoded pixels."""
@@ -1185,19 +1163,14 @@ def decode_jpeg_features(
     media: ray.data.Dataset,
     payload_col: str = "payload",
     strict: bool = True,
-    concurrency: int = 4,
     batch_size: int = 32,
 ) -> ray.data.Dataset:
     """media(payload=JPEG bytes, ...) → per-row image features decoded
     from the REAL pixels (see :class:`JpegDecode`)."""
     return media.map_batches(
-        JpegDecode,
-        fn_constructor_kwargs={"payload_col": payload_col, "strict": strict},
+        JpegDecode(payload_col=payload_col, strict=strict),
         batch_format="pyarrow",
         batch_size=batch_size,
-        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
-        # see _shuffle.pool_size
-        concurrency=pool_size(concurrency),
     )
 
 

@@ -27,7 +27,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ._shuffle import _splitmix64, hash64_strings, pool_size
+from ._shuffle import _splitmix64, hash64_strings
 
 _SEEDS = np.arange(1, 129, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 _SHINGLE_PRIME = np.uint64(1099511628211)
@@ -263,7 +263,6 @@ def minhash_lsh_pairs(
     bands: int = 32,
     shingle_n: int = 5,
     jaccard_threshold: float = 0.8,
-    concurrency: int = 4,
     max_bucket: int = 256,
 ) -> ray.data.Dataset:
     """→ (id_a, id_b, jaccard) pairs with verified n-gram Jaccard >= τ.
@@ -275,15 +274,11 @@ def minhash_lsh_pairs(
     means those docs are near-identical and will pair through other bands);
     the doc text is joined back ONLY for surviving candidate pairs."""
     banded = docs.map_batches(
-        MinHashBands,
-        fn_constructor_kwargs=dict(
+        MinHashBands(
             text_col=text_col, id_col=id_col, num_hashes=num_hashes,
             bands=bands, shingle_n=shingle_n,
         ),
         batch_format="pyarrow",
-        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
-        # see _shuffle.pool_size
-        concurrency=pool_size(concurrency),
     )
 
     def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
@@ -384,16 +379,8 @@ class SimHash:
         return batch
 
 
-def simhash_docs(
-    docs: ray.data.Dataset, text_col: str = "text", concurrency: int = 4
-) -> ray.data.Dataset:
-    return docs.map_batches(
-        SimHash, fn_constructor_kwargs={"text_col": text_col},
-        batch_format="pandas",
-        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
-        # see _shuffle.pool_size
-        concurrency=pool_size(concurrency),
-    )
+def simhash_docs(docs: ray.data.Dataset, text_col: str = "text") -> ray.data.Dataset:
+    return docs.map_batches(SimHash(text_col=text_col), batch_format="pandas")
 
 
 def simhash_neardup_pairs(
@@ -401,7 +388,6 @@ def simhash_neardup_pairs(
     text_col: str = "text",
     id_col: str = "doc_id",
     max_hamming: int = 3,
-    concurrency: int = 4,
     max_bucket: int = 256,
 ) -> ray.data.Dataset:
     """SimHash hamming-neighbor pairs (id_a < id_b, hamming <= max_hamming).
@@ -413,7 +399,7 @@ def simhash_neardup_pairs(
     Shuffle payload per doc: (max_hamming+1) x 24 B."""
     n_seg = max_hamming + 1
     seg_bits = 64 // n_seg
-    with_hash = simhash_docs(docs, text_col=text_col, concurrency=concurrency)
+    with_hash = simhash_docs(docs, text_col=text_col)
 
     def explode(b: pa.Table) -> pa.Table:
         h = b["simhash"].combine_chunks().to_numpy(zero_copy_only=False).view(np.uint64)
@@ -987,7 +973,6 @@ def ngram_jaccard_pairs(
     id_col: str = "doc_id",
     n: int = 3,
     threshold: float = 0.4,
-    concurrency: int = 4,
     max_bucket: int | None = None,
 ) -> ray.data.Dataset:
     """EXACT word n-gram Jaccard all-pairs: every (id_a < id_b, jaccard)
@@ -1027,12 +1012,8 @@ def ngram_jaccard_pairs(
         pass
 
     shingles = docs.map_batches(
-        NgramShingles,
-        fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col, n=n),
+        NgramShingles(text_col=text_col, id_col=id_col, n=n),
         batch_format="pyarrow",
-        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
-        # see _shuffle.pool_size
-        concurrency=pool_size(concurrency),
     )
 
     def attach_df(df: pd.DataFrame) -> pd.DataFrame:

@@ -272,8 +272,12 @@ def hash_sample_weighted(
     Spirakis 2006, A-ES): the k rows with the largest ``u^(1/w)`` where
     ``u = (md5_priority(id) + 0.5) / 2^64`` and ``w = weight_col`` —
     inclusion probability proportional to weight, reproducible because u
-    is a pure function of the id. Rows with ``w <= 0`` (or null) are
-    excluded.
+    is a pure function of the id.
+
+    Weights are cast to float64. A row whose weight is null, NaN,
+    infinite or ``<= 0`` is dropped; a weight that does not parse as a
+    number (a string column holding ``"abc"``) raises instead of being
+    dropped, so a dirty weight column fails the job.
 
     Mergeable: each batch pre-prunes to its own top-k, the global sort
     sees <= k x batches rows, ties break on id. The float key is NOT

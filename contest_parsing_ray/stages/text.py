@@ -4,8 +4,9 @@ scoring, language ID, document fingerprinting.
 These are the large-scale-training-data operators layered on the engine
 (per the build brief) — the reference's closest analog is the log
 template-mining stage (``LogsParser.py:21-37``): a stateful text parser run
-per file; here each scorer is a stateless/actor ``map_batches`` with
-regexes compiled ONCE per actor in ``__init__``.
+per file; here each scorer is a callable class whose instance is passed to
+``map_batches`` and runs as a plain task, with its tables (the LangId
+profiles) built once, in the driver, by ``__init__``.
 
 All operators are deterministic, vectorized via pandas ``.str`` /
 re over batches, and schema-stable.
@@ -13,14 +14,10 @@ re over batches, and schema-stable.
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
-
-from ._shuffle import pool_size
 
 _WORD_RE = r"[A-Za-z0-9_]+"
 
@@ -186,12 +183,10 @@ _LANG_SEEDS = {
 
 
 class TokenCount:
-    """Whitespace/word-regex token counting (BPE-ish proxy). Regex compiled
-    once per actor."""
+    """Whitespace/word-regex token counting (BPE-ish proxy)."""
 
     def __init__(self, text_col: str = "text"):
         self.text_col = text_col
-        self.word = re.compile(_WORD_RE)
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         s = batch[self.text_col].fillna("")
@@ -228,10 +223,11 @@ class QualityScore:
 class LangId:
     """Char-trigram log-likelihood language ID (Cavnar & Trenkle style).
 
-    Model build happens ONCE per actor in ``__init__`` (the stateful-stage
-    pattern a real fastText-style model would use): per-language trigram
-    log-probs over the seed corpora, laid out as a sorted hash table +
-    (n_trigrams, n_langs) weight matrix. Per batch: ONE buffer-level
+    Model build happens ONCE per instance in ``__init__``, in the driver
+    (the pattern a real fastText-style model would use; the built tables
+    ship with the task): per-language trigram log-probs over the seed
+    corpora, laid out as a sorted hash table + (n_trigrams, n_langs)
+    weight matrix. Per batch: ONE buffer-level
     trigram-hash pass over all docs, ``searchsorted`` lookup, segmented
     sum via ``reduceat`` — no per-document Python loop."""
 
@@ -296,8 +292,8 @@ class RegexRedact:
 
     The kernel is RE2 via ``pyarrow.compute`` (same dialect DuckDB uses,
     so SQL oracles compare byte-exact); zero Python per row. Real PII
-    passes plug in email/phone/SSN patterns; compile cost is once per
-    actor (``__init__``), per the stateful-stage rule.
+    passes plug in email/phone/SSN patterns; the kernel compiles the
+    pattern on each call, so the instance only holds parameters.
     """
 
     def __init__(
@@ -436,30 +432,6 @@ class Fingerprint:
         return batch.append_column(
             "fingerprint", pa.array(fp.view(np.int64), type=pa.int64())
         )
-
-
-def analyze_text(
-    docs: ray.data.Dataset, text_col: str = "text", concurrency: int = 4
-) -> ray.data.Dataset:
-    """Full text-analysis pass: token counts + quality + language ID +
-    fingerprint in one actor-pool pipeline."""
-    out = docs.map_batches(
-        TokenCount, fn_constructor_kwargs={"text_col": text_col},
-        batch_format="pandas", concurrency=pool_size(concurrency),
-    )
-    out = out.map_batches(
-        QualityScore, fn_constructor_kwargs={"text_col": text_col},
-        batch_format="pandas", concurrency=pool_size(concurrency),
-    )
-    out = out.map_batches(
-        LangId, fn_constructor_kwargs={"text_col": text_col},
-        batch_format="pandas", concurrency=pool_size(concurrency),
-    )
-    out = out.map_batches(
-        Fingerprint, fn_constructor_kwargs={"text_col": text_col},
-        batch_format="pyarrow", concurrency=pool_size(concurrency),
-    )
-    return out
 
 
 def source_word_stats(

@@ -9,16 +9,16 @@ container demux → frame sampling → per-frame pixel decode → feature
 aggregation — runs on real bytes with zero native codecs.
 
 Reference parity: the reference has no video path; this implements the
-build brief's multimodal axis ("frame-sample as actor-pool map_batches
-stages") with the decode step REAL rather than stubbed. The actor-pool
-shape mirrors ``multimodal.JpegDecode`` (`multimodal.py:1129`), per the
-reference's stateful-stage pattern (``Sequential_MainFile.py:31-54``'s
-per-worker parser state).
+build brief's multimodal axis (frame-sample as ``map_batches`` stages)
+with the decode step REAL rather than stubbed. The stage mirrors
+``multimodal.JpegDecode``: a callable instance built in the driver that
+runs as a plain task per batch. It carries only parameters, so no batch
+depends on an earlier one.
 
 Scale notes (100 TB): videos are the canonical "large binary payload"
 column — a batch is ``batch_size`` payloads resident at once, so
-``decode_video_features`` defaults to a SMALL batch_size (8) and lets the
-actor pool provide parallelism. Frame sampling (``frame_stride``) bounds
+``decode_video_features`` defaults to a SMALL batch_size (8) and gets its
+parallelism from many small tasks. Frame sampling (``frame_stride``) bounds
 decode cost per payload: a 30 fps clip sampled at stride 30 decodes 1/30th
 of its frames, and the demux step never copies unsampled frame bytes (the
 RIFF walk slices only the sampled ``memoryview`` ranges).
@@ -38,7 +38,6 @@ import pyarrow as pa
 import ray.data
 
 from .multimodal import decode_jpeg, encode_jpeg_baseline
-from ._shuffle import pool_size
 
 __all__ = [
     "encode_avi_mjpeg",
@@ -182,7 +181,7 @@ def decode_avi_frames(
 
 
 class VideoDecode:
-    """Actor-pool AVI/MJPEG decode + per-video feature stage (mirrors
+    """AVI/MJPEG decode + per-video feature stage (mirrors
     ``multimodal.JpegDecode``; demux tables built per payload, JPEG Huffman
     LUT construction amortized inside ``decode_jpeg``).
 
@@ -256,25 +255,18 @@ def decode_video_features(
     payload_col: str = "payload",
     frame_stride: int = 1,
     strict: bool = True,
-    concurrency: int = 4,
     batch_size: int = 8,
 ) -> ray.data.Dataset:
     """media(payload=AVI bytes, ...) -> per-video features decoded from the
     REAL sampled-frame pixels (see :class:`VideoDecode`). Small default
     batch_size: video payloads are the large-binary case — bound resident
-    bytes per actor, scale out via the pool."""
+    bytes per task, scale out over many tasks."""
     return media.map_batches(
-        VideoDecode,
-        fn_constructor_kwargs={
-            "payload_col": payload_col,
-            "frame_stride": frame_stride,
-            "strict": strict,
-        },
+        VideoDecode(
+            payload_col=payload_col, frame_stride=frame_stride, strict=strict
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
-        # an int n becomes the autoscaling pool (min(n, cpus // 4), n) —
-        # see _shuffle.pool_size
-        concurrency=pool_size(concurrency),
     )
 
 

@@ -26,20 +26,6 @@ def ray_session():
     ray.shutdown()
 
 
-@pytest.fixture(autouse=True)
-def _release_actor_pools():
-    """Collect dropped Datasets after every test: an autoscaling
-    ``map_batches`` actor pool stays alive (CPU reserved) until its Dataset
-    is garbage-collected, and a lingering 1-CPU actor from a finished test
-    plus the next test's join aggregators can deadlock the 4-CPU session
-    cluster (observed: a leaked MapWorker(QualityScore) + 6 aggregators
-    wedged corpus_end_to_end)."""
-    yield
-    import gc
-
-    gc.collect()
-
-
 @pytest.fixture(scope="session")
 def sequences_dir(tmp_path_factory):
     """Small deterministic sequences table shared across tests."""

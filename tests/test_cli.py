@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 @pytest.fixture(scope="module")
 def cli_seq(tmp_path_factory):
@@ -18,14 +20,14 @@ def cli_seq(tmp_path_factory):
 
 
 def _run(args):
-    env = dict(os.environ, PYTHONPATH="/root/repo", RAY_ADDRESS="")
+    env = dict(os.environ, PYTHONPATH=ROOT, RAY_ADDRESS="")
     out = subprocess.run(
         [sys.executable, "-m", "contest_parsing_ray", *args],
         capture_output=True,
         text=True,
         check=True,
         env=env,
-        cwd="/root/repo",
+        cwd=ROOT,
         timeout=300,
     ).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -44,14 +46,14 @@ def test_cli_runs_and_resumes(cli_seq, tmp_path):
 
 
 def test_cli_bad_tier_spec(cli_seq, tmp_path):
-    env = dict(os.environ, PYTHONPATH="/root/repo", RAY_ADDRESS="")
+    env = dict(os.environ, PYTHONPATH=ROOT, RAY_ADDRESS="")
     r = subprocess.run(
         [sys.executable, "-m", "contest_parsing_ray", "--input", cli_seq,
          "--out", str(tmp_path / "o"), "--tiers", "7x"],
         capture_output=True,
         text=True,
         env=env,
-        cwd="/root/repo",
+        cwd=ROOT,
         timeout=120,
     )
     assert r.returncode != 0

@@ -11,7 +11,8 @@ import pandas as pd
 import pytest
 import ray.data
 
-sys.path.insert(0, "/root/repo")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 from contest_parsing_ray.sources.discovery import corpus_stats, find_files
 

@@ -14,7 +14,8 @@ import sys
 import pyarrow.parquet as pq
 import pytest
 
-sys.path.insert(0, "/root/repo")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 import __ray_entry__ as entrymod
 
 from tools.make_goldens import normalize, to_table
@@ -31,7 +32,7 @@ GOLDEN_KEYS = [
 
 def test_goldens_exist():
     assert set(GOLDEN_KEYS) == set(entrymod.GOLDEN_ORACLE_KEYS), (
-        "missing golden files — run: PYTHONPATH=/root/repo python "
+        "missing golden files — run from the repo root: PYTHONPATH=. python "
         "tools/make_goldens.py"
     )
 

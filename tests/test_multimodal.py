@@ -1,5 +1,5 @@
-"""Multimodal decode plumbing: vectorized fake decode determinism, byte
-counting, null payloads, and the honest NotImplementedError without fake."""
+"""Multimodal decode plumbing: vectorized stub decode determinism, byte
+counting, null payloads, and the real WAV/PNG/JPEG codecs."""
 
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ def _media_table():
 
 
 def test_fake_decode_vectorized_and_deterministic():
-    out1 = DecodeStub(fake=True)(_media_table())
-    out2 = DecodeStub(fake=True)(_media_table())
+    out1 = DecodeStub()(_media_table())
+    out2 = DecodeStub()(_media_table())
     assert out1["n_bytes"].to_pylist() == [5, 5, 0, 0]
     f1 = np.asarray(out1["features"].to_pylist())
     f2 = np.asarray(out2["features"].to_pylist())
@@ -37,14 +37,9 @@ def test_fake_decode_vectorized_and_deterministic():
     assert "payload" not in out1.column_names
 
 
-def test_decode_without_fake_raises():
-    with pytest.raises(NotImplementedError):
-        DecodeStub(fake=False)(_media_table())
-
-
 def test_decode_features_dataset():
     ds = ray.data.from_arrow(_media_table())
-    out = decode_features(ds, fake=True, concurrency=2, batch_size=2).to_pandas()
+    out = decode_features(ds, batch_size=2).to_pandas()
     assert len(out) == 4
     assert set(out.columns) >= {"doc_id", "media_type", "n_bytes", "features"}
 
@@ -125,7 +120,7 @@ def test_wav_decode_stage_and_batching_invariance():
     for bs in (7, 50):
         out = (
             decode_wav_features(
-                ray.data.from_pandas(media), concurrency=2, batch_size=bs
+                ray.data.from_pandas(media), batch_size=bs
             )
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
@@ -139,7 +134,7 @@ def test_wav_decode_stage_and_batching_invariance():
     media.loc[0, "payload"] = b"not a wav"
     lax = (
         decode_wav_features(
-            ray.data.from_pandas(media), strict=False, concurrency=1,
+            ray.data.from_pandas(media), strict=False,
             batch_size=50,
         )
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
@@ -199,7 +194,7 @@ def test_png_decode_stage_and_batching_invariance():
     for bs in (7, 40):
         out = (
             decode_png_features(
-                ray.data.from_pandas(media), concurrency=2, batch_size=bs
+                ray.data.from_pandas(media), batch_size=bs
             )
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
@@ -217,7 +212,7 @@ def test_png_decode_stage_and_batching_invariance():
     media.loc[0, "payload"] = b"not a png"
     lax = (
         decode_png_features(
-            ray.data.from_pandas(media), strict=False, concurrency=1,
+            ray.data.from_pandas(media), strict=False,
             batch_size=40,
         )
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
@@ -352,7 +347,7 @@ def test_jpeg_decode_stage_and_batching_invariance():
     for bs in (7, 40):
         out = (
             decode_jpeg_features(
-                ray.data.from_pandas(media), concurrency=2, batch_size=bs
+                ray.data.from_pandas(media), batch_size=bs
             )
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
@@ -366,7 +361,7 @@ def test_jpeg_decode_stage_and_batching_invariance():
     media.loc[0, "payload"] = b"not a jpeg"
     lax = (
         decode_jpeg_features(
-            ray.data.from_pandas(media), strict=False, concurrency=1,
+            ray.data.from_pandas(media), strict=False,
             batch_size=40,
         )
         .to_pandas().sort_values("doc_id").reset_index(drop=True)

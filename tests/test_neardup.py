@@ -57,7 +57,7 @@ def test_minhash_lsh_pairs_finds_neardups():
         pd.DataFrame({"doc_id": [f"d{i}" for i in range(len(DOCS))], "text": DOCS})
     )
     out = minhash_lsh_pairs(
-        docs, jaccard_threshold=0.5, concurrency=2, num_hashes=64, bands=16
+        docs, jaccard_threshold=0.5, num_hashes=64, bands=16
     ).to_pandas()
     pairs = set(map(tuple, out[["id_a", "id_b"]].itertuples(index=False)))
     # docs 0/1/6 are near-identical; 2,3 unrelated
@@ -75,7 +75,7 @@ def test_simhash_neardup_pairs():
     docs = ray.data.from_pandas(
         pd.DataFrame({"doc_id": [f"d{i}" for i in range(len(DOCS))], "text": DOCS})
     )
-    out = simhash_neardup_pairs(docs, max_hamming=6, concurrency=2).to_pandas()
+    out = simhash_neardup_pairs(docs, max_hamming=6).to_pandas()
     pairs = set(map(tuple, out[["id_a", "id_b"]].itertuples(index=False)))
     assert ("d0", "d1") in pairs
     assert ("d2", "d3") not in pairs
@@ -127,8 +127,7 @@ def test_bucket_cap_deterministic_under_input_order():
     def pairs_of(frame):
         ds = ray.data.from_pandas(frame).repartition(3)
         out = minhash_lsh_pairs(
-            ds, jaccard_threshold=0.5, concurrency=2,
-            num_hashes=64, bands=16, max_bucket=2,
+            ds, jaccard_threshold=0.5, num_hashes=64, bands=16, max_bucket=2,
         ).to_pandas()
         return set(map(tuple, out[["id_a", "id_b"]].itertuples(index=False)))
 
@@ -180,7 +179,7 @@ def test_ngram_jaccard_exact_vs_bruteforce():
     for tau in (0.3, 0.6, 0.9):
         got = ngram_jaccard_pairs(
             ray.data.from_pandas(df).repartition(4),
-            n=3, threshold=tau, concurrency=2,
+            n=3, threshold=tau,
         ).to_pandas()
         got_map = {
             (r.id_a, r.id_b): r.jaccard for r in got.itertuples(index=False)
@@ -321,9 +320,7 @@ def test_minhash_clusters_vs_bruteforce_oracle_sf0001():
             pc_mod.cast(b["doc_id"], "string")),
         batch_format="pyarrow",
     )
-    pairs_ds = minhash_lsh_pairs(
-        docs, id_col="doc_id", jaccard_threshold=0.5, concurrency=2
-    )
+    pairs_ds = minhash_lsh_pairs(docs, id_col="doc_id", jaccard_threshold=0.5)
     got_pairs = {
         (r["id_a"], r["id_b"])
         for r in pairs_ds.to_pandas().to_dict("records")

@@ -22,7 +22,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-sys.path.insert(0, "/root/repo")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 import __ray_entry__ as entrymod
 
 SF_DIR = "/root/testdata/sf0.001"

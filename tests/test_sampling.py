@@ -132,6 +132,24 @@ def test_weighted_sample_matches_reference_and_biases_heavy():
         hash_sample_weighted(ray.data.from_pandas(df), "doc_id", "w", k=0)
 
 
+def test_weighted_sample_dirty_weights():
+    """Null, NaN, infinite and non-positive weights drop the row; a weight
+    that does not parse as a number raises."""
+    from contest_parsing_ray.stages.sampling import hash_sample_weighted
+
+    df = pd.DataFrame(
+        {
+            "doc_id": np.arange(8, dtype="int64"),
+            "w": ["1.5", None, "nan", "-1", "0", "2", "inf", "3"],
+        }
+    )
+    got = hash_sample_weighted(ray.data.from_pandas(df), "doc_id", "w", k=8)
+    assert sorted(got.to_pandas()["doc_id"]) == [0, 5, 7]
+    bad = pd.DataFrame({"doc_id": np.arange(3, dtype="int64"), "w": ["1.5", "abc", "2"]})
+    with pytest.raises(ray.exceptions.UserCodeException, match="Failed to parse string: 'abc'"):
+        hash_sample_weighted(ray.data.from_pandas(bad), "doc_id", "w", k=2).to_pandas()
+
+
 def test_hash_split_deterministic_and_proportional():
     import duckdb
     import pyarrow as pa

@@ -120,8 +120,9 @@ def test_hll_approx_distinct_within_error_vs_exact_sf0001():
 
     import importlib.util
 
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
-        "__ray_entry__", "/root/repo/__ray_entry__.py")
+        "__ray_entry__", os.path.join(root, "__ray_entry__.py"))
     m = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(m)
     got = m.queries()["approx_distinct_users"]("/root/testdata/sf0.001")

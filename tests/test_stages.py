@@ -281,73 +281,6 @@ def test_read_range_finishes_on_one_cpu_session(tmp_path):
     assert got == want
 
 
-_TOKEN_COUNTS_CHILD = """
-import json, os, sys, threading
-import ray
-from ray.data import DataContext
-
-ray.init(address="local", num_cpus=1, include_dashboard=False,
-         logging_level="ERROR")
-DataContext.get_current().enable_progress_bars = False
-import __ray_entry__
-
-d, limit = sys.argv[1], float(sys.argv[2])
-out = {}
-
-def run():
-    df = __ray_entry__.queries()["doc_token_counts"](d).to_pandas()
-    df = df.sort_values("doc_id")
-    out["rows"] = df[["doc_id", "n_words", "n_ws_tokens"]].values.tolist()
-
-th = threading.Thread(target=run, daemon=True)
-th.start()
-th.join(limit)
-print(json.dumps(out.get("rows")), flush=True)
-if th.is_alive():
-    ray._private.worker._global_node.kill_all_processes(check_alive=False, wait=True)
-else:
-    ray.shutdown()
-os._exit(0)
-"""
-
-
-def test_doc_token_counts_finishes_on_one_cpu_session(tmp_path):
-    """doc_token_counts on a session with a single CPU: an actor pool
-    (fixed at 2, or autoscaling from 1) holds that CPU, so the upstream
-    read never runs and the query never finished. Same
-    subprocess-with-deadline shape as
-    test_read_range_finishes_on_one_cpu_session."""
-    import json
-    import os
-    import subprocess
-    import sys
-
-    import pyarrow.parquet as pq
-
-    from contest_parsing_ray.stages.text import TokenCount
-
-    docs = pd.DataFrame(
-        {
-            "doc_id": np.arange(40, dtype=np.int64),
-            "text": [f"doc {i}: alpha, beta  gamma-{i}" * (i % 4) for i in range(40)],
-        }
-    )
-    pq.write_table(pa.Table.from_pandas(docs, preserve_index=False),
-                   str(tmp_path / "documents.parquet"))
-    want = TokenCount()(docs.copy())[["doc_id", "n_words", "n_ws_tokens"]]
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=root + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", _TOKEN_COUNTS_CHILD, str(tmp_path), "90"],
-        env=env, capture_output=True, text=True, timeout=240,
-    )
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got is not None, "doc_token_counts did not finish on a num_cpus=1 session"
-    assert got == want.values.tolist()
-
-
 def test_compress_bitstream_unit():
     from contest_parsing_ray.stages.compress import (
         decode_timestamps,

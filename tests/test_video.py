@@ -107,8 +107,7 @@ def test_video_stage_batching_invariance_and_motion(ray_session):
     for bs in (7, 30):
         out = (
             decode_video_features(
-                ray.data.from_pandas(media), frame_stride=2,
-                concurrency=2, batch_size=bs,
+                ray.data.from_pandas(media), frame_stride=2, batch_size=bs,
             )
             .to_pandas().sort_values("doc_id").reset_index(drop=True)
         )
@@ -131,8 +130,7 @@ def test_video_stage_batching_invariance_and_motion(ray_session):
     media.loc[0, "payload"] = b"not an avi"
     lax = (
         decode_video_features(
-            ray.data.from_pandas(media), strict=False, concurrency=1,
-            batch_size=30,
+            ray.data.from_pandas(media), strict=False, batch_size=30,
         )
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )

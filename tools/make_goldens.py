@@ -12,7 +12,7 @@ Every golden query is run TWICE here and the normalized results must be
 byte-identical — a determinism gate, so a golden can never pin a flaky
 result. Regenerate after any intentional semantic change:
 
-    PYTHONPATH=/root/repo python tools/make_goldens.py
+    PYTHONPATH=. python tools/make_goldens.py   # from the repo root
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def main() -> None:
             address="local", num_cpus=8, include_dashboard=False,
             ignore_reinit_error=True, logging_level="ERROR", log_to_driver=False,
         )
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entry
 
     os.makedirs(OUT_DIR, exist_ok=True)

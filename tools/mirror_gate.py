@@ -8,7 +8,7 @@ records. Run with the driver's parallelism (num_cpus=32) to catch
 partition-count-dependent failures (round-1 telemetry_join_fixture crashed
 at 32 while passing at 4).
 
-    PYTHONPATH=/root/repo python tools/mirror_gate.py [sf_dir] [query ...]
+    PYTHONPATH=. python tools/mirror_gate.py [sf_dir] [query ...]   # from the repo root
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import duckdb
 import pyarrow as pa
 import pyarrow.compute as pc
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
