@@ -21,28 +21,34 @@ fixed costs are the serial fraction that caps scaling efficiency):
             needs one, is ``read_deduped_dv(<out>/deduped).write_parquet``.
             (--no-tokens: exact hash dedup of the pruned read →
             out/deduped/data/, hive by source.)
-  [exec 3]  materialize the scan-fused partials — or, when they are
-            absent or stale, recompute them from the pruned sidecar
-            (source, n_tok, event_time_us, token_ck). Token-integrity
-            totals come off the materialized partials (driver-side
-            wrap-sum, no extra pass).
+  [exec 3]  the scan-fused partials, sized from their parquet footers —
+            or, when they are absent or stale, recomputed from the pruned
+            sidecar (source, n_tok, event_time_us, token_ck) in one Ray
+            execution. At or below DRIVER_MERGE_BYTES of partial state
+            the files are read with pyarrow in the driver (no Ray Data
+            execution), and the token-integrity totals come off that same
+            table (driver-side wrap-sum, no extra pass).
   [exec 4]  tier merge: the partials become tier-tagged rows (tier,
             source, bucket_us, stats, qsum) and merge on that one key, one
-            _merge_partition call per tier. At or below DRIVER_MERGE_BYTES
-            of partial state this runs in the driver; above it, through ONE
-            raw task exchange on (tier, source, bucket_us). Either way each
-            group merges once, so the tiers do not depend on the partition
-            count. The merged points (one per (source, bucket), orders of
-            magnitude below the partials) are gathered; the mergeable
-            state, gap-fill and the hive write (tier, source) run
-            driver-side.
+            _merge_partition call per tier (integer-keyed numpy: one
+            lexsort, segmented reductions, one blob scatter). At or below
+            DRIVER_MERGE_BYTES this runs in the driver; above it, the
+            partial files or blocks stream through ONE raw task exchange
+            on (tier, source, bucket_us). Either way each group merges
+            once, so the tiers do not depend on the partition count. The
+            merged points (one per (source, bucket), orders of magnitude
+            below the partials) are gathered; the mergeable state,
+            gap-fill and the hive write (tier, source) run driver-side.
+            A small default build therefore runs ONE Ray Data execution,
+            the scan (the probe is plain Ray tasks).
   [exec 5]  compress: one driver-side delta-of-delta/Gorilla pass over the
             tiers → out/chunks/tier=<t>/.
 
 Incremental append (continuous aggregate): when only new input files
 appeared, the delta's partials go through the same tier merge after the
-stored state of the sources they touch, and only those sources' state,
-data and chunks are rewritten.
+stored state of the sources they touch (their token totals come off the
+same driver-side table), and only those sources' state, data and chunks
+are rewritten.
 
 Resume: tiers whose manifest matches the (input, config) fingerprints are
 skipped; the deduped table is reused when its own manifest matches.
@@ -56,6 +62,8 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 
 from ..config import PipelineConfig
@@ -151,27 +159,96 @@ def _tier_tagged(t: pa.Table, tiers: list[str]) -> pa.Table:
 
 def _merge_tagged(t: pa.Table, cap: int) -> pd.DataFrame:
     """Final points plus mergeable state (``qsum``) of tier-tagged rows:
-    one ``_merge_partition`` call per tier. The rows are first sorted on
-    their stats and blob, so each group merges its rows in one canonical
-    order: the float sums and the blob bytes depend only on which rows the
-    group holds, not on the order the partials arrived in (Ray Data does
-    not keep block order) or on the partition count."""
-    df = t.sort_by([(c, "ascending") for c in _TAGGED.names[3:]]).to_pandas()
+    one ``_merge_partition`` call per tier, which merges each group's rows
+    in one canonical order (see :func:`stages.rollup._merge_partition`)."""
+    tier = t["tier"]
     outs = [
-        _merge_partition(g, "source", "bucket_us", cap, 0.95, True).assign(
-            tier=name
-        )
-        for name, g in df.groupby("tier", sort=False)
+        _merge_partition(
+            t.filter(pc.equal(tier, name)), "source", "bucket_us", cap, 0.95, True
+        ).assign(tier=name)
+        for name in pc.unique(tier).to_pylist()
     ]
     if not outs:
-        return _merge_partition(df, "source", "bucket_us", cap, 0.95, True).assign(
+        return _merge_partition(t, "source", "bucket_us", cap, 0.95, True).assign(
             tier=pd.Series([], dtype=object)
         )
     return pd.concat(outs, ignore_index=True)
 
 
+class _Partials:
+    """The partial rows of a build or an append: parquet files, sized from
+    their footers, or the blocks of a materialized Dataset. The rows are
+    read into the driver, with no Ray Data execution, only when the tier
+    merge runs there (at or below ``DRIVER_MERGE_BYTES``); above it the
+    parts stream into the exchange."""
+
+    def __init__(self, parts: list, rows: int, nbytes: int):
+        self.parts = parts
+        self.rows = rows
+        self.nbytes = nbytes
+        self._table = None
+
+    @classmethod
+    def from_files(cls, files: list[str]) -> "_Partials":
+        metas = [pq.read_metadata(f) for f in files]
+        return cls(
+            files,
+            sum(m.num_rows for m in metas),
+            sum(_arrow_bytes(m) for m in metas),
+        )
+
+    @classmethod
+    def from_dataset(cls, ds: ray.data.Dataset) -> "_Partials":
+        ds = ds.materialize()
+        return cls(ds.to_arrow_refs(), ds.count(), ds.size_bytes() or 0)
+
+    def read(self, columns: list[str] | None = None) -> pa.Table:
+        """The rows (``columns`` of them) as one driver-side table; below
+        the gate the whole table is read once and kept for the merge."""
+        if self._table is None and self.nbytes <= DRIVER_MERGE_BYTES:
+            self._table = self._read(None)
+        if self._table is not None:
+            return self._table.select(columns) if columns else self._table
+        return self._read(columns)
+
+    def _read(self, columns: list[str] | None) -> pa.Table:
+        tables = [_read_part(p, columns) for p in self.parts]
+        # an empty block may lack the partial columns
+        tables = [t for t in tables if t.num_rows]
+        return pa.concat_tables(tables) if tables else pa.table({})
+
+
+def _arrow_bytes(meta: pq.FileMetaData) -> int:
+    """In-memory size of a parquet file's rows, estimated from its footer:
+    fixed-width columns as rows x width, the others as their uncompressed
+    column-chunk bytes (a dictionary-encoded string column reads low)."""
+    types = meta.schema.to_arrow_schema().types
+    total = 0
+    for r in range(meta.num_row_groups):
+        rg = meta.row_group(r)
+        for c, t in enumerate(types):
+            total += (
+                rg.num_rows * t.bit_width // 8
+                if pa.types.is_primitive(t)
+                else rg.column(c).total_uncompressed_size
+            )
+    return total
+
+
+def _read_part(part, columns: list[str] | None = None) -> pa.Table:
+    """One part of :class:`_Partials`: a parquet path or a block (ref)."""
+    if isinstance(part, str):
+        return pq.read_table(part, columns=columns)
+    t = ray.get(part) if isinstance(part, ray.ObjectRef) else part
+    return t.select(columns) if columns and t.num_rows else t
+
+
+def _tag_part(part, tiers: list[str]) -> pa.Table:
+    return _tier_tagged(_read_part(part), tiers)
+
+
 def _merge_tiers(
-    partials: ray.data.Dataset,
+    partials: _Partials,
     tiers: list[str],
     cap: int,
     metrics: dict,
@@ -180,34 +257,24 @@ def _merge_tiers(
     """The one tier merge of the build and the append.
 
     Merges tier-tagged ``prior`` rows (an append's stored state) and the
-    materialized ``partials``, tier-tagged, on ``TIER_KEY``. At or below
+    ``partials``, tier-tagged, on ``TIER_KEY``. At or below
     ``DRIVER_MERGE_BYTES`` this runs in the driver as one partition; above
-    it the partial blocks are tagged in tasks and merged per partition of
-    one raw task exchange. Returns the merged points with their state,
-    sorted by ``TIER_KEY``, and records the decision in
-    ``metrics["tier_merge"]``.
+    it the parts are tagged in tasks and merged per partition of one raw
+    task exchange. Returns the merged points with their state, sorted by
+    ``TIER_KEY``, and records the decision in ``metrics["tier_merge"]``.
     """
     prior = prior if prior is not None else _TAGGED.empty_table()
-    blocks = partials.to_arrow_refs()
-    n_rows = partials.count() + len(prior)
-    n_bytes = (partials.size_bytes() or 0) + prior.nbytes
+    n_rows = partials.rows + len(prior)
+    n_bytes = partials.nbytes + prior.nbytes
     if n_bytes <= DRIVER_MERGE_BYTES:
-        tagged = pa.concat_tables(
-            [prior, *(_tier_tagged(b, tiers) for b in ray.get(blocks))]
-        )
+        tagged = pa.concat_tables([prior, _tier_tagged(partials.read(), tiers)])
         merged = _merge_tagged(tagged, cap)
         n_parts = 1
     else:
-        tag = ray.remote(num_cpus=1)(_tier_tagged)
+        tag = ray.remote(num_cpus=1)(_tag_part)
+        tagged = [ray.put(prior), *(tag.remote(p, tiers) for p in partials.parts)]
         refs = _shuffle.raw_hash_exchange(
-            [
-                (
-                    ray.data.from_arrow_refs(
-                        [ray.put(prior), *(tag.remote(b, tiers) for b in blocks)]
-                    ),
-                    TIER_KEY,
-                )
-            ],
+            [(ray.data.from_arrow_refs(tagged), TIER_KEY)],
             lambda s, t: _merge_tagged(t, cap),
             input_bytes=n_bytes,
         )
@@ -259,13 +326,12 @@ def _write_merged(
     return manifests
 
 
-def _token_totals(partials: ray.data.Dataset) -> dict[str, int]:
+def _token_totals(partials: _Partials) -> dict[str, int]:
     """Per-source token checksum: the wrapping uint64 sum of the partials'
     ``ck_v`` column."""
-    schema = partials.schema()
-    if schema is None or "ck_v" not in schema.names:  # no partial rows
+    if not partials.rows:
         return {}
-    df = partials.select_columns(["source", "ck_v"]).to_pandas()
+    df = partials.read(["source", "ck_v"]).to_pandas()
     with np.errstate(over="ignore"):
         return {
             str(src): int(np.sum(ck.to_numpy().view(np.uint64), dtype=np.uint64))
@@ -395,17 +461,17 @@ def run_rollup_pipeline(
     pruned_cols = ["source", "n_tok", "event_time_us"] + (
         ["token_ck"] if cfg.ingest_tokens else []
     )
-    fused = None
+    files = None
     if cfg.ingest_tokens:
-        from ..stages.deletion_vector import read_fused_partials
+        from ..stages.deletion_vector import fused_partial_files
 
         # scan-fused partials: the dedup scan already computed the
         # per-file partial-rollup rows (clean files) and the decide stage
         # the survivors' — exec 3 collapses to a small read, no second
         # pass over the stats projection
-        fused = read_fused_partials(dedup_dir, _fused_partials_fp(cfg))
-    if fused is not None:
-        partials = fused.materialize()
+        files = fused_partial_files(dedup_dir, _fused_partials_fp(cfg))
+    if files is not None:
+        partials = _Partials.from_files(files)
     else:
         if cfg.ingest_tokens:
             from ..stages.deletion_vector import read_sidecar
@@ -439,7 +505,8 @@ def run_rollup_pipeline(
             # buckets-per-batch, and the tier exchange downstream moves
             # proportionally fewer rows (measured at 30M rows: ~9M -> ~1.2M
             # partials).
-        ).materialize()
+        )
+        partials = _Partials.from_dataset(partials)
     token_totals = _token_totals(partials) if cfg.ingest_tokens else {}
     metrics["stage_seconds"]["partials"] = time.perf_counter() - t0
 
@@ -571,7 +638,7 @@ def _try_incremental_append(
     # each partial, so the delta batches must not depend on which read task
     # finishes first
     partials.context.execution_options.preserve_order = True
-    partials = partials.materialize()
+    partials = _Partials.from_dataset(partials)
     delta_ck = _token_totals(partials)
     metrics["stage_seconds"]["append_partials"] = time.perf_counter() - t0
 

@@ -139,8 +139,8 @@ def fused_partials_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "partials")
 
 
-def read_fused_partials(out_dir: str, expected_fp: str):
-    """Dataset over the scan-fused rollup partials, or None when absent /
+def fused_partial_files(out_dir: str, expected_fp: str) -> list[str] | None:
+    """The scan-fused rollup partial files, sorted, or None when absent /
     built under a different rollup config (the caller then recomputes
     partials from the sidecar — the two paths merge to identical tier
     points below the quantile cap)."""
@@ -152,11 +152,10 @@ def read_fused_partials(out_dir: str, expected_fp: str):
     if manifest.get("partials_fingerprint") != expected_fp:
         return None
     d = fused_partials_dir(out_dir)
-    if not os.path.isdir(d) or not any(
-        f.endswith(".parquet") for f in os.listdir(d)
-    ):
+    if not os.path.isdir(d):
         return None
-    return ray.data.read_parquet(d)
+    files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+    return [os.path.join(d, f) for f in files] or None
 
 
 def _require_local(out_dir: str) -> None:
@@ -339,7 +338,7 @@ def build_deduped_dv(
     scan and decide stages: clean rows emit per-file partial shards, the
     decide stage emits the survivors' shards, all under
     ``fused_partials_dir``; ``partials_fingerprint`` records the rollup
-    config they were built under (checked by :func:`read_fused_partials`).
+    config they were built under (checked by :func:`fused_partial_files`).
     """
     import time
 

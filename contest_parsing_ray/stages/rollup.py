@@ -9,34 +9,48 @@ rule's continuous aggregates: count/sum/min/max/p95 of a value column per
 Scale design (the part the reference lacks — it is single-process,
 ``JoinManager.py:60-121``):
 
-- **One pass over raw data for ALL tiers.** ``partial_rollup`` computes, per
-  input batch, one partial row per ``(source, bucket_t1, bucket_t2, ...)``
-  composite key: count/sum/min/max plus a mergeable quantile summary blob.
-  A 100 TB input collapses to ~(#sources x #minutes) partial rows per batch
-  BEFORE any shuffle — this per-batch combining is also the skew story: the
-  hot source (~80% of rows, FIXTURES.md F1; reference analog the 1733 MB
-  service, ``insights-experience.md:78``) is reduced batch-locally, so the
-  final groupby sees at most one row per key per batch, never the raw skew.
-  The merge then exchanges on ``(source, bucket)``, so the hot source's
+- **One pass over raw data for ALL tiers.** :class:`PartialRollup`
+  computes, per input batch, one partial row per ``(source, bucket_t1,
+  bucket_t2, ...)`` composite key: count/sum/min/max plus a mergeable
+  quantile summary blob. A 100 TB input collapses to ~(#sources x
+  #minutes) partial rows per batch BEFORE any shuffle — this per-batch
+  combining is also the skew story: the hot source (~80% of rows,
+  FIXTURES.md F1; reference analog the 1733 MB service,
+  ``insights-experience.md:78``) is reduced batch-locally, so the final
+  merge sees at most one row per key per batch, never the raw skew. The
+  merge then exchanges on ``(source, bucket)``, so the hot source's
   partial rows spread over every partition instead of landing in one (the
   bound is pinned by ``tests/test_rollup.py::test_hot_source_spreads_over_exchange``).
-- **Per-tier final merge over partials only.** Each tier's
-  ``groupby(source, bucket_tier)`` shuffles partial rows (KBs), not events.
-- **Round-to-nearest buckets are computed per tier from the raw
-  event_time** (Polars ``dt.round`` semantics, reference
-  ``TracesParser.py:155``): nearest-rounding does NOT compose hierarchically
-  (e.g. 07:28:00 -> 1m 07:28 -> ... -> 1h rounds down, but via a 5m bucket
-  of 07:30 it would round up), hence the composite partial key rather than
-  re-aggregating 1m outputs. With ``bucket_mode='floor'`` (tumbling
-  windows), tiers DO compose and :func:`reaggregate` implements the cheap
+- **The tiers derive from one factor grid, not from each other.**
+  Round-to-nearest buckets (Polars ``dt.round`` semantics, reference
+  ``TracesParser.py:155``) do NOT compose hierarchically (e.g. 07:28:00 ->
+  1m 07:28 -> ... -> 1h rounds down, but via a 5m bucket of 07:30 it would
+  round up), hence the composite partial key rather than re-aggregating 1m
+  outputs. But every tier's bucket is constant on each slice of the factor
+  grid g = gcd over the tiers of w and w//2 (30 s for 1m/5m/1h; Factor
+  Windows shares one factor window among correlated windows the same
+  way). So the partial groups rows with ONE integer sort on (source
+  dictionary code, slice), computes each tier's bucket once per slice
+  from the raw grid, and joins adjacent slices whose buckets all agree.
+  With ``bucket_mode='floor'`` (tumbling windows, g = gcd of the widths)
+  tiers DO compose and :func:`reaggregate` implements the cheap
   hierarchical 1m->5m->1h path.
+- **Final merge over partials only, on integer codes.**
+  :func:`_merge_partition` sorts a partition's partial rows once (numpy
+  lexsort on key code, bucket and stats) and reduces every group with
+  segmented numpy kernels: the exact blobs' values are gathered by one
+  mask, p95 is numpy's linear quantile per group, and the merged blobs are
+  one scatter; only compacted groups take :class:`QuantileSummary`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from ..functions.bucketing import bucket_us
@@ -55,20 +69,68 @@ def _bucket(ts: np.ndarray, width: int, mode: str) -> np.ndarray:
     return np.asarray(ts, dtype=np.int64) // w * w
 
 
+def _factor_width(widths, mode: str) -> int:
+    """Width g of the factor grid: the gcd of every tier width and, for
+    nearest rounding, of every half width (30 s for 1m/5m/1h).
+
+    ``(ts + w//2) // w`` steps only where ``ts + w//2`` reaches a multiple
+    of w. g divides both w and w//2, so no step falls strictly inside a
+    slice ``[k*g, (k+1)*g)``: every tier's bucket is constant on each
+    slice and is the bucket of the slice's first instant."""
+    ws = [int(w) for w in widths]
+    if mode == "nearest":
+        ws += [w // 2 for w in ws]
+    return math.gcd(*ws) or 1
+
+
+def _key_codes(col: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, pa.Array]:
+    """Dictionary codes (int64, first-appearance order) of a null-free key
+    column, and the distinct keys they index."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if pa.types.is_dictionary(arr.type):
+        arr = arr.dictionary_decode()
+    enc = arr.dictionary_encode()
+    return enc.indices.to_numpy(zero_copy_only=False).astype(np.int64), enc.dictionary
+
+
+def _pair_order(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Stable row order by (hi, lo) for non-negative ``hi``: one integer
+    argsort of the packed key, or a lexsort when packing could overflow
+    int64 (a small slice width over a long time span)."""
+    if not len(hi):
+        return np.empty(0, dtype=np.int64)
+    lo0 = int(lo.min())
+    span = int(lo.max()) - lo0 + 1
+    if (int(hi.max()) + 1) * span < 1 << 62:
+        return np.argsort(hi * span + (lo - lo0), kind="stable")
+    return np.lexsort((lo, hi))
+
+
+def _run_heads(*cols: np.ndarray) -> np.ndarray:
+    """Positions where any of the (sorted) columns changes value, 0 first."""
+    n = len(cols[0])
+    new = np.zeros(n, dtype=bool)
+    if n:
+        new[0] = True
+        for c in cols:
+            new[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(new)
+
+
 def _exact_blob_array(
     v_sorted: np.ndarray,
     counts: np.ndarray,
     starts: np.ndarray,
-    cap: int,
+    patch: dict[int, bytes] | None = None,
 ) -> pa.Array:
     """Build the per-group QuantileSummary blob column as ONE contiguous
     buffer + Arrow offsets (zero per-group Python on the exact path).
 
     Blob layout (``QuantileSummary.to_bytes`` exact mode): int64 n, int64
     flag=1, then n float64 values — every field is 8 bytes, so the whole
-    column is a single int64 scatter. Groups larger than ``cap`` (rare:
-    a batch-local group bigger than the sketch cap) fall back to the
-    compacting constructor individually.
+    column is a single int64 scatter. ``patch`` replaces the blobs of the
+    few groups that are not exact (above the cap, or merged from a
+    compacted blob).
     """
     n_groups = len(counts)
     if n_groups == 0:
@@ -90,12 +152,10 @@ def _exact_blob_array(
         n_groups,
         [None, pa.py_buffer(byte_offsets.tobytes()), pa.py_buffer(out.tobytes())],
     )
-    big = np.flatnonzero(counts > cap)
-    if big.size:
+    if patch:
         blobs = arr.to_pylist()
-        for g in big:
-            seg = v_sorted[starts[g] : starts[g + 1]]
-            blobs[g] = QuantileSummary.of(seg, cap=cap).to_bytes()
+        for g, blob in patch.items():
+            blobs[g] = blob
         arr = pa.array(blobs, type=pa.binary())
     return arr
 
@@ -126,179 +186,228 @@ class PartialRollup:
         self.ts_col = ts_col
         self.cap = quantile_cap
         self.mode = bucket_mode
+        self.factor = _factor_width(tiers.values(), bucket_mode)
         # optional integrity column: per-group wrapping-uint64 sum emitted as
         # ck_v so lineage checksums ride the partials instead of needing an
         # extra pass over the input
         self.checksum_col = checksum_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _samples(self, batch: pa.Table) -> pa.Table:
         # null-sample contract: a row with a null value or null timestamp
         # is not a sample — dropped before grouping, so cnt = SQL
         # COUNT(value), sum/min/max/p95 aggregate only real samples, and a
         # bucket with zero real samples does not exist (oracle: WHERE
         # value IS NOT NULL). Without this, NaNs would poison the quantile
-        # blobs and cnt would read COUNT(*).
-        vcol = batch[self.value_col]
-        tcol = batch[self.ts_col]
-        if vcol.null_count or tcol.null_count:
-            import pyarrow.compute as pc
-
-            batch = batch.filter(
-                pc.and_(vcol.is_valid(), tcol.is_valid())
-            )
+        # blobs and cnt would read COUNT(*). A row with a null key belongs
+        # to no group and is dropped too.
+        cols = [batch[self.value_col], batch[self.ts_col], batch[self.key_col]]
+        if any(c.null_count for c in cols):
+            valid = pc.and_(pc.and_(cols[0].is_valid(), cols[1].is_valid()),
+                            cols[2].is_valid())
+            batch = batch.filter(valid)
         # a float NaN passes is_valid() but would poison the quantile blob
-        # AND desync it from cnt (pandas count/sum skip NaN, bincount group
-        # sizes don't) — treat NaN as null: not a sample
+        # AND desync it from cnt — treat NaN as null: not a sample
         vcol = batch[self.value_col]
         if len(batch) and pa.types.is_floating(vcol.type):
-            import pyarrow.compute as pc
-
             nan = pc.is_nan(vcol)
             if pc.any(nan).as_py():
                 batch = batch.filter(pc.invert(nan))
-        ts = batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        df = pd.DataFrame(
-            {
-                "key": batch[self.key_col].to_numpy(zero_copy_only=False),
-                "v": batch[self.value_col].to_numpy(zero_copy_only=False).astype(np.float64),
-            }
-        )
-        bucket_cols = []
-        for name, width in self.tiers.items():
-            col = f"bucket_{name}"
-            df[col] = _bucket(ts, width, self.mode)
-            bucket_cols.append(col)
+        return batch
 
-        if self.checksum_col is not None:
-            df["ck"] = (
-                batch[self.checksum_col]
-                .to_numpy(zero_copy_only=False)
-                .view(np.uint64)
-            )
-        gb = df.groupby(["key", *bucket_cols], sort=False)
-        agg = gb["v"].agg(["count", "sum", "min", "max"]).reset_index()
-        # Vectorized per-group summary blobs + checksums: one stable sort by
-        # group id, then segmented kernels — no per-group Python objects
-        # (the round-1 rollup_1m hotspot: thousands of QuantileSummary
-        # instances per 32k-row batch).
-        gids = gb.ngroup().to_numpy()  # first-appearance order == agg order
-        if len(gids) and gids.min() < 0:  # null group keys (dropped by agg)
-            keep = gids >= 0
-            df = df[keep]
-            gids = gids[keep]
-        order = np.argsort(gids, kind="stable")
-        n_groups = len(agg)
-        counts = np.bincount(gids, minlength=n_groups).astype(np.int64)
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        batch = self._samples(batch)
+        ts = batch[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = batch[self.value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        codes, keys = _key_codes(batch[self.key_col])
+        # one integer sort on (key code, factor slice); the tier buckets are
+        # computed once per run of equal (key, slice), not once per row
+        g = self.factor
+        slices = ts // g  # numpy floors, so negative instants slice right
+        order = _pair_order(codes, slices)
+        runs = _run_heads(codes[order], slices[order])
+        run_key = codes[order][runs]
+        run_start = slices[order][runs] * g
+        buckets = [_bucket(run_start, w, self.mode) for w in self.tiers.values()]
+        # adjacent slices of one key whose buckets all agree are one group
+        # (a 1m bucket spans two 30 s slices)
+        heads = _run_heads(run_key, *buckets)
+        n_groups = len(heads)
+        is_head = np.zeros(len(runs), dtype=np.int64)
+        is_head[heads] = 1
+        gid = np.repeat(np.cumsum(is_head) - 1, np.diff(np.append(runs, len(ts))))
+        if n_groups < len(runs):
+            # a merged group's rows arrive slice by slice: order them by
+            # group id, stably, so each blob keeps the input-row order
+            in_row = np.empty(len(ts), dtype=np.int64)
+            in_row[order] = gid
+            order = np.argsort(in_row, kind="stable")
+        counts = np.bincount(gid, minlength=n_groups).astype(np.int64)
         starts = np.zeros(n_groups + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
-        v_sorted = np.ascontiguousarray(
-            df["v"].to_numpy()[order], dtype=np.float64
+        v_sorted = np.ascontiguousarray(v[order])
+        first = starts[:-1]
+        big = np.flatnonzero(counts > self.cap)
+        blobs = _exact_blob_array(
+            v_sorted, counts, starts,
+            {
+                int(i): QuantileSummary.of(
+                    v_sorted[starts[i] : starts[i + 1]], cap=self.cap
+                ).to_bytes()
+                for i in big
+            },
         )
-        blobs = _exact_blob_array(v_sorted, counts, starts, self.cap)
-        if self.checksum_col is not None:
-            with np.errstate(over="ignore"):
-                ck_sorted = df["ck"].to_numpy()[order]
-                cks = (
-                    np.add.reduceat(ck_sorted, starts[:-1])
-                    if n_groups
-                    else np.empty(0, dtype=np.uint64)
-                )
         out = {
             # explicit string type: an all-filtered batch would otherwise
             # emit a null-typed key column and break block-schema unification
-            self.key_col: pa.array(agg["key"].astype(str), type=pa.string()),
-            **{c: pa.array(agg[c].to_numpy(), type=pa.int64()) for c in bucket_cols},
-            "cnt": pa.array(agg["count"].to_numpy(), type=pa.int64()),
-            "sum_v": pa.array(agg["sum"].to_numpy(), type=pa.float64()),
-            "min_v": pa.array(agg["min"].to_numpy(), type=pa.float64()),
-            "max_v": pa.array(agg["max"].to_numpy(), type=pa.float64()),
+            self.key_col: _key_strings(keys).take(pa.array(run_key[heads])),
+            **{
+                f"bucket_{name}": pa.array(b[heads], type=pa.int64())
+                for name, b in zip(self.tiers, buckets)
+            },
+            "cnt": pa.array(counts, type=pa.int64()),
+            "sum_v": pa.array(_reduce(np.add, v_sorted, first), type=pa.float64()),
+            "min_v": pa.array(_reduce(np.fmin, v_sorted, first), type=pa.float64()),
+            "max_v": pa.array(_reduce(np.fmax, v_sorted, first), type=pa.float64()),
             "qsum": blobs,
         }
         if self.checksum_col is not None:
+            ck = batch[self.checksum_col].to_numpy(zero_copy_only=False)
+            cks = _reduce(np.add, ck.view(np.uint64)[order], first)
             out["ck_v"] = pa.array(cks.view(np.int64), type=pa.int64())
         return pa.table(out)
 
 
-def _gather_exact_values(
-    blob_series, gcodes: np.ndarray, n_groups: int
-) -> "tuple[np.ndarray, np.ndarray] | None":
-    """Vectorized decode of an all-exact qsum blob column.
-
-    Returns ``(flat_values, group_starts)`` where ``flat_values`` holds
-    every blob's float64 payload ordered by group (blob order preserved
-    within a group — the same concatenation order the per-group loop
-    produced), or None when any blob is non-exact / unaligned (caller
-    falls back to the per-blob loop).
-
-    Rationale: the merge's cost at scale is ~#partials blob decodes; a
-    Python ``int.from_bytes`` + ``np.frombuffer`` pair per blob measured
-    ~25 s driver-side at 580k partials x 3 tiers (10M-row flagship). Here
-    the whole column decodes as ONE int64 view + fancy-gather.
-    """
-    if len(blob_series) == 0:
-        return np.empty(0, dtype=np.float64), np.zeros(
-            n_groups + 1, dtype=np.int64
-        )
-    binarr = pa.array(blob_series, type=pa.binary())
-    offs = np.frombuffer(binarr.buffers()[1], dtype=np.int32)
-    offs = offs[binarr.offset : binarr.offset + len(binarr) + 1]
-    if len(offs) == 0 or (offs % 8).any():
-        return None
-    data = binarr.buffers()[2]
-    words = np.frombuffer(data, dtype=np.int64, count=int(offs[-1]) // 8)
-    start = offs[:-1].astype(np.int64) // 8
-    n = words[start]
-    flags = words[start + 1]
-    lengths = (offs[1:] - offs[:-1]).astype(np.int64)
-    # exact blob layout: 16-byte header + n float64 values
-    if not ((flags == 1).all() and (lengths == 16 + 8 * n).all()):
-        return None
-    order = np.argsort(gcodes, kind="stable")  # group-major, blob order kept
-    start, n = start[order], n[order]
-    total = int(n.sum())
-    counts = np.bincount(gcodes[order], weights=n, minlength=n_groups).astype(
-        np.int64
+def _key_strings(keys: pa.Array) -> pa.Array:
+    """Distinct keys as strings (non-string keys as pandas ``astype(str)``
+    writes them)."""
+    if pa.types.is_string(keys.type) or pa.types.is_large_string(keys.type):
+        return keys.cast(pa.string())
+    return pa.array(
+        pd.Series(keys.to_numpy(zero_copy_only=False)).astype(str), type=pa.string()
     )
-    gstarts = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(counts, out=gstarts[1:])
-    fwords = words.view(np.float64)
-    flat = np.empty(total, dtype=np.float64)
-    if len(n) * 24 < total:
-        # few-blobs/long-runs shape (exchange partitions: ~100+ values per
-        # blob): copy each blob's contiguous run directly. The vectorized
-        # gather below builds THREE total-sized int64 index temporaries —
-        # ~4x this path's allocation — and fresh-page first-touch on this
-        # host is the merge's real cost (~40 MB/s cold vs GB/s warm), so
-        # fewer/smaller allocations beat "no Python loop" here (measured:
-        # 3.8 s -> 0.9 s cold for a 30 MB partition).
-        pos = 0
-        for s, c in zip(start.tolist(), n.tolist()):
-            flat[pos : pos + c] = fwords[s + 2 : s + 2 + c]
-            pos += c
-    else:
-        # many tiny blobs (driver-local merge of raw partials): per-blob
-        # Python looping would dominate; one fancy-gather wins.
-        cum0 = np.zeros(len(n), dtype=np.int64)
-        np.cumsum(n[:-1], out=cum0[1:])
-        base = np.repeat(start + 2, n)
-        within = np.arange(total, dtype=np.int64) - np.repeat(cum0, n)
-        np.take(words, base + within, out=flat.view(np.int64))
-    return flat, gstarts
+
+
+def _reduce(ufunc: np.ufunc, x: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """``ufunc.reduceat`` over the runs starting at ``heads`` (none: empty;
+    integer sums wrap)."""
+    if not len(heads):
+        return np.empty(0, dtype=x.dtype)
+    return ufunc.reduceat(x, heads)
+
+
+def _same(x: np.ndarray) -> np.ndarray:
+    """x[i] equals x[i - 1], for i >= 1 (NaN equals NaN, as in a sort)."""
+    eq = x[1:] == x[:-1]
+    if x.dtype.kind == "f":
+        eq |= np.isnan(x[1:]) & np.isnan(x[:-1])
+    return eq
+
+
+def _linear_quantiles(
+    flat: np.ndarray, starts: np.ndarray, n: np.ndarray, q: float
+) -> np.ndarray:
+    """``np.quantile(seg, q)`` (method 'linear') of every segment
+    ``flat[starts[g]:starts[g] + n[g]]`` with ``n[g] >= 1``, bit-equal:
+    numpy's own virtual index, gamma and lerp arithmetic, vectorized. Only
+    the two order statistics around the index are selected per segment
+    (``np.partition``), not the segment sorted."""
+    vi = (n - 1).astype(np.float64) * q
+    prev = np.floor(vi)
+    above = vi >= n - 1
+    prev[above] = -1  # numpy takes the last element there, gamma = vi + 1
+    lo = np.where(above, n - 1, prev).astype(np.int64)
+    hi = np.where(above, n - 1, lo + 1)
+    a = np.empty(len(n))
+    b = np.empty(len(n))
+    top = np.empty(len(n))
+    for i, (s, m, k, j) in enumerate(
+        zip(starts.tolist(), n.tolist(), lo.tolist(), hi.tolist())
+    ):
+        part = np.partition(flat[s : s + m], sorted({k, j, m - 1}))
+        a[i], b[i], top[i] = part[k], part[j], part[m - 1]
+    gamma = vi - prev
+    diff = b - a
+    out = a + diff * gamma
+    ge = gamma >= 0.5
+    out[ge] = (b - diff * (1 - gamma))[ge]
+    nan = np.isnan(top)  # numpy returns NaN for a segment holding one
+    out[nan] = top[nan]
+    return out
+
+
+def _offsets(blobs: pa.BinaryArray) -> np.ndarray:
+    return np.frombuffer(blobs.buffers()[1], dtype=np.int32)[
+        blobs.offset : blobs.offset + len(blobs) + 1
+    ].astype(np.int64)
+
+
+def _tie_order(blobs: pa.Array, tie: np.ndarray) -> np.ndarray | None:
+    """Permutation that orders each run of rows tied on (group, stats) by
+    blob bytes, stably, as a sort on the blob column would; None when every
+    tied run holds equal blobs (the common case: one-value partials)."""
+    offs = _offsets(blobs)
+    lens = np.diff(offs)
+    i = np.flatnonzero(tie)  # row i is tied with row i - 1
+    differ = lens[i] != lens[i - 1]
+    same_len = np.flatnonzero(~differ)
+    n_bytes = lens[i[same_len]]
+    if n_bytes.sum():
+        # compare each equal-length pair byte by byte, all pairs at once
+        data = np.frombuffer(blobs.buffers()[2], dtype=np.uint8)
+        pair = np.repeat(np.arange(len(same_len)), n_bytes)
+        at = np.arange(n_bytes.sum()) - np.repeat(np.cumsum(n_bytes) - n_bytes, n_bytes)
+        cur = offs[i[same_len]][pair] + at
+        prev = offs[i[same_len] - 1][pair] + at
+        ne = data[cur] != data[prev]
+        differ[same_len] = np.bincount(pair, weights=ne, minlength=len(same_len)) > 0
+    if not differ.any():
+        return None
+    edges = np.diff(tie.astype(np.int8), prepend=0, append=0)
+    lo = np.flatnonzero(edges == 1) - 1
+    hi = np.flatnonzero(edges == -1)
+    perm = np.arange(len(blobs))
+    for r in np.unique(np.searchsorted(hi, i[differ], side="right")).tolist():
+        a, b = int(lo[r]), int(hi[r])
+        run = blobs[a:b].to_pylist()
+        perm[a:b] = a + np.array(sorted(range(b - a), key=run.__getitem__))
+    return perm
+
+
+_MERGE_COLS = ["cnt", "sum_v", "min_v", "max_v", "qsum"]
 
 
 def _merge_partition(
-    df: pd.DataFrame,
+    df: pd.DataFrame | pa.Table,
     key_col: str,
     bucket_col: str,
     cap: int,
     p: float,
     keep_summary: bool = False,
 ) -> pd.DataFrame:
-    """Merge ALL (key, bucket) groups co-located in one hash partition —
-    vectorized pandas for cnt/sum/min/max, one vectorized decode of the
-    quantile blobs, and per-OUTPUT-POINT finalization (a few thousand
-    groups, never per input partial)."""
-    if len(df) == 0:
+    """Merge ALL (key, bucket) groups co-located in one partition of partial
+    rows (a pandas frame or an Arrow table) into final points, without
+    per-group Python on the exact path.
+
+    The rows are sorted once, on (key, bucket, cnt, sum_v, min_v, max_v);
+    rows tied on all of those are ordered by their blob bytes. Each group
+    therefore merges its rows in one canonical order, so the float sums
+    and the blob bytes depend only on which rows the group holds, not on
+    the order they arrived in (Ray Data does not keep block order) or on
+    the partition count. cnt/sum/min/max are segmented reductions; the
+    exact blobs' values are gathered by one mask over the sorted blob
+    buffer that drops the 16-byte headers; p95 is numpy's linear quantile
+    per group; the merged blobs are one scatter. Only a group above
+    ``cap`` values (compacted) or holding a compacted blob goes through
+    :class:`QuantileSummary`.
+    """
+    if isinstance(df, pd.DataFrame):
+        df = pa.Table.from_pandas(
+            df[[key_col, bucket_col, *_MERGE_COLS]], preserve_index=False
+        )
+    t = df
+    if t[key_col].null_count or t[bucket_col].null_count:
+        t = t.filter(pc.and_(t[key_col].is_valid(), t[bucket_col].is_valid()))
+    if len(t) == 0:
         # typed empty output so an empty exchange partition cannot poison
         # a downstream union's schema (key assumed string — every engine
         # key column is; non-string keys never see empty partitions in
@@ -317,69 +426,84 @@ def _merge_partition(
         if keep_summary:
             out["qsum"] = pd.Series([], dtype=object)
         return out
-    gb = df.groupby([key_col, bucket_col], sort=False)
-    agg = gb.agg(
-        cnt=("cnt", "sum"),
-        sum_v=("sum_v", "sum"),
-        min_v=("min_v", "min"),
-        max_v=("max_v", "max"),
-    ).reset_index()
-    n_groups = len(agg)
-    p95s: list[float] = []
-    blobs: list[bytes] = []
-    gcodes = gb.ngroup().to_numpy()  # first-appearance order == agg order
-    qsum_arr = df["qsum"].to_numpy()
-    if len(gcodes) and gcodes.min() < 0:  # null group keys (dropped by agg)
-        keep = gcodes >= 0
-        qsum_arr, gcodes = qsum_arr[keep], gcodes[keep]
-    fast = _gather_exact_values(qsum_arr, gcodes, n_groups)
-    if fast is not None:
-        flat, gstarts = fast
-        for g in range(n_groups):
-            vals = flat[gstarts[g] : gstarts[g + 1]]
-            if len(vals) > cap:
-                merged = QuantileSummary.compact_exact(vals, cap)
-                p95s.append(merged.quantile(p))
-                if keep_summary:
-                    blobs.append(merged.to_bytes())
-            else:
-                p95s.append(
-                    float(np.quantile(vals, p)) if len(vals) else float("nan")
-                )
-                if keep_summary:
-                    # exact blob built directly (same bytes as
-                    # QuantileSummary(vals).to_bytes()) — the constructor's
-                    # ones-weights array would total another flat-sized
-                    # allocation across the loop
-                    blobs.append(
-                        np.array([len(vals), 1], dtype=np.int64).tobytes()
-                        + vals.tobytes()
-                    )
-    else:
-        all_blobs = df["qsum"].to_numpy()
-        indices = gb.indices  # group key tuple -> row positions
-        for gkey in zip(agg[key_col], agg[bucket_col]):
-            # iterate in agg's row order explicitly so p95s aligns with agg
-            group_blobs = all_blobs[indices[gkey]]
+
+    def col(name: str, dtype) -> np.ndarray:
+        return t[name].to_numpy().astype(dtype, copy=False)
+
+    kc, keys = _key_codes(t[key_col])
+    stats = [col(bucket_col, np.int64), col("cnt", np.int64)] + [
+        col(c, np.float64) for c in ("sum_v", "min_v", "max_v")
+    ]
+    order = np.lexsort((*stats[::-1], kc))
+    kc = kc[order]
+    stats = [x[order] for x in stats]
+    bk, cnt, sv, mn, mx = stats
+    heads = _run_heads(kc, bk)
+    tie = np.zeros(len(kc), dtype=bool)
+    tie[1:] = np.logical_and.reduce([_same(x) for x in (kc, *stats)])
+    blobs = t["qsum"].combine_chunks().take(pa.array(order))
+    perm = _tie_order(blobs, tie) if tie.any() else None
+    if perm is not None:
+        order = order[perm]
+        blobs = blobs.take(pa.array(perm))
+
+    # the sorted blob buffer as int64 words (every blob is whole words):
+    # an exact blob is [n, 1, n values], a compacted one [n, 0, values,
+    # weights]; one mask keeps the exact blobs' values, in group order
+    offs = _offsets(blobs)
+    words = np.frombuffer(blobs.buffers()[2], dtype=np.int64, count=offs[-1] // 8)
+    ws = offs[:-1] // 8
+    nv = words[ws]
+    exact = words[ws + 1] == 1
+    keep = np.ones(len(words), dtype=bool)
+    keep[ws] = False
+    keep[ws + 1] = False
+    for lo, hi in zip(ws[~exact].tolist(), (offs[1:][~exact] // 8).tolist()):
+        keep[lo:hi] = False
+    flat = words.view(np.float64)[keep]
+    nv[~exact] = 0
+    n_groups = len(heads)
+    vcount = _reduce(np.add, nv, heads)
+    vstart = np.zeros(n_groups + 1, dtype=np.int64)
+    np.cumsum(vcount, out=vstart[1:])
+    compacted = _reduce(np.add, (~exact).astype(np.int64), heads) > 0
+
+    p95 = np.full(n_groups, np.nan)
+    simple = np.flatnonzero(~compacted & (vcount <= cap) & (vcount > 0))
+    p95[simple] = _linear_quantiles(flat, vstart[simple], vcount[simple], p)
+    patch: dict[int, bytes] = {}
+    ends = np.append(heads[1:], len(blobs))
+    for g in np.flatnonzero(compacted | (vcount > cap)).tolist():
+        if compacted[g]:
             merged = QuantileSummary.merge_all(
-                [QuantileSummary.from_bytes(b) for b in group_blobs], cap=cap
+                [
+                    QuantileSummary.from_bytes(b)
+                    for b in blobs[heads[g] : ends[g]].to_pylist()
+                ],
+                cap=cap,
             )
-            p95s.append(merged.quantile(p))
-            if keep_summary:
-                blobs.append(merged.to_bytes())
+        else:
+            merged = QuantileSummary.compact_exact(
+                flat[vstart[g] : vstart[g + 1]], cap
+            )
+        p95[g] = merged.quantile(p)
+        patch[g] = merged.to_bytes()
+
     out = pd.DataFrame(
         {
-            key_col: agg[key_col],
-            "bucket_us": agg[bucket_col].astype(np.int64),
-            "cnt": agg["cnt"].astype(np.int64),
-            "sum_v": agg["sum_v"].astype(np.float64),
-            "min_v": agg["min_v"].astype(np.float64),
-            "max_v": agg["max_v"].astype(np.float64),
-            "p95_v": np.asarray(p95s, dtype=np.float64),
+            key_col: keys.take(pa.array(kc[heads])).to_numpy(zero_copy_only=False),
+            "bucket_us": bk[heads],
+            "cnt": _reduce(np.add, cnt, heads),
+            "sum_v": _reduce(np.add, sv, heads),
+            "min_v": _reduce(np.fmin, mn, heads),
+            "max_v": _reduce(np.fmax, mx, heads),
+            "p95_v": p95,
         }
     )
     if keep_summary:
-        out["qsum"] = blobs
+        out["qsum"] = _exact_blob_array(flat, vcount, vstart, patch).to_numpy(
+            zero_copy_only=False
+        )
     return out
 
 
@@ -414,11 +538,10 @@ def rollup_tiers(
         merged = hash_partitioned_map(
             partials,
             [key_col, bcol],
-            lambda df, _b=bcol: _merge_partition(
-                df, key_col, _b, quantile_cap, p, keep_summary
+            lambda t, _b=bcol: _merge_partition(
+                t, key_col, _b, quantile_cap, p, keep_summary
             ),
             num_partitions=num_merge_partitions,
-            batch_format="pandas",
         )
         out[name] = merged
     return out
@@ -460,12 +583,13 @@ def reaggregate(
         )
 
     if has_qsum:
-        def merge_partition(df: pd.DataFrame) -> pd.DataFrame:
+        def merge_partition(t: pa.Table) -> pd.DataFrame:
             return _merge_partition(
-                df, key_col, "bucket_us", quantile_cap, p, keep_summary
+                t, key_col, "bucket_us", quantile_cap, p, keep_summary
             )
     else:
-        def merge_partition(df: pd.DataFrame) -> pd.DataFrame:
+        def merge_partition(t: pa.Table) -> pd.DataFrame:
+            df = t.to_pandas()
             agg = (df.groupby([key_col, "bucket_us"], sort=False)
                    .agg(cnt=("cnt", "sum"), sum_v=("sum_v", "sum"),
                         min_v=("min_v", "min"), max_v=("max_v", "max"))
@@ -483,6 +607,4 @@ def reaggregate(
             )
 
     coarse = rollup_fine.map_batches(to_coarse, batch_format="pyarrow")
-    return hash_partitioned_map(
-        coarse, [key_col, "bucket_us"], merge_partition, batch_format="pandas"
-    )
+    return hash_partitioned_map(coarse, [key_col, "bucket_us"], merge_partition)

@@ -297,7 +297,7 @@ def test_dv_uri_out_dir_raises(tmp_path, sequences_dir):
     from contest_parsing_ray.stages.deletion_vector import (
         append_deduped_dv,
         build_deduped_dv,
-        read_fused_partials,
+        fused_partial_files,
     )
 
     out = str(tmp_path / "dv_out")
@@ -305,7 +305,7 @@ def test_dv_uri_out_dir_raises(tmp_path, sequences_dir):
     for call in (
         lambda: build_deduped_dv(sequences_dir, uri),
         lambda: append_deduped_dv(sequences_dir, uri),
-        lambda: read_fused_partials(uri, "fp"),
+        lambda: fused_partial_files(uri, "fp"),
     ):
         with pytest.raises(ValueError, match="local out_dir"):
             call()

@@ -113,6 +113,29 @@ def test_tier_merge_exchange_matches_driver(sequences_dir, tmp_path, monkeypatch
         assert _tree_bytes(os.path.join(out, "rollup")) == expect
 
 
+def test_small_build_runs_one_ray_data_execution(sequences_dir, tmp_path, monkeypatch):
+    """A default build whose partial state fits DRIVER_MERGE_BYTES runs
+    exactly one Ray Data execution, the deletion-vector scan: the probe is
+    plain tasks, and the fused partials, their token totals and the tier
+    merge are read and run in the driver."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, dag, *args, **kwargs):
+        runs.append(dag.name)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    m = run_rollup_pipeline(
+        sequences_dir, PipelineConfig(out_dir=str(tmp_path / "out")), resume=False
+    )
+    assert m["tier_merge"]["partitions"] == 1
+    assert len(runs) == 1, runs
+    assert "Write" in runs[0]
+
+
 def test_pipeline_partial_resume(sequences_dir, out_dir):
     cfg = PipelineConfig(tiers=("5m",), out_dir=out_dir)
     run_rollup_pipeline(sequences_dir, cfg)

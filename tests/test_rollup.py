@@ -135,3 +135,281 @@ def test_compact_exact_bit_identical_to_general_compact():
         assert fast.to_bytes() == ref.to_bytes()
         if n:
             assert fast.quantile(0.95) == ref.quantile(0.95)
+
+
+# -- factor-grid partials and the integer-keyed merge -------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from contest_parsing_ray.config import parse_duration_us  # noqa: E402
+
+HALF_S = 500_000  # every tie instant drawn below is on this grid
+
+
+def _reference_partials(batch, tiers, mode, cap, checksum):
+    """The per-tier group-by PartialRollup ran before the factor grid: one
+    bucket column per tier from ``bucket_us`` (or floor), a pandas
+    group-by on (key, buckets), each group's values in input-row order."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from contest_parsing_ray.functions.bucketing import bucket_us
+    from contest_parsing_ray.state.sketches import QuantileSummary
+
+    batch = batch.filter(pc.and_(batch["v"].is_valid(), batch["ts"].is_valid()))
+    batch = batch.filter(pc.invert(pc.is_nan(batch["v"])))
+    ts = batch["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
+    df = pd.DataFrame(
+        {
+            "key": batch["key"].to_numpy(zero_copy_only=False),
+            "v": batch["v"].to_numpy(zero_copy_only=False).astype(np.float64),
+            "ck": batch["ck"].to_numpy(zero_copy_only=False).view(np.uint64),
+        }
+    )
+    bcols = []
+    for name, w in tiers.items():
+        df[f"bucket_{name}"] = bucket_us(ts, w) if mode == "nearest" else ts // w * w
+        bcols.append(f"bucket_{name}")
+    rows = []
+    for keys, g in df.groupby(["key", *bcols], sort=False):
+        vals = g["v"].to_numpy()
+        row = {
+            "key": str(keys[0]),
+            **{c: int(b) for c, b in zip(bcols, keys[1:])},
+            "cnt": len(vals),
+            "sum_v": float(vals.sum()),
+            "min_v": float(vals.min()),
+            "max_v": float(vals.max()),
+            "qsum": QuantileSummary.of(vals, cap=cap).to_bytes(),
+        }
+        if checksum:
+            with np.errstate(over="ignore"):
+                ck = np.sum(g["ck"].to_numpy(), dtype=np.uint64)
+                row["ck_v"] = int(ck.view(np.int64))
+        rows.append(row)
+    cols = ["key", *bcols, "cnt", "sum_v", "min_v", "max_v", "qsum"] + (
+        ["ck_v"] if checksum else []
+    )
+    return pd.DataFrame(rows, columns=cols)
+
+
+def _sorted_rows(df, tiers):
+    keys = ["key", *(f"bucket_{t}" for t in tiers)]
+    return df.sort_values(keys, kind="stable").reset_index(drop=True)
+
+
+def _assert_partials_match(batch, tiers, mode, cap, checksum=True):
+    from contest_parsing_ray.stages.rollup import PartialRollup
+
+    got = PartialRollup(
+        tiers, "v", "key", "ts", cap, mode,
+        checksum_col="ck" if checksum else None,
+    )(batch)
+    assert got.schema.field("key").type == "string"
+    want = _reference_partials(batch, tiers, mode, cap, checksum)
+    got = _sorted_rows(got.to_pandas(), tiers)
+    want = _sorted_rows(want, tiers)
+    assert list(got.columns) == list(want.columns)
+    assert len(got) == len(want)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=True)
+
+
+_TIER_SETS = [("1m",), ("10s", "1m"), ("7s", "90s"), ("1m", "5m", "1h")]
+
+
+@st.composite
+def _rollup_batches(draw):
+    import pyarrow as pa
+
+    int_key = draw(st.booleans())
+    n = draw(st.integers(0, 60))
+    instant = st.one_of(
+        # 30 s, 2:30 min and 30:00 min ties (and 3.5 s, 45 s, 5 s) sit on
+        # the half-second grid; +-1 us either side of each
+        st.builds(
+            lambda k, d: k * HALF_S + d,
+            st.integers(-20_000, 20_000),
+            st.sampled_from([-1, 0, 1]),
+        ),
+        st.integers(-(10**13), 10**13),
+    )
+    keys = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    ts = draw(st.lists(st.one_of(instant, st.none()), min_size=n, max_size=n))
+    vals = draw(
+        st.lists(
+            # halves sum exactly in any order
+            st.one_of(
+                st.integers(-40, 40).map(lambda x: x / 2),
+                st.just(float("nan")),
+                st.none(),
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    if draw(st.booleans()):  # an all-filtered batch
+        vals = [None if draw(st.booleans()) else float("nan") for _ in vals]
+    key_arr = (
+        pa.array(keys, type=pa.int64())
+        if int_key
+        else pa.array(
+            [None if k == 3 else f"s{k}" for k in keys], type=pa.string()
+        )
+    )
+    ck = draw(
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+    )
+    t = pa.table(
+        {
+            "key": key_arr,
+            "ts": pa.array(ts, type=pa.int64()),
+            "v": pa.array(vals, type=pa.float64()),
+            "ck": pa.array(ck, type=pa.int64()),
+        }
+    )
+    cut = draw(st.integers(0, n))  # two chunks
+    return pa.concat_tables([t.slice(0, cut), t.slice(cut)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    _rollup_batches(),
+    st.sampled_from(_TIER_SETS),
+    st.sampled_from(["nearest", "floor"]),
+    st.sampled_from([2, 4096]),
+)
+def test_factor_grid_partials_match_per_tier_groupby(batch, tier_set, mode, cap):
+    """PartialRollup groups on (key code, factor slice) and derives every
+    tier's bucket from the slice; its rows (blob bytes and checksums
+    included) must equal a per-tier ``bucket_us`` group-by's, also on
+    tie instants, negative instants, null/NaN rows, an all-filtered
+    batch, int keys and groups above the cap."""
+    tiers = {t: parse_duration_us(t) for t in tier_set}
+    _assert_partials_match(batch, tiers, mode, cap)
+
+
+def test_factor_grid_partials_long_span():
+    """1 us grid over +-4e18 us: packing (key, slice) into one int64 would
+    overflow, so the rows are ordered with a lexsort instead."""
+    import pyarrow as pa
+
+    rng = np.random.default_rng(11)
+    n = 400
+    ts = rng.integers(-(4 * 10**18), 4 * 10**18, n)
+    ts[1::2] = ts[::2] + 1  # neighbours, mostly in one bucket
+    batch = pa.table(
+        {
+            "key": pa.array(rng.choice(["a", "b", "c", "d"], n)),
+            "ts": pa.array(ts, type=pa.int64()),
+            "v": pa.array(rng.integers(0, 50, n).astype(np.float64)),
+            "ck": pa.array(rng.integers(-(2**62), 2**62, n), type=pa.int64()),
+        }
+    )
+    for mode in ("nearest", "floor"):
+        _assert_partials_match(batch, {"a": 3, "b": 7}, mode, 4096)
+
+
+def _canonical_reference(rows, cap, p=0.95):
+    """Per (key, bucket) group: merge_all of its blobs in the canonical
+    order (cnt, sum_v, min_v, max_v, blob bytes)."""
+    from contest_parsing_ray.state.sketches import QuantileSummary
+
+    out = {}
+    for (k, b), g in rows.groupby(["source", "bucket_us"]):
+        g = g.assign(_blob=g["qsum"]).sort_values(
+            ["cnt", "sum_v", "min_v", "max_v", "_blob"], kind="stable"
+        )
+        merged = QuantileSummary.merge_all(
+            [QuantileSummary.from_bytes(x) for x in g["qsum"]], cap=cap
+        )
+        out[(k, b)] = (merged.quantile(p), merged.to_bytes())
+    return out
+
+
+def test_merge_mixed_exact_and_compacted_blobs_equals_merge_all(sequences_dir):
+    """The append's merge input: stored state (compacted blobs where a
+    group passed the cap, exact ones elsewhere) followed by fresh exact
+    partials. Every group's p95 bits and blob bytes equal
+    ``QuantileSummary.merge_all`` over its blobs in canonical order."""
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from contest_parsing_ray.sources.ingest import derive_event_time
+    from contest_parsing_ray.stages.rollup import PartialRollup, _merge_partition
+
+    cap = 64
+    partial = PartialRollup({"1h": TIERS["1h"]}, "n_tok", quantile_cap=cap)
+    files = sorted(pads.dataset(sequences_dir).files)
+    cols = ["source", "bucket_us", "cnt", "sum_v", "min_v", "max_v", "qsum"]
+    per_file = [
+        partial(
+            derive_event_time(pq.read_table(f, columns=["doc_id", "n_tok", "source"]))
+        ).rename_columns(cols)
+        for f in files
+    ]
+    state = _merge_partition(
+        pa.concat_tables(per_file[:2]), "source", "bucket_us", cap, 0.95, True
+    )
+    exact = [_is_exact(b) for b in state["qsum"]]
+    assert not all(exact) and any(exact)
+    rows = pd.concat(
+        [state.drop(columns=["p95_v"]), *(t.to_pandas() for t in per_file[2:])],
+        ignore_index=True,
+    )
+    got = _merge_partition(rows, "source", "bucket_us", cap, 0.95, True)
+    want = _canonical_reference(rows, cap)
+    assert len(got) == len(want)
+    for r in got.itertuples():
+        p95, blob = want[(r.source, r.bucket_us)]
+        assert _bits(r.p95_v) == _bits(p95)
+        assert r.qsum == blob
+
+
+def _is_exact(blob: bytes) -> bool:
+    return int(np.frombuffer(blob[8:16], dtype=np.int64)[0]) == 1
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _tied_rows(compacted: bool):
+    """Rows of one group tied on every stat, with different blobs (the
+    last one compacted)."""
+    from contest_parsing_ray.state.sketches import QuantileSummary
+
+    blobs = [
+        QuantileSummary(np.array(v, dtype=np.float64)).to_bytes()
+        for v in ([1, 2], [2, 1], [1, 2], [1, 2, 3], [3, 1, 2], [2, 3, 1])
+    ]
+    blobs.append(QuantileSummary(np.array([1.0, 3.0]), np.array([2.0, 1.0])).to_bytes())
+    return pd.DataFrame(
+        {
+            "source": "s",
+            "bucket_us": np.int64(0),
+            "cnt": [2, 2, 2, 3, 3, 3, 3],
+            "sum_v": [3.0, 3.0, 3.0, 6.0, 6.0, 6.0, 6.0],
+            "min_v": [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            "max_v": [2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0],
+            "qsum": blobs,
+        }
+    ).iloc[: 7 if compacted else 6]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.permutations(list(range(7))), st.sampled_from([4096, 4]), st.booleans()
+)
+def test_merge_tied_rows_blob_bytes_order_free(perm, cap, compacted):
+    """Rows tied on every stat but holding different blobs merge to the
+    same bytes in any input order: the tie is broken by blob bytes."""
+    from contest_parsing_ray.stages.rollup import _merge_partition
+
+    rows = _tied_rows(compacted)
+    perm = [i for i in perm if i < len(rows)]
+    got = _merge_partition(rows.iloc[perm], "source", "bucket_us", cap, 0.95, True)
+    want = _canonical_reference(rows, cap)[("s", 0)]
+    assert got["qsum"].iloc[0] == want[1]
+    assert _bits(got["p95_v"].iloc[0]) == _bits(want[0])
