@@ -333,9 +333,9 @@ def run_scaling() -> dict:
     # Amdahl decomposition is explicit in the recorded artifact
     stage_names = sorted(
         {k for r in reps for k in r.get("stage_seconds", {})}
-        # envelopes (dedup_* of probe+scan+decide) — keeping them would
+        # the dedup_ingest envelope (probe+scan+decide) — keeping it would
         # double-count in hi_total/shares
-        - {"dedup_ingest", "dedup_exec_write"}
+        - {"dedup_ingest"}
     )
     stage_eff = {}
     hi_total = sum(

@@ -45,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-resume", action="store_true",
                    help="recompute everything, ignoring lineage manifests")
     p.add_argument("--no-tokens", action="store_true",
-                   help="rollup-only mode: prune the token payload at the "
-                   "read and skip the deduped-sequences product")
+                   help="rollup-only mode: the dedup scan does not read "
+                   "or checksum the token payload")
     p.add_argument("--retention-now-us", type=int, default=None,
                    help="apply per-tier retention expiry relative to this "
                    "timestamp (us); omit to keep everything")

@@ -82,14 +82,15 @@ class PipelineConfig:
     # Compression chunk size (points per Gorilla chunk).
     chunk_points: int = 4096
 
-    # Flagship ingest: carry the token payload through dedup and keep the
-    # deduped sequences table as a merge-on-read view — the input payload
-    # files stay in place; the pipeline writes per-file deletion vectors
-    # (Iceberg/Delta positional-delete style) plus a ~30 B/row stats
-    # sidecar (source, n_tok, event_time_us, token_ck). ONE full decode of
-    # the payload, ZERO payload re-encode/re-write (stages/deletion_vector.py).
-    # Per-source token-integrity checksums go into the lineage manifest.
-    # False = rollup-only mode (tokens pruned at the read).
+    # Token ingest: decode the token payload in the dedup scan and checksum
+    # it; per-source token-integrity checksums go into the lineage manifest.
+    # Either way the deduped sequences table is the same merge-on-read view
+    # — the input files stay in place; the pipeline writes per-file deletion
+    # vectors (Iceberg/Delta positional-delete style) plus a ~30 B/row stats
+    # sidecar (source, n_tok, event_time_us, token_ck), ZERO payload
+    # re-encode/re-write (stages/deletion_vector.py), and appends run
+    # incrementally. False = rollup-only mode: the scan never reads the
+    # tokens column, token_ck is null and the manifests carry no checksums.
     ingest_tokens: bool = True
 
     # Output

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 
 def bucket_us(ts_us: np.ndarray, width_us: int) -> np.ndarray:
@@ -59,9 +58,3 @@ def add_bucket_columns(
     for name, w in widths_us.items():
         batch = batch.append_column(name, bucket_array(ts, w))
     return batch
-
-
-def timestamp_us_to_arrow(ts_us: pa.Array | pa.ChunkedArray) -> pa.Array | pa.ChunkedArray:
-    """int64 epoch-µs → timestamp[us] (reference F2 casts,
-    ``TracesParser.py:151-155`` Int64-µs→Datetime)."""
-    return pc.cast(ts_us, pa.timestamp("us"))

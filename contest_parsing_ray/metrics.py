@@ -2,8 +2,7 @@
 
 The reference prints wall-clock per stage (``util/timedecorator.py:1-16``)
 and corpus folder sizes (``JoinManager.py:197-223``); the engine captures
-the same into the run-metrics dict / lineage manifests, plus Ray's own
-per-operator breakdown via ``ds.stats()``.
+the same into the run-metrics dict / lineage manifests.
 """
 
 from __future__ import annotations
@@ -39,11 +38,3 @@ def corpus_stats(path: str) -> dict:
         else:
             out[entry] = os.path.getsize(p)
     return out
-
-
-def capture_ds_stats(ds) -> str:
-    """Ray Data per-operator stats for a just-executed dataset."""
-    try:
-        return ds.stats()
-    except Exception as e:  # stats need an executed plan
-        return f"<no stats: {e}>"

@@ -19,8 +19,8 @@ fixed costs are the serial fraction that caps scaling efficiency):
             scan emits the rollup partials for ALL tiers (+ per-group
             checksum sums). A standalone deduped copy, when a consumer
             needs one, is ``read_deduped_dv(<out>/deduped).write_parquet``.
-            (--no-tokens: exact hash dedup of the pruned read →
-            out/deduped/data/, hive by source.)
+            (--no-tokens: the same dedup and scan without the ``tokens``
+            column — no checksum, a null ``token_ck``, no ``ck_v``.)
   [exec 3]  the scan-fused partials, sized from their parquet footers —
             or, when they are absent or stale, recomputed from the pruned
             sidecar (source, n_tok, event_time_us, token_ck) in one Ray
@@ -44,11 +44,12 @@ fixed costs are the serial fraction that caps scaling efficiency):
   [exec 5]  compress: one driver-side delta-of-delta/Gorilla pass over the
             tiers → out/chunks/tier=<t>/.
 
-Incremental append (continuous aggregate): when only new input files
-appeared, the delta's partials go through the same tier merge after the
-stored state of the sources they touch (their token totals come off the
-same driver-side table), and only those sources' state, data and chunks
-are rewritten.
+Incremental append (continuous aggregate), in either token mode: when
+only new input files appeared, the delta's partials go through the same
+tier merge after the stored state of the sources they touch (their token
+totals come off the same driver-side table), and only those sources'
+state, data and chunks are rewritten. When new input is found but the
+append cannot be taken, the run record says why (``append_fallback``).
 
 Resume: tiers whose manifest matches the (input, config) fingerprints are
 skipped; the deduped table is reused when its own manifest matches.
@@ -67,10 +68,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..config import PipelineConfig
-from ..fsutil import file_infos
-from ..sources.ingest import EVENTS_SCHEMA, read_sequences
-from ..stages import _shuffle
-from ..stages.dedup import dedup
+from ..stages import _shuffle, deletion_vector
 from ..stages.retention import (
     read_tier_manifest,
     tier_needs_build,
@@ -339,44 +337,6 @@ def _token_totals(partials: _Partials) -> dict[str, int]:
         }
 
 
-def _build_deduped(
-    input_path: str, cfg: PipelineConfig, dedup_dir: str,
-    stage_seconds: dict | None = None,
-) -> None:
-    """[exec 1+2] deduped table: deletion vectors + stats sidecar (with
-    scan-fused partials), or a pruned hash-deduped table under --no-tokens."""
-    t0 = time.perf_counter()
-    if cfg.ingest_tokens:
-        # merge-on-read: deletion vectors + stats sidecar, no payload
-        # rewrite (see stages/deletion_vector.py module docstring)
-        from ..stages.deletion_vector import build_deduped_dv
-
-        clear_dir(dedup_dir)
-        build_deduped_dv(
-            input_path,
-            dedup_dir,
-            key="doc_id",
-            keep=cfg.dedup_keep,
-            stage_seconds=stage_seconds,
-            partial_fn=_fused_partial_fn(cfg),
-            partials_fingerprint=_fused_partials_fp(cfg),
-        )
-        if stage_seconds is not None:
-            stage_seconds["dedup_exec_write"] = time.perf_counter() - t0
-        return
-    events = read_sequences(input_path, with_tokens=False)
-    events = dedup(events, key="doc_id", keep=cfg.dedup_keep)
-    if stage_seconds is not None:
-        stage_seconds["dedup_plan_probe"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    clear_dir(dedup_dir)
-    events.write_parquet(
-        os.path.join(dedup_dir, "data"), partition_cols=["source"]
-    )
-    if stage_seconds is not None:
-        stage_seconds["dedup_exec_write"] = time.perf_counter() - t0
-
-
 def run_rollup_pipeline(
     input_path: str,
     cfg: PipelineConfig | None = None,
@@ -408,6 +368,9 @@ def run_rollup_pipeline(
             "in": input_fp,
             "keep": cfg.dedup_keep,
             "tokens": cfg.ingest_tokens,
+            # an out_dir whose --no-tokens build wrote deduped/data (no
+            # deletion vectors) rebuilds the deduped table once
+            "layout": "deletion_vectors",
         }
     )
 
@@ -433,14 +396,25 @@ def run_rollup_pipeline(
         if appended is not None:
             return appended
 
-    # [exec 1-2] deduped table (skipped when a matching one already exists)
+    # [exec 1-2] merge-on-read deduped table: deletion vectors + stats
+    # sidecar with scan-fused partials, no payload rewrite (see
+    # stages/deletion_vector.py); skipped when a matching one already exists
     dedup_dir = os.path.join(cfg.out_dir, "deduped")
     t0 = time.perf_counter()
     prior = read_tier_manifest(cfg.out_dir, "deduped")
     if not resume or not (
         prior and prior.get("completed") and prior.get("input_fingerprint") == dedup_fp
     ):
-        _build_deduped(input_path, cfg, dedup_dir, metrics["stage_seconds"])
+        clear_dir(dedup_dir)
+        deletion_vector.build_deduped_dv(
+            input_path,
+            dedup_dir,
+            keep=cfg.dedup_keep,
+            stage_seconds=metrics["stage_seconds"],
+            partial_fn=_fused_partial_fn(cfg),
+            partials_fingerprint=_fused_partials_fp(cfg),
+            tokens=cfg.ingest_tokens,
+        )
         write_tier_manifest(
             cfg.out_dir,
             "deduped",
@@ -454,39 +428,17 @@ def run_rollup_pipeline(
         )
     metrics["stage_seconds"]["dedup_ingest"] = time.perf_counter() - t0
 
-    # [exec 3] partials over pruned columns of the deduped table. With
-    # tokens the stats sidecar IS that pruned projection (~30 B/row — the
-    # payload never re-enters the pipeline).
+    # [exec 3] partials. The dedup scan already computed the per-file
+    # partial-rollup rows (clean files) and the decide stage the survivors'
+    # — exec 3 collapses to a small read. When those are absent or stale,
+    # one pass over the stats sidecar, the deduped table's pruned
+    # projection (~30 B/row — the payload never re-enters the pipeline).
     t0 = time.perf_counter()
-    pruned_cols = ["source", "n_tok", "event_time_us"] + (
-        ["token_ck"] if cfg.ingest_tokens else []
-    )
-    files = None
-    if cfg.ingest_tokens:
-        from ..stages.deletion_vector import fused_partial_files
-
-        # scan-fused partials: the dedup scan already computed the
-        # per-file partial-rollup rows (clean files) and the decide stage
-        # the survivors' — exec 3 collapses to a small read, no second
-        # pass over the stats projection
-        files = fused_partial_files(dedup_dir, _fused_partials_fp(cfg))
+    files = deletion_vector.fused_partial_files(dedup_dir, _fused_partials_fp(cfg))
     if files is not None:
         partials = _Partials.from_files(files)
     else:
-        if cfg.ingest_tokens:
-            from ..stages.deletion_vector import read_sidecar
-
-            deduped = read_sidecar(dedup_dir, columns=pruned_cols)
-        else:
-            data_dir = os.path.join(dedup_dir, "data")
-            if any(i.path.endswith(".parquet") for i in file_infos(data_dir)[1]):
-                deduped = ray.data.read_parquet(data_dir, columns=pruned_cols)
-            else:
-                # a zero-row input writes no deduped file
-                deduped = ray.data.from_arrow(
-                    EVENTS_SCHEMA.empty_table().select(pruned_cols)
-                )
-        partials = deduped.map_batches(
+        partials = deletion_vector.read_sidecar(dedup_dir).map_batches(
             PartialRollup(
                 todo,
                 "n_tok",
@@ -573,52 +525,64 @@ def _try_incremental_append(
     sources only. Returns metrics on success, None when not applicable
     (caller falls through to the full build).
 
-    Applicability: token ingest (deletion vectors), keep='first' (stable winners —
-    keep='none' is retroactive and rebuilds), unchanged config, all prior
-    files byte-stable, tier state present. Runtime ∝ delta plus one
-    doc_id-only probe pass over the corpus. Exactness: identical to a
-    from-scratch rebuild while merged value counts stay under
-    quantile_cap; beyond it both paths are deterministic compactions
-    (documented divergence in the last ulp of p95).
+    Applicability, in either token mode: a prior build of the same config,
+    keep='first' (stable winners — keep='none' is retroactive and
+    rebuilds), all prior files byte-stable, tier state present, and a
+    deletion-vector build of the same token mode (``dv_manifest.json``).
+    Runtime ∝ delta plus one doc_id-only probe pass over the corpus.
+    Exactness: identical to a from-scratch rebuild while merged value
+    counts stay under quantile_cap; beyond it both paths are deterministic
+    compactions (documented divergence in the last ulp of p95).
+
+    When the input changed under a prior build of the same config but the
+    append is not taken, ``metrics`` records ``incremental_append: False``
+    and the first failed condition as ``append_fallback``: ``keep_none``,
+    ``prior_file_removed``, ``prior_file_changed``, ``no_state`` or
+    ``dv_manifest`` (missing, or built in the other token mode — an
+    out_dir whose ``--no-tokens`` build predates deletion vectors has none).
     """
-    from ..stages.deletion_vector import append_deduped_dv, sidecar_dir
     from ..stages.retention import read_tier_state, tier_state_exists
 
-    if not (cfg.ingest_tokens and cfg.dedup_keep == "first"):
-        return None
+    manifests = {name: read_tier_manifest(cfg.out_dir, name) for name in tiers}
+    if not all(
+        m and m.get("completed") and m.get("config_fingerprint") == config_fp
+        for m in manifests.values()
+    ):
+        return None  # no prior build of this config: a plain build
+    dedup_dir = os.path.join(cfg.out_dir, "deduped")
     current_files = input_file_fingerprints(input_path)
-    manifests = {}
-    for name in tiers:
-        m = read_tier_manifest(cfg.out_dir, name)
-        if not (
-            m
-            and m.get("completed")
-            and m.get("config_fingerprint") == config_fp
-            and m.get("input_files")
-        ):
-            return None
-        if not tier_state_exists(cfg.out_dir, name):
-            return None
-        manifests[name] = m
-    prior = manifests[next(iter(tiers))]["input_files"]
-    if not set(prior).issubset(current_files):
-        return None  # files removed/renamed -> rebuild
-    if any(current_files[p] != fp for p, fp in prior.items()):
-        return None  # a prior file changed in place -> rebuild
+    prior = manifests[next(iter(tiers))].get("input_files") or {}
     new_files = sorted(set(current_files) - set(prior))
-    if not new_files:
+    dv_manifest = deletion_vector.read_dv_manifest(dedup_dir)
+    if cfg.dedup_keep != "first":
+        fallback = "keep_none"
+    elif not set(prior).issubset(current_files):
+        fallback = "prior_file_removed"
+    elif any(current_files[p] != fp for p, fp in prior.items()):
+        fallback = "prior_file_changed"
+    elif not new_files:
         return None  # nothing new; plain resume handles the no-op
+    elif not prior or not all(tier_state_exists(cfg.out_dir, n) for n in tiers):
+        fallback = "no_state"
+    elif dv_manifest is None or dv_manifest.get("tokens", True) != cfg.ingest_tokens:
+        # a manifest without the key predates --no-tokens DV builds: tokens
+        fallback = "dv_manifest"
+    else:
+        fallback = None
+    if fallback is not None:
+        metrics["incremental_append"] = False
+        metrics["append_fallback"] = fallback
+        return None
 
     t_start = time.perf_counter()
-    dedup_dir = os.path.join(cfg.out_dir, "deduped")
     t0 = time.perf_counter()
-    app = append_deduped_dv(
+    app = deletion_vector.append_deduped_dv(
         input_path, dedup_dir, keep="first",
         stage_seconds=metrics["stage_seconds"],
     )
     metrics["stage_seconds"]["append_dedup"] = time.perf_counter() - t0
     sidecar_files = [
-        os.path.join(sidecar_dir(dedup_dir), f)
+        os.path.join(deletion_vector.sidecar_dir(dedup_dir), f)
         for f in app.get("appended_sidecar", [])
     ]
     metrics["appended_input_files"] = new_files
@@ -639,13 +603,17 @@ def _try_incremental_append(
     # finishes first
     partials.context.execution_options.preserve_order = True
     partials = _Partials.from_dataset(partials)
-    delta_ck = _token_totals(partials)
+    delta_ck = _token_totals(partials) if cfg.ingest_tokens else {}
     metrics["stage_seconds"]["append_partials"] = time.perf_counter() - t0
 
     # the same merge as the build, over the stored state of the affected
     # sources followed by the delta partials; then rewrite those sources
     t0 = time.perf_counter()
-    affected_sources = sorted(delta_ck)
+    affected_sources = sorted(
+        pc.unique(partials.read(["source"])["source"]).to_pylist()
+        if partials.rows
+        else []
+    )
     state = []
     for name in tiers:
         st = read_tier_state(cfg.out_dir, name, affected_sources)

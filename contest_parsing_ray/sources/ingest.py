@@ -25,7 +25,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ..functions.bucketing import add_bucket_columns
 from .synthetic import SEQ_OFFSET_MULTIPLIER
 
 EVENTS_SCHEMA = pa.schema(
@@ -73,14 +72,6 @@ def read_sequences(
             columns = ["doc_id", "n_tok", "source"]
     ds = ray.data.read_parquet(path, columns=columns)
     return ds.map_batches(derive_event_time, batch_format="pyarrow")
-
-
-def bucketize(ds: ray.data.Dataset, widths_us: dict[str, int]) -> ray.data.Dataset:
-    """Append round-to-nearest bucket columns for each tier (M10/F3)."""
-    return ds.map_batches(
-        lambda b: add_bucket_columns(b, "event_time_us", widths_us),
-        batch_format="pyarrow",
-    )
 
 
 def token_checksum(batch: pa.Table) -> pa.Table:

@@ -59,11 +59,6 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def event_time_us_of(epoch_minute: int, seq: int) -> int:
-    """The pure doc_id→event_time function (shared with ingest)."""
-    return epoch_minute * 60_000_000 + (seq * SEQ_OFFSET_MULTIPLIER) % 60_000_000
-
-
 def _scalar_columns(
     n_rows: int,
     seed: int,

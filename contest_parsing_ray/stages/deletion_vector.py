@@ -21,7 +21,9 @@ Artifacts (under ``out_dir``):
     sidecar/data/*.parquet          (source, n_tok, event_time_us, token_ck)
                                     one row per SURVIVING input row — the
                                     pruned projection every rollup pass
-                                    needs, ~30 B/row vs ~2 KB payload rows
+                                    needs, ~30 B/row vs ~2 KB payload rows;
+                                    token_ck is null when the build ran
+                                    with ``tokens=False``
     deletion_vectors/*.parquet      (file_idx:int32, pos:int64) deleted
                                     row positions, sorted
     partials/*.parquet              (optional) scan-fused rollup partials:
@@ -30,6 +32,8 @@ Artifacts (under ``out_dir``):
                                     stage — lets the rollup pipeline skip
                                     its own pass over the sidecar
     dv_manifest.json                ordered file list + policy + counts
+                                    + token mode (``tokens``; an append
+                                    scans new files the same way)
                                     (+ partials_fingerprint when fused)
 
 Execution (two passes, ONE full decode, nothing heavy ever re-encoded):
@@ -39,7 +43,8 @@ Execution (two passes, ONE full decode, nothing heavy ever re-encoded):
     exec 2  streaming scan, one task per file group (Ray Data over the
             groups of ``_shuffle.file_groups``: about one per core, at
             most one per file), each file in row-group batches:
-            token_ck + event_time_us + probe flag;
+            token_ck + event_time_us + probe flag (``tokens=False``
+            reads no ``tokens`` column and leaves token_ck null);
             sink-fused hive write partitioned by flag. Flagged rows carry
             (key, file_idx, pos); clean rows land directly as final
             sidecar files (metadata rename, no bytes copied).
@@ -145,17 +150,22 @@ def fused_partial_files(out_dir: str, expected_fp: str) -> list[str] | None:
     partials from the sidecar — the two paths merge to identical tier
     points below the quantile cap)."""
     _require_local(out_dir)
-    try:
-        manifest = _read_dv_manifest(out_dir)
-    except OSError:
-        return None
-    if manifest.get("partials_fingerprint") != expected_fp:
+    manifest = read_dv_manifest(out_dir)
+    if not manifest or manifest.get("partials_fingerprint") != expected_fp:
         return None
     d = fused_partials_dir(out_dir)
     if not os.path.isdir(d):
         return None
     files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
     return [os.path.join(d, f) for f in files] or None
+
+
+def read_dv_manifest(out_dir: str) -> dict | None:
+    """The build's ``dv_manifest.json``, or None when there is none."""
+    try:
+        return _read_dv_manifest(out_dir)
+    except OSError:
+        return None
 
 
 def _require_local(out_dir: str) -> None:
@@ -198,7 +208,8 @@ class _ScanFile:
     every input row, flag duplicate suspects, and write each file's own
     ``clean-{file_idx}`` partials, so neither the partials nor the tiers
     depend on how files are grouped. Stateless per call but holds the
-    probe ref (fetched on first use in each task).
+    probe ref (fetched on first use in each task). With ``tokens=False``
+    the ``tokens`` column is never read: no checksum, ``token_ck`` null.
 
     ``decode_rows`` is deliberately CACHE-sized, not throughput-sized: a
     batch's working set (decoded tokens plus the checksum buffers, ~20
@@ -210,7 +221,7 @@ class _ScanFile:
 
     def __init__(self, probe_ref, decode_rows: int = 2048,
                  yield_rows: int = 65536, partial_fn=None,
-                 partials_dir: str | None = None):
+                 partials_dir: str | None = None, tokens: bool = True):
         self._probe_ref = probe_ref
         self._probe = None
         self.decode_rows = decode_rows
@@ -223,6 +234,7 @@ class _ScanFile:
         # decide stage, which holds exactly the winner rows.
         self.partial_fn = partial_fn
         self.partials_dir = partials_dir
+        self.tokens = tokens
 
     def __call__(self, files: pa.Table) -> Iterator[pa.Table]:
         from ..sources.ingest import derive_event_time, token_checksum
@@ -231,6 +243,7 @@ class _ScanFile:
             self._probe = ray.get(self._probe_ref)
         pending: list[pa.Table] = []
         pending_rows = 0
+        columns = ["doc_id", "n_tok", "source"] + (["tokens"] if self.tokens else [])
         for path, fidx in zip(
             pa.compute.list_flatten(files["path"]).to_pylist(),
             pa.compute.list_flatten(files["file_idx"]).to_pylist(),
@@ -240,11 +253,15 @@ class _ScanFile:
             clean_stats: list[pa.Table] = []
             for rb in pf.iter_batches(
                 batch_size=self.decode_rows,
-                columns=["doc_id", "tokens", "n_tok", "source"],
+                columns=columns,
                 use_threads=False,
             ):
-                t = pa.Table.from_batches([rb])
-                t = token_checksum(derive_event_time(t))
+                t = derive_event_time(pa.Table.from_batches([rb]))
+                t = (
+                    token_checksum(t)
+                    if self.tokens
+                    else t.append_column("token_ck", pa.nulls(len(t), pa.int64()))
+                )
                 mask = _probe_mask(self._probe, t["doc_id"])
                 n = len(t)
                 valid = pa.array(mask)
@@ -329,9 +346,13 @@ def build_deduped_dv(
     stage_seconds: dict | None = None,
     partial_fn=None,
     partials_fingerprint: str | None = None,
+    tokens: bool = True,
 ) -> dict:
     """Build the merge-on-read deduped view of a sequences parquet dir:
     stats sidecar + deletion vectors + manifest. Returns counts.
+
+    ``tokens=False`` scans without the token payload (``token_ck`` null);
+    the manifest records the mode for :func:`append_deduped_dv`.
 
     ``partial_fn`` (a picklable per-batch combiner, e.g.
     ``rollup.PartialRollup``) fuses rollup-partial computation into the
@@ -370,7 +391,7 @@ def build_deduped_dv(
         _create_dir(pdir)
     _scan_items(files).map_batches(
         _ScanFile(probe_ref, decode_rows, partial_fn=partial_fn,
-                  partials_dir=pdir),
+                  partials_dir=pdir, tokens=tokens),
         batch_size=1,
         batch_format="pyarrow",
     ).write_parquet(raw_dir, partition_cols=[_FLAG])
@@ -492,6 +513,7 @@ def build_deduped_dv(
         "input": input_path,
         "files": files,
         "keep": keep,
+        "tokens": tokens,
         "n_suspects": int(n_suspects),
         "n_deleted": int(n_deleted),
         "completed": True,
@@ -668,12 +690,15 @@ def append_deduped_dv(
     if stage_seconds is not None:
         stage_seconds["append_probe"] = time.perf_counter() - t0
 
-    # scan ONLY the new files (payload decode ∝ delta)
+    # scan ONLY the new files (payload decode ∝ delta), in the build's
+    # token mode (a manifest without the key predates the mode: tokens)
     t0 = time.perf_counter()
     raw_dir = os.path.join(out_dir, "_sidecar_raw")
     shutil.rmtree(raw_dir, ignore_errors=True)
     _scan_items(new_files, first_idx=len(prior_files)).map_batches(
-        _ScanFile(probe_ref, decode_rows), batch_size=1, batch_format="pyarrow"
+        _ScanFile(probe_ref, decode_rows, tokens=manifest.get("tokens", True)),
+        batch_size=1,
+        batch_format="pyarrow",
     ).write_parquet(raw_dir, partition_cols=[_FLAG])
     if stage_seconds is not None:
         stage_seconds["append_scan"] = time.perf_counter() - t0

@@ -2,7 +2,8 @@
 
 Layout (resumable, partitioned — never one giant file):
 
-    out/deduped/data/source=<s>/*.parquet       the deduped sequences table
+    out/deduped/                                 deletion vectors + stats sidecar
+                                                 (stages/deletion_vector.py)
     out/rollup/data/tier=<t>/source=<s>/*.parquet  rollup points per tier
     out/rollup/state/tier=<t>/source=<s>/*.parquet mergeable tier state
     out/chunks/tier=<t>/*.parquet                compressed segments
@@ -45,10 +46,6 @@ def _ls(fsys: pafs.FileSystem, path: str) -> list[pafs.FileInfo]:
     return sorted(
         fsys.get_file_info(pafs.FileSelector(path)), key=lambda i: i.path
     )
-
-
-def manifest_file(out_dir: str, tier: str) -> str:
-    return join_path(out_dir, "manifests", f"{tier}.json")
 
 
 def write_tier_manifest(out_dir: str, tier: str, manifest: dict) -> None:

@@ -57,10 +57,6 @@ def fingerprint_config(cfg_dict: dict) -> str:
     ).hexdigest()[:32]
 
 
-def manifest_path(tier_dir: str) -> str:
-    return join_path(tier_dir, "manifest.json")
-
-
 def write_manifest(tier_dir: str, manifest: dict) -> None:
     fsys, d = resolve_fs(tier_dir)
     fsys.create_dir(d, recursive=True)

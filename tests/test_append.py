@@ -50,9 +50,10 @@ def corpus(tmp_path):
 CAP = 65536  # every merged group stays exact -> bit-identical paths
 
 
-def test_append_matches_from_scratch(corpus, tmp_path):
+@pytest.mark.parametrize("tokens", [True, False], ids=["tokens", "no_tokens"])
+def test_append_matches_from_scratch(corpus, tmp_path, tokens):
     out = str(tmp_path / "out")
-    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP)
+    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP, ingest_tokens=tokens)
     m1 = run_rollup_pipeline(corpus, cfg)
     assert m1["tiers"]
 
@@ -72,15 +73,19 @@ def test_append_matches_from_scratch(corpus, tmp_path):
     ]
 
     out2 = str(tmp_path / "scratch")
-    run_rollup_pipeline(corpus, PipelineConfig(out_dir=out2, quantile_cap=CAP),
-                        resume=False)
+    run_rollup_pipeline(
+        corpus,
+        PipelineConfig(out_dir=out2, quantile_cap=CAP, ingest_tokens=tokens),
+        resume=False,
+    )
     for tier in ("1m", "5m", "1h"):
         pd.testing.assert_frame_equal(_tier(out, tier), _tier(out2, tier))
 
-    # token checksums merged exactly
+    # token checksums merged exactly (none without tokens)
     ma = json.load(open(os.path.join(out, "manifests", "1m.json")))
     mb = json.load(open(os.path.join(out2, "manifests", "1m.json")))
     assert ma["token_checksums"] == mb["token_checksums"]
+    assert bool(ma["token_checksums"]) is tokens
     assert ma["appends"], "append recorded in lineage"
 
     # cross-file dedup: the 100 copied rows all lost; sidecar row counts
@@ -111,7 +116,9 @@ def test_append_keep_none_falls_back_to_rebuild(corpus, tmp_path):
         os.path.join(corpus, "part-9000.parquet"),
     )
     m = run_rollup_pipeline(corpus, cfg)
-    assert not m.get("incremental_append")  # retroactive policy -> rebuild
+    # retroactive policy -> rebuild, and the run record says why
+    assert m["incremental_append"] is False
+    assert m["append_fallback"] == "keep_none"
     out2 = str(tmp_path / "scratch")
     run_rollup_pipeline(
         corpus,
@@ -132,8 +139,98 @@ def test_append_modified_prior_file_rebuilds(corpus, tmp_path):
     shutil.copy(p, p + ".bak")
     pq.write_table(t.slice(0, len(t) - 10), p)
     m = run_rollup_pipeline(corpus, cfg)
-    assert not m.get("incremental_append")
+    assert m["incremental_append"] is False
+    assert m["append_fallback"] == "prior_file_changed"
     assert m["tiers"], "rebuilt"
+
+
+def test_old_no_tokens_out_dir_rebuilds_once(corpus, tmp_path):
+    """An out_dir whose --no-tokens build wrote the older layout (a
+    deduped/data table and a deduped manifest under the older fingerprint,
+    no deletion-vector files) neither crashes an append nor a resume under
+    a changed config: each rebuilds the deduped table once, and the tiers
+    equal a fresh build's."""
+    from contest_parsing_ray.sources.ingest import derive_event_time
+    from contest_parsing_ray.stages.deletion_vector import dv_manifest_file
+    from contest_parsing_ray.stages.retention import write_tier_manifest
+    from contest_parsing_ray.state.manifest import (
+        fingerprint_config,
+        fingerprint_input,
+    )
+
+    old = str(tmp_path / "old")
+    run_rollup_pipeline(corpus, PipelineConfig(out_dir=old, ingest_tokens=False))
+    dedup_dir = os.path.join(old, "deduped")
+    shutil.rmtree(dedup_dir)
+    pq.write_to_dataset(
+        derive_event_time(
+            pq.read_table(os.path.join(corpus, "part-0000.parquet"),
+                          columns=["doc_id", "n_tok", "source"])
+        ),
+        os.path.join(dedup_dir, "data"),
+        partition_cols=["source"],
+    )
+    old_fp = fingerprint_config(
+        {"in": fingerprint_input(corpus), "keep": "first", "tokens": False}
+    )
+    write_tier_manifest(old, "deduped", {
+        "tier": "deduped", "input_fingerprint": old_fp,
+        "config_fingerprint": old_fp, "partitions": {}, "completed": True,
+    })
+    resumed = str(tmp_path / "resumed")
+    shutil.copytree(old, resumed)
+
+    def check(out, cfg_kw, fresh):
+        assert not os.path.exists(os.path.join(out, "deduped", "data"))
+        with open(dv_manifest_file(os.path.join(out, "deduped"))) as f:
+            assert json.load(f)["tokens"] is False
+        run_rollup_pipeline(
+            corpus, PipelineConfig(out_dir=fresh, ingest_tokens=False, **cfg_kw),
+            resume=False,
+        )
+        for tier in ("1m", "5m", "1h"):
+            pd.testing.assert_frame_equal(_tier(out, tier), _tier(fresh, tier))
+
+    # a resume under a changed config reuses no deduped/data
+    m = run_rollup_pipeline(
+        corpus,
+        PipelineConfig(out_dir=resumed, ingest_tokens=False, gapfill_mode="linear"),
+    )
+    assert sorted(m["tiers"]) == ["1h", "1m", "5m"]
+    check(resumed, {"gapfill_mode": "linear"}, str(tmp_path / "fresh-linear"))
+
+    # an append finds no deletion vectors: it rebuilds and says why
+    pq.write_table(
+        make_sequences_table(1_000, seed=5),
+        os.path.join(corpus, "part-9000.parquet"),
+    )
+    m = run_rollup_pipeline(corpus, PipelineConfig(out_dir=old, ingest_tokens=False))
+    assert m["incremental_append"] is False
+    assert m["append_fallback"] == "dv_manifest"
+    check(old, {}, str(tmp_path / "fresh-append"))
+
+
+def test_append_onto_dv_manifest_without_token_mode(corpus, tmp_path):
+    """A default build whose dv_manifest.json predates the recorded token
+    mode (no ``tokens`` key: such builds always decoded tokens) still
+    appends incrementally."""
+    from contest_parsing_ray.stages.deletion_vector import dv_manifest_file
+
+    out = str(tmp_path / "out")
+    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP)
+    run_rollup_pipeline(corpus, cfg)
+    path = dv_manifest_file(os.path.join(out, "deduped"))
+    with open(path) as f:
+        man = json.load(f)
+    del man["tokens"]
+    with open(path, "w") as f:
+        json.dump(man, f)
+    pq.write_table(
+        make_sequences_table(1_000, seed=5),
+        os.path.join(corpus, "part-9000.parquet"),
+    )
+    m = run_rollup_pipeline(corpus, cfg)
+    assert m["incremental_append"] is True
 
 
 def test_append_after_exchange_build_appends(corpus, tmp_path, monkeypatch):

@@ -113,6 +113,35 @@ def test_tier_merge_exchange_matches_driver(sequences_dir, tmp_path, monkeypatch
         assert _tree_bytes(os.path.join(out, "rollup")) == expect
 
 
+@pytest.mark.parametrize("keep", ["first", "none"])
+def test_no_tokens_build_equals_default_build(sequences_dir, tmp_path, keep):
+    """--no-tokens runs the same deletion-vector dedup without decoding the
+    token payload: rollup/ and chunks/ are byte-identical to the default
+    build's, the manifests carry no token checksums, no deduped/data table
+    is written, and dv_manifest.json records the mode."""
+    import json
+
+    trees = {}
+    for tokens in (True, False):
+        out = str(tmp_path / f"out-{tokens}")
+        run_rollup_pipeline(
+            sequences_dir,
+            PipelineConfig(out_dir=out, dedup_keep=keep, ingest_tokens=tokens),
+            resume=False,
+        )
+        trees[tokens] = {
+            sub: _tree_bytes(os.path.join(out, sub)) for sub in ("rollup", "chunks")
+        }
+        for tier in ("1m", "5m", "1h"):
+            with open(os.path.join(out, "manifests", f"{tier}.json")) as f:
+                assert bool(json.load(f)["token_checksums"]) is tokens
+        assert not os.path.exists(os.path.join(out, "deduped", "data"))
+        with open(os.path.join(out, "deduped", "dv_manifest.json")) as f:
+            assert json.load(f)["tokens"] is tokens
+    assert trees[True]["rollup"] and trees[True]["chunks"]
+    assert trees[False] == trees[True]
+
+
 def test_small_build_runs_one_ray_data_execution(sequences_dir, tmp_path, monkeypatch):
     """A default build whose partial state fits DRIVER_MERGE_BYTES runs
     exactly one Ray Data execution, the deletion-vector scan: the probe is
