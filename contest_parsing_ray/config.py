@@ -86,8 +86,8 @@ class PipelineConfig:
     # it; per-source token-integrity checksums go into the lineage manifest.
     # Either way the deduped sequences table is the same merge-on-read view
     # — the input files stay in place; the pipeline writes per-file deletion
-    # vectors (Iceberg/Delta positional-delete style) plus a ~30 B/row stats
-    # sidecar (source, n_tok, event_time_us, token_ck), ZERO payload
+    # vectors (Iceberg/Delta positional-delete style) and the survivors'
+    # rollup partials, computed in the same scan, ZERO payload
     # re-encode/re-write (stages/deletion_vector.py), and appends run
     # incrementally. False = rollup-only mode: the scan never reads the
     # tokens column, token_ck is null and the manifests carry no checksums.

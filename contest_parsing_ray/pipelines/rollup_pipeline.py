@@ -11,23 +11,22 @@ fixed costs are the serial fraction that caps scaling efficiency):
   [exec 1]  pruned pass over doc_id → duplicated-key set (broadcast as an
             exact Arrow array, or a Bloom filter at 100 TB scale).
   [exec 2]  merge-on-read dedup: ONE streaming decode of the payload
-            computes token checksums + duplicate flags and writes the
-            ~30 B/row stats sidecar; duplicate losers become per-file
-            deletion vectors. The payload is never re-encoded or
-            re-written — at 100 TB this skips rewriting ~99 TB of
-            untouched bytes (see stages/deletion_vector.py). The same
-            scan emits the rollup partials for ALL tiers (+ per-group
-            checksum sums). A standalone deduped copy, when a consumer
-            needs one, is ``read_deduped_dv(<out>/deduped).write_parquet``.
+            computes token checksums + duplicate flags; duplicate losers
+            become per-file deletion vectors. The payload is never
+            re-encoded or re-written — at 100 TB this skips rewriting
+            ~99 TB of untouched bytes (see stages/deletion_vector.py).
+            The same scan, and the decide over its flagged rows, emit the
+            rollup partials for ALL tiers (+ per-group checksum sums): the
+            only per-row output of the dedup. A standalone deduped copy,
+            when a consumer needs one, is
+            ``read_deduped_dv(<out>/deduped).write_parquet``.
             (--no-tokens: the same dedup and scan without the ``tokens``
             column — no checksum, a null ``token_ck``, no ``ck_v``.)
-  [exec 3]  the scan-fused partials, sized from their parquet footers —
-            or, when they are absent or stale, recomputed from the pruned
-            sidecar (source, n_tok, event_time_us, token_ck) in one Ray
-            execution. At or below DRIVER_MERGE_BYTES of partial state
-            the files are read with pyarrow in the driver (no Ray Data
-            execution), and the token-integrity totals come off that same
-            table (driver-side wrap-sum, no extra pass).
+  [exec 3]  the scan-fused partials, sized from their parquet footers. At
+            or below DRIVER_MERGE_BYTES of partial state the files are
+            read with pyarrow in the driver (no Ray Data execution), and
+            the token-integrity totals come off that same table
+            (driver-side wrap-sum, no extra pass).
   [exec 4]  tier merge: the partials become tier-tagged rows (tier,
             source, bucket_us, stats, qsum) and merge on that one key, one
             _merge_partition call per tier (integer-keyed numpy: one
@@ -45,14 +44,17 @@ fixed costs are the serial fraction that caps scaling efficiency):
             tiers → out/chunks/tier=<t>/.
 
 Incremental append (continuous aggregate), in either token mode: when
-only new input files appeared, the delta's partials go through the same
-tier merge after the stored state of the sources they touch (their token
-totals come off the same driver-side table), and only those sources'
-state, data and chunks are rewritten. When new input is found but the
-append cannot be taken, the run record says why (``append_fallback``).
+only new input files appeared, the append's scan of those files and its
+decide write the delta's partials as the build's do (one Ray Data
+execution, the scan); they go through the same tier merge after the
+stored state of the sources they touch (their token totals come off the
+same driver-side table), and only those sources' state, data and chunks
+are rewritten. When new input is found but the append cannot be taken,
+the run record says why (``append_fallback``).
 
 Resume: tiers whose manifest matches the (input, config) fingerprints are
-skipped; the deduped table is reused when its own manifest matches.
+skipped; the deduped table is reused when its own manifest matches and
+its partials were built under the current rollup config.
 """
 
 from __future__ import annotations
@@ -174,11 +176,11 @@ def _merge_tagged(t: pa.Table, cap: int) -> pd.DataFrame:
 
 
 class _Partials:
-    """The partial rows of a build or an append: parquet files, sized from
-    their footers, or the blocks of a materialized Dataset. The rows are
-    read into the driver, with no Ray Data execution, only when the tier
-    merge runs there (at or below ``DRIVER_MERGE_BYTES``); above it the
-    parts stream into the exchange."""
+    """The partial files of a build or an append, sized from their
+    footers. The rows are read into the driver, with no Ray Data
+    execution, only when the tier merge runs there (at or below
+    ``DRIVER_MERGE_BYTES``); above it the files stream into the
+    exchange."""
 
     def __init__(self, parts: list, rows: int, nbytes: int):
         self.parts = parts
@@ -195,11 +197,6 @@ class _Partials:
             sum(_arrow_bytes(m) for m in metas),
         )
 
-    @classmethod
-    def from_dataset(cls, ds: ray.data.Dataset) -> "_Partials":
-        ds = ds.materialize()
-        return cls(ds.to_arrow_refs(), ds.count(), ds.size_bytes() or 0)
-
     def read(self, columns: list[str] | None = None) -> pa.Table:
         """The rows (``columns`` of them) as one driver-side table; below
         the gate the whole table is read once and kept for the merge."""
@@ -210,9 +207,7 @@ class _Partials:
         return self._read(columns)
 
     def _read(self, columns: list[str] | None) -> pa.Table:
-        tables = [_read_part(p, columns) for p in self.parts]
-        # an empty block may lack the partial columns
-        tables = [t for t in tables if t.num_rows]
+        tables = [pq.read_table(p, columns=columns) for p in self.parts]
         return pa.concat_tables(tables) if tables else pa.table({})
 
 
@@ -233,16 +228,8 @@ def _arrow_bytes(meta: pq.FileMetaData) -> int:
     return total
 
 
-def _read_part(part, columns: list[str] | None = None) -> pa.Table:
-    """One part of :class:`_Partials`: a parquet path or a block (ref)."""
-    if isinstance(part, str):
-        return pq.read_table(part, columns=columns)
-    t = ray.get(part) if isinstance(part, ray.ObjectRef) else part
-    return t.select(columns) if columns and t.num_rows else t
-
-
-def _tag_part(part, tiers: list[str]) -> pa.Table:
-    return _tier_tagged(_read_part(part), tiers)
+def _tag_part(path: str, tiers: list[str]) -> pa.Table:
+    return _tier_tagged(pq.read_table(path), tiers)
 
 
 def _merge_tiers(
@@ -396,23 +383,28 @@ def run_rollup_pipeline(
         if appended is not None:
             return appended
 
-    # [exec 1-2] merge-on-read deduped table: deletion vectors + stats
-    # sidecar with scan-fused partials, no payload rewrite (see
-    # stages/deletion_vector.py); skipped when a matching one already exists
+    # [exec 1-2] merge-on-read deduped table: deletion vectors + scan-fused
+    # partials, no payload rewrite (see stages/deletion_vector.py); skipped
+    # when a matching one already exists with partials of this rollup config
     dedup_dir = os.path.join(cfg.out_dir, "deduped")
     t0 = time.perf_counter()
     prior = read_tier_manifest(cfg.out_dir, "deduped")
-    if not resume or not (
-        prior and prior.get("completed") and prior.get("input_fingerprint") == dedup_fp
-    ):
+    partials_fp = _fused_partials_fp(cfg)
+    reuse = resume and prior and prior.get("completed") and (
+        prior.get("input_fingerprint") == dedup_fp
+    )
+    partial_files = (
+        deletion_vector.fused_partial_files(dedup_dir, partials_fp) if reuse else None
+    )
+    if partial_files is None:
         clear_dir(dedup_dir)
         deletion_vector.build_deduped_dv(
             input_path,
             dedup_dir,
+            _fused_partial_fn(cfg),
+            partials_fp,
             keep=cfg.dedup_keep,
             stage_seconds=metrics["stage_seconds"],
-            partial_fn=_fused_partial_fn(cfg),
-            partials_fingerprint=_fused_partials_fp(cfg),
             tokens=cfg.ingest_tokens,
         )
         write_tier_manifest(
@@ -426,39 +418,14 @@ def run_rollup_pipeline(
                 "completed": True,
             },
         )
+        partial_files = deletion_vector.fused_partial_files(dedup_dir, partials_fp)
     metrics["stage_seconds"]["dedup_ingest"] = time.perf_counter() - t0
 
-    # [exec 3] partials. The dedup scan already computed the per-file
-    # partial-rollup rows (clean files) and the decide stage the survivors'
-    # — exec 3 collapses to a small read. When those are absent or stale,
-    # one pass over the stats sidecar, the deduped table's pruned
-    # projection (~30 B/row — the payload never re-enters the pipeline).
+    # [exec 3] partials: the dedup scan computed the per-file partial-rollup
+    # rows (clean rows) and the decide stage the winners' — exec 3
+    # collapses to sizing them from their footers
     t0 = time.perf_counter()
-    files = deletion_vector.fused_partial_files(dedup_dir, _fused_partials_fp(cfg))
-    if files is not None:
-        partials = _Partials.from_files(files)
-    else:
-        partials = deletion_vector.read_sidecar(dedup_dir).map_batches(
-            PartialRollup(
-                todo,
-                "n_tok",
-                "source",
-                "event_time_us",
-                cfg.quantile_cap,
-                "nearest",
-                checksum_col="token_ck" if cfg.ingest_tokens else None,
-            ),
-            batch_format="pyarrow",
-            batch_size=262144,  # big batches -> real per-batch combining
-            # (the default 1024-row batches emit nearly one partial per
-            # input row). The input here is the ~30 B/row pruned projection
-            # (~8 MB/batch), so batches can be 8x the round-2 32k:
-            # partial-row count out of this stage ~= batches x sources x
-            # buckets-per-batch, and the tier exchange downstream moves
-            # proportionally fewer rows (measured at 30M rows: ~9M -> ~1.2M
-            # partials).
-        )
-        partials = _Partials.from_dataset(partials)
+    partials = _Partials.from_files(partial_files)
     token_totals = _token_totals(partials) if cfg.ingest_tokens else {}
     metrics["stage_seconds"]["partials"] = time.perf_counter() - t0
 
@@ -519,11 +486,11 @@ def _try_incremental_append(
 ) -> dict | None:
     """Continuous-aggregate append: when the prior build's input files are
     all unchanged and only NEW files appeared, process ONLY the delta —
-    extend the DV/sidecar build, roll the new rows into partials, merge
-    them into the stored per-tier STATE (the qsum blobs make every
-    aggregate mergeable), and regenerate data files for the affected
-    sources only. Returns metrics on success, None when not applicable
-    (caller falls through to the full build).
+    extend the DV build, whose scan and decide write the new survivors'
+    partials, merge them into the stored per-tier STATE (the qsum blobs
+    make every aggregate mergeable), and regenerate data files for the
+    affected sources only. Returns metrics on success, None when not
+    applicable (caller falls through to the full build).
 
     Applicability, in either token mode: a prior build of the same config,
     keep='first' (stable winners — keep='none' is retroactive and
@@ -577,32 +544,16 @@ def _try_incremental_append(
     t_start = time.perf_counter()
     t0 = time.perf_counter()
     app = deletion_vector.append_deduped_dv(
-        input_path, dedup_dir, keep="first",
+        input_path, dedup_dir, _fused_partial_fn(cfg), keep="first",
         stage_seconds=metrics["stage_seconds"],
     )
     metrics["stage_seconds"]["append_dedup"] = time.perf_counter() - t0
-    sidecar_files = [
-        os.path.join(deletion_vector.sidecar_dir(dedup_dir), f)
-        for f in app.get("appended_sidecar", [])
-    ]
     metrics["appended_input_files"] = new_files
-    if not sidecar_files:
-        metrics["total_seconds"] = time.perf_counter() - t_start
-        return metrics
 
-    # delta partials (the appended sidecar rows only)
+    # delta partials: the new survivors' partial files (none when no new
+    # row survived; the manifests below still record the new input files)
     t0 = time.perf_counter()
-    pruned_cols = ["source", "n_tok", "event_time_us", "token_ck"]
-    partials = ray.data.read_parquet(sidecar_files, columns=pruned_cols).map_batches(
-        _fused_partial_fn(cfg),
-        batch_format="pyarrow",
-        batch_size=262144,
-    )
-    # the blob bytes of the merged state follow the order of rows within
-    # each partial, so the delta batches must not depend on which read task
-    # finishes first
-    partials.context.execution_options.preserve_order = True
-    partials = _Partials.from_dataset(partials)
+    partials = _Partials.from_files(app["appended_partials"])
     delta_ck = _token_totals(partials) if cfg.ingest_tokens else {}
     metrics["stage_seconds"]["append_partials"] = time.perf_counter() - t0
 

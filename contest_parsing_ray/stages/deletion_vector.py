@@ -1,4 +1,5 @@
-"""Merge-on-read dedup: deletion vectors + stats sidecar, no payload rewrite.
+"""Merge-on-read dedup: deletion vectors + scan-fused rollup partials, no
+payload rewrite.
 
 This is the flagship's one deduped-table materialization. Physically
 rewriting the deduped table streams the WHOLE token payload through parquet
@@ -18,23 +19,20 @@ opposite end of that trade, chosen deliberately for the 100 TB tier.
 
 Artifacts (under ``out_dir``):
 
-    sidecar/data/*.parquet          (source, n_tok, event_time_us, token_ck)
-                                    one row per SURVIVING input row — the
-                                    pruned projection every rollup pass
-                                    needs, ~30 B/row vs ~2 KB payload rows;
-                                    token_ck is null when the build ran
-                                    with ``tokens=False``
     deletion_vectors/*.parquet      (file_idx:int32, pos:int64) deleted
                                     row positions, sorted
-    partials/*.parquet              (optional) scan-fused rollup partials:
-                                    clean-{file}.parquet from the scan,
-                                    winners-{part}.parquet from the decide
-                                    stage — lets the rollup pipeline skip
-                                    its own pass over the sidecar
+    partials/*.parquet              rollup partials of the surviving rows,
+                                    the only per-row output:
+                                    clean-{file}.parquet from the scan of
+                                    each input file (build and append),
+                                    winners-{part}.parquet from the build's
+                                    decide, append{seq}-winners.parquet
+                                    from an append's decide
     dv_manifest.json                ordered file list + policy + counts
                                     + token mode (``tokens``; an append
                                     scans new files the same way)
-                                    (+ partials_fingerprint when fused)
+                                    + partials_fingerprint (the rollup
+                                    config the partials were built under)
 
 Execution (two passes, ONE full decode, nothing heavy ever re-encoded):
 
@@ -44,21 +42,21 @@ Execution (two passes, ONE full decode, nothing heavy ever re-encoded):
             groups of ``_shuffle.file_groups``: about one per core, at
             most one per file), each file in row-group batches:
             token_ck + event_time_us + probe flag (``tokens=False``
-            reads no ``tokens`` column and leaves token_ck null);
-            sink-fused hive write partitioned by flag. Flagged rows carry
-            (key, file_idx, pos); clean rows land directly as final
-            sidecar files (metadata rename, no bytes copied).
+            reads no ``tokens`` column and leaves token_ck null). Each
+            file's clean rows become its own partials, written by the
+            task; the flagged rows (stats + key, file_idx, pos) are the
+            scan's only output, written to a scratch dir.
     driver  the flagged slice (~1-2%) decides winners by the ACTUAL key
             (hash collisions survive): keep='first' keeps the minimum
             (file_idx, pos) per key — deterministic because the file list
-            is sorted — keep='none' drops every copy. Winner stats append
-            to the sidecar; loser positions become the deletion vectors.
+            is sorted — keep='none' drops every copy. The winners become
+            partials; loser positions become the deletion vectors.
             Above ``local_threshold`` the decision runs distributed
             (hash-partitioned on key), same semantics.
 
 Duplicate copies carry identical payloads for identical doc_ids by the
 input contract (doc_id is the content identity), so rollups over the
-sidecar do not depend on which copy wins (tests/test_deletion_vector.py
+survivors do not depend on which copy wins (tests/test_deletion_vector.py
 checks the tiers against a DuckDB oracle over a pandas keep-first dedup).
 """
 
@@ -82,12 +80,8 @@ from ..fsutil import is_uri
 from ._shuffle import file_groups, hash64_strings
 from .dedup import BloomFilter, ShardedBloom, duplicated_key_probe_files
 
-_FLAG = "__dup"
-_SIDECAR_COLS = ["source", "n_tok", "event_time_us", "token_ck"]
-_SIDECAR_SCHEMA = pa.schema(
-    [("source", pa.string()), ("n_tok", pa.int32()),
-     ("event_time_us", pa.int64()), ("token_ck", pa.int64())]
-)
+# the per-row columns the rollup partials need, and the flagged rows' extras
+_STATS_COLS = ["source", "n_tok", "event_time_us", "token_ck"]
 _DUP_COLS = ["key", "file_idx", "pos"]
 
 
@@ -132,10 +126,6 @@ def _write_dv_manifest(out_dir: str, manifest: dict) -> None:
     fsys.move(tmp, posixpath.join(d, "dv_manifest.json"))
 
 
-def sidecar_dir(out_dir: str) -> str:
-    return os.path.join(out_dir, "sidecar", "data")
-
-
 def dv_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "deletion_vectors")
 
@@ -145,10 +135,9 @@ def fused_partials_dir(out_dir: str) -> str:
 
 
 def fused_partial_files(out_dir: str, expected_fp: str) -> list[str] | None:
-    """The scan-fused rollup partial files, sorted, or None when absent /
-    built under a different rollup config (the caller then recomputes
-    partials from the sidecar — the two paths merge to identical tier
-    points below the quantile cap)."""
+    """The scan-fused rollup partial files, sorted (empty for a zero-row
+    input), or None when absent or built under a different rollup config;
+    the caller then rebuilds the deduped table."""
     _require_local(out_dir)
     manifest = read_dv_manifest(out_dir)
     if not manifest or manifest.get("partials_fingerprint") != expected_fp:
@@ -157,7 +146,7 @@ def fused_partial_files(out_dir: str, expected_fp: str) -> list[str] | None:
     if not os.path.isdir(d):
         return None
     files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
-    return [os.path.join(d, f) for f in files] or None
+    return [os.path.join(d, f) for f in files]
 
 
 def read_dv_manifest(out_dir: str) -> dict | None:
@@ -169,9 +158,9 @@ def read_dv_manifest(out_dir: str) -> dict | None:
 
 
 def _require_local(out_dir: str) -> None:
-    """The sidecar, deletion vectors and fused partials are written and
-    read with local-path calls; a URI ``out_dir`` would silently leave
-    them empty next to a valid manifest, so it raises instead."""
+    """The deletion vectors and fused partials are written and read with
+    local-path calls; a URI ``out_dir`` would silently leave them empty
+    next to a valid manifest, so it raises instead."""
     if is_uri(out_dir):
         raise ValueError(
             f"deletion-vector dedup needs a local out_dir, got URI {out_dir!r}"
@@ -204,36 +193,30 @@ def _probe_mask(probe, keys: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
 class _ScanFile:
     """Streaming scan of one file group (an item of :func:`_scan_items`),
-    file by file: decode row-group batches, emit the stats sidecar row for
-    every input row, flag duplicate suspects, and write each file's own
-    ``clean-{file_idx}`` partials, so neither the partials nor the tiers
-    depend on how files are grouped. Stateless per call but holds the
-    probe ref (fetched on first use in each task). With ``tokens=False``
-    the ``tokens`` column is never read: no checksum, ``token_ck`` null.
+    file by file: decode row-group batches, flag duplicate suspects, write
+    each file's own ``clean-{file_idx}`` partials from its unflagged rows
+    (so neither the partials nor the tiers depend on how files are
+    grouped), and emit the flagged rows with their stats and (key,
+    file_idx, pos) for the decide. Stateless per call but holds the probe
+    ref (fetched on first use in each task). With ``tokens=False`` the
+    ``tokens`` column is never read: no checksum, ``token_ck`` null.
 
     ``decode_rows`` is deliberately CACHE-sized, not throughput-sized: a
     batch's working set (decoded tokens plus the checksum buffers, ~20
     B/token) must stay in L2/L3 while every core runs a scanner. The
     older checksum kernel's ~8 temporaries per token made 65536-row
     batches 14x slower than 2048-row ones (32 files on 16 CPUs: 19 s vs
-    1.4 s). Output tables are coalesced to ``yield_rows`` before leaving
-    the task so the sidecar doesn't fragment into tiny blocks."""
+    1.4 s)."""
 
-    def __init__(self, probe_ref, decode_rows: int = 2048,
-                 yield_rows: int = 65536, partial_fn=None,
-                 partials_dir: str | None = None, tokens: bool = True):
+    def __init__(self, probe_ref, partial_fn, partials_dir: str,
+                 decode_rows: int = 2048, tokens: bool = True):
         self._probe_ref = probe_ref
         self._probe = None
-        self.decode_rows = decode_rows
-        self.yield_rows = yield_rows
-        # fused rollup partials: the scan already holds every stats column
-        # in memory, so computing the per-file partial-rollup rows here
-        # removes exec 3's full sidecar re-read from the pipeline (at 100 TB
-        # that pass re-reads the ~1.5% stats projection of the corpus).
-        # Clean rows only — suspects' survivors get their partials from the
-        # decide stage, which holds exactly the winner rows.
+        # the scan holds every stats column in memory, so the per-file
+        # partial rows cost no second pass over the corpus
         self.partial_fn = partial_fn
         self.partials_dir = partials_dir
+        self.decode_rows = decode_rows
         self.tokens = tokens
 
     def __call__(self, files: pa.Table) -> Iterator[pa.Table]:
@@ -241,17 +224,15 @@ class _ScanFile:
 
         if self._probe is None:
             self._probe = ray.get(self._probe_ref)
-        pending: list[pa.Table] = []
-        pending_rows = 0
         columns = ["doc_id", "n_tok", "source"] + (["tokens"] if self.tokens else [])
         for path, fidx in zip(
             pa.compute.list_flatten(files["path"]).to_pylist(),
             pa.compute.list_flatten(files["file_idx"]).to_pylist(),
         ):
-            pf = pq.ParquetFile(path)
             offset = 0
-            clean_stats: list[pa.Table] = []
-            for rb in pf.iter_batches(
+            clean: list[pa.Table] = []
+            flagged: list[pa.Table] = []
+            for rb in pq.ParquetFile(path).iter_batches(
                 batch_size=self.decode_rows,
                 columns=columns,
                 use_threads=False,
@@ -263,111 +244,126 @@ class _ScanFile:
                     else t.append_column("token_ck", pa.nulls(len(t), pa.int64()))
                 )
                 mask = _probe_mask(self._probe, t["doc_id"])
-                n = len(t)
-                valid = pa.array(mask)
-                if self.partial_fn is not None:
-                    clean_stats.append(
-                        pa.table(
-                            {
-                                "source": t["source"],
-                                "n_tok": t["n_tok"],
-                                "event_time_us": t["event_time_us"],
-                                "token_ck": t["token_ck"],
-                            }
-                        ).filter(pa.compute.invert(valid))
-                    )
-                out = pa.table(
-                    {
-                        "source": t["source"],
-                        "n_tok": t["n_tok"],
-                        "event_time_us": t["event_time_us"],
-                        "token_ck": t["token_ck"],
-                        # suspect-only columns: null on clean rows so the
-                        # sidecar stays ~30 B/row
-                        "key": pa.compute.if_else(
-                            valid, t["doc_id"], pa.scalar(None, pa.string())
-                        ),
-                        "file_idx": pa.array(
-                            np.full(n, fidx, dtype=np.int32), mask=~mask
-                        ),
-                        "pos": pa.array(
-                            offset + np.arange(n, dtype=np.int64), mask=~mask
-                        ),
-                        _FLAG: pa.compute.if_else(
-                            valid, pa.scalar("dup"), pa.scalar("ok")
-                        ),
-                    }
-                )
-                offset += n
-                pending.append(out)
-                pending_rows += n
-                if pending_rows >= self.yield_rows:
-                    yield pa.concat_tables(pending).combine_chunks()
-                    pending, pending_rows = [], 0
-            if self.partial_fn is not None and clean_stats:
-                stats = pa.concat_tables(clean_stats).combine_chunks()
-                if len(stats):
-                    rows = self.partial_fn(stats)
-                    if len(rows):
-                        pq.write_table(
-                            rows,
-                            os.path.join(
-                                self.partials_dir, f"clean-{fidx:04d}.parquet"
-                            ),
+                stats = t.select(_STATS_COLS)
+                clean.append(stats.filter(pa.array(~mask)))
+                if mask.any():
+                    idx = np.flatnonzero(mask)
+                    take = pa.array(idx)
+                    flagged.append(
+                        stats.take(take)
+                        .append_column("key", t["doc_id"].take(take))
+                        .append_column(
+                            "file_idx", pa.array(np.full(len(idx), fidx, np.int32))
                         )
-        if pending:
-            yield pa.concat_tables(pending).combine_chunks()
+                        .append_column("pos", pa.array(offset + idx))
+                    )
+                offset += len(t)
+            stats = pa.concat_tables(clean).combine_chunks() if clean else None
+            if stats is not None and len(stats):
+                rows = self.partial_fn(stats)
+                if len(rows):
+                    pq.write_table(
+                        rows,
+                        os.path.join(self.partials_dir, f"clean-{fidx:04d}.parquet"),
+                    )
+            if flagged:
+                yield pa.concat_tables(flagged).combine_chunks()
+
+
+def _scan_flagged(files: list[str], first_idx: int, probe_ref, partial_fn,
+                  partials_dir: str, decode_rows: int, tokens: bool,
+                  flagged_dir: str) -> pads.Dataset | None:
+    """Run the scan over ``files`` (``file_idx`` from ``first_idx``): ONE
+    Ray Data execution that writes the clean partials from the tasks and
+    the flagged rows to ``flagged_dir``. Returns the flagged rows as a
+    dataset, or None when no row was flagged."""
+    shutil.rmtree(flagged_dir, ignore_errors=True)
+    _scan_items(files, first_idx).map_batches(
+        _ScanFile(probe_ref, partial_fn, partials_dir, decode_rows, tokens),
+        batch_size=1,
+        batch_format="pyarrow",
+    ).write_parquet(flagged_dir)
+    if not os.path.isdir(flagged_dir):
+        return None
+    flagged = pads.dataset(flagged_dir)
+    return flagged if flagged.count_rows() else None
 
 
 def _decide_losers(df: pd.DataFrame, keep: str) -> np.ndarray:
-    """Row indices of DELETED occurrences within the flagged frame.
+    """Mask of the DELETED occurrences within the flagged frame (key,
+    file_idx, pos; a default index).
 
     Operates on the ACTUAL key strings, so probe false positives (hash
     collisions, Bloom hits) with a global count of 1 always survive."""
     counts = df.groupby("key", sort=False)["key"].transform("size").to_numpy()
     if keep == "none":
-        return np.flatnonzero(counts > 1)
+        return counts > 1
     ordered = df.sort_values(["key", "file_idx", "pos"], kind="stable")
-    winners = ordered.drop_duplicates(subset="key", keep="first").index.to_numpy()
     lose = np.ones(len(df), dtype=bool)
-    lose[winners] = False
+    lose[ordered.drop_duplicates(subset="key", keep="first").index.to_numpy()] = False
     lose[counts == 1] = False
-    return np.flatnonzero(lose)
+    return lose
+
+
+def _write_decision(flagged: pa.Table, lose: np.ndarray, partial_fn,
+                    winners_path: str, dv_path: str) -> int:
+    """Write one decision over flagged rows: the winners' rollup partials
+    to ``winners_path`` and the losers' (file_idx, pos) to ``dv_path``,
+    each only when non-empty. Rows go in (file_idx, pos) order, so the
+    files do not depend on the order the rows arrived in. Returns the
+    number of losers."""
+    fidx = flagged["file_idx"].to_numpy()
+    pos = flagged["pos"].to_numpy()
+    order = np.lexsort((pos, fidx))
+    win, dv = order[~lose[order]], order[lose[order]]
+    if len(win):
+        rows = partial_fn(flagged.select(_STATS_COLS).take(pa.array(win)))
+        if len(rows):
+            pq.write_table(rows, winners_path)
+    if len(dv):
+        pq.write_table(
+            pa.table(
+                {
+                    "file_idx": pa.array(fidx[dv].astype(np.int32)),
+                    "pos": pa.array(pos[dv].astype(np.int64)),
+                }
+            ),
+            dv_path,
+        )
+    return len(dv)
 
 
 def build_deduped_dv(
     input_path: str,
     out_dir: str,
+    partial_fn,
+    partials_fingerprint: str,
     key: str = "doc_id",
     keep: str = "first",
     local_threshold: int = 200_000,
     bloom_threshold: int = 50_000_000,
     decode_rows: int = 2048,
     stage_seconds: dict | None = None,
-    partial_fn=None,
-    partials_fingerprint: str | None = None,
     tokens: bool = True,
 ) -> dict:
     """Build the merge-on-read deduped view of a sequences parquet dir:
-    stats sidecar + deletion vectors + manifest. Returns counts.
-
-    ``tokens=False`` scans without the token payload (``token_ck`` null);
-    the manifest records the mode for :func:`append_deduped_dv`.
+    deletion vectors + the survivors' rollup partials + manifest. Returns
+    the manifest.
 
     ``partial_fn`` (a picklable per-batch combiner, e.g.
-    ``rollup.PartialRollup``) fuses rollup-partial computation into the
-    scan and decide stages: clean rows emit per-file partial shards, the
-    decide stage emits the survivors' shards, all under
-    ``fused_partials_dir``; ``partials_fingerprint`` records the rollup
-    config they were built under (checked by :func:`fused_partial_files`).
+    ``rollup.PartialRollup``) turns survivor rows into partial rows: the
+    scan emits per-file shards of the clean rows, the decide stage the
+    winners' shards, all under ``fused_partials_dir``;
+    ``partials_fingerprint`` records the rollup config they were built
+    under (checked by :func:`fused_partial_files`). ``tokens=False`` scans
+    without the token payload (``token_ck`` null); the manifest records
+    the mode for :func:`append_deduped_dv`.
     """
     import time
 
     _require_local(out_dir)
     if keep not in ("first", "none"):
         raise ValueError("keep must be 'first' or 'none'")
-    if partial_fn is not None and partials_fingerprint is None:
-        raise ValueError("partial_fn requires partials_fingerprint")
     files = _list_files(input_path)
 
     t0 = time.perf_counter()
@@ -378,77 +374,37 @@ def build_deduped_dv(
     if stage_seconds is not None:
         stage_seconds["dedup_probe"] = time.perf_counter() - t0
 
-    # exec 2: one full streaming decode, sink-fused hive split on the flag
+    # exec 2: one full streaming decode; clean partials from the tasks
     t0 = time.perf_counter()
-    raw_dir = os.path.join(out_dir, "_sidecar_raw")
-    shutil.rmtree(raw_dir, ignore_errors=True)
-    shutil.rmtree(sidecar_dir(out_dir), ignore_errors=True)
-    shutil.rmtree(dv_dir(out_dir), ignore_errors=True)
-    shutil.rmtree(fused_partials_dir(out_dir), ignore_errors=True)
-    pdir = None
-    if partial_fn is not None:
-        pdir = fused_partials_dir(out_dir)
-        _create_dir(pdir)
-    _scan_items(files).map_batches(
-        _ScanFile(probe_ref, decode_rows, partial_fn=partial_fn,
-                  partials_dir=pdir, tokens=tokens),
-        batch_size=1,
-        batch_format="pyarrow",
-    ).write_parquet(raw_dir, partition_cols=[_FLAG])
+    pdir, ddir = fused_partials_dir(out_dir), dv_dir(out_dir)
+    for d in (pdir, ddir):
+        shutil.rmtree(d, ignore_errors=True)
+        _create_dir(d)
+    flagged_dir = os.path.join(out_dir, "_flagged")
+    flagged = _scan_flagged(
+        files, 0, probe_ref, partial_fn, pdir, decode_rows, tokens, flagged_dir
+    )
     if stage_seconds is not None:
         stage_seconds["dv_scan_write"] = time.perf_counter() - t0
 
-    # promote clean sidecar files into the final layout (metadata renames)
-    t0 = time.perf_counter()
-    _create_dir(sidecar_dir(out_dir))
-    ok_root = os.path.join(raw_dir, f"{_FLAG}=ok")
-    if os.path.isdir(ok_root):
-        for f in os.listdir(ok_root):
-            os.rename(
-                os.path.join(ok_root, f), os.path.join(sidecar_dir(out_dir), f)
-            )
-
     # flagged slice → winners/losers by actual key
+    t0 = time.perf_counter()
     n_deleted = 0
     n_suspects = 0
-    _create_dir(dv_dir(out_dir))
-    dup_root = os.path.join(raw_dir, f"{_FLAG}=dup")
-    if os.path.isdir(dup_root):
-        dup_ds = pads.dataset(dup_root)
+    if flagged is not None:
+
+        def decide(part: int, t: pa.Table) -> int:
+            return _write_decision(
+                t, _decide_losers(t.select(_DUP_COLS).to_pandas(), keep),
+                partial_fn, os.path.join(pdir, f"winners-{part:04d}.parquet"),
+                os.path.join(ddir, f"dv-{part:04d}.parquet"),
+            )
+
         # cheap metadata row count decides the branch; the local branch
         # then reads the slice once
-        n_suspects = dup_ds.count_rows()
+        n_suspects = flagged.count_rows()
         if n_suspects <= local_threshold:
-            t = dup_ds.to_table(use_threads=True)
-            df = t.select(_DUP_COLS).to_pandas()
-            losers = _decide_losers(df, keep)
-            lose_mask = np.zeros(len(df), dtype=bool)
-            lose_mask[losers] = True
-            winners_t = t.filter(pa.array(~lose_mask))
-            if len(winners_t):
-                pq.write_table(
-                    winners_t,
-                    os.path.join(sidecar_dir(out_dir), "winners-0000.parquet"),
-                )
-                if partial_fn is not None:
-                    rows = partial_fn(winners_t.select(_SIDECAR_COLS))
-                    if len(rows):
-                        pq.write_table(
-                            rows, os.path.join(pdir, "winners-0000.parquet")
-                        )
-            dv = df.iloc[losers].sort_values(["file_idx", "pos"], kind="stable")
-            pq.write_table(
-                pa.table(
-                    {
-                        "file_idx": pa.array(
-                            dv["file_idx"].to_numpy(dtype=np.int32)
-                        ),
-                        "pos": pa.array(dv["pos"].to_numpy(dtype=np.int64)),
-                    }
-                ),
-                os.path.join(dv_dir(out_dir), "dv-0000.parquet"),
-            )
-            n_deleted = len(dv)
+            n_deleted = decide(0, flagged.to_table(use_threads=True))
         else:
             # distributed decision: hash-partition the flagged slice on the
             # key via the raw-task exchange (all occurrences of a key
@@ -462,49 +418,14 @@ def build_deduped_dv(
             # occurrences. (100 TB path)
             from ._shuffle import raw_hash_exchange
 
-            suspects = ray.data.read_parquet(dup_root)
-            win_cols = _SIDECAR_COLS + _DUP_COLS
-            sdir, ddir = sidecar_dir(out_dir), dv_dir(out_dir)
-
-            def decide_shard(part: int, t: pa.Table) -> pa.Table:
-                df = t.select(_DUP_COLS).to_pandas()
-                losers = _decide_losers(df, keep)
-                lose_mask = np.zeros(len(df), dtype=bool)
-                lose_mask[losers] = True
-                win = t.filter(pa.array(~lose_mask)).select(win_cols)
-                if len(win):
-                    pq.write_table(
-                        win, os.path.join(sdir, f"winners-{part:04d}.parquet")
-                    )
-                    if partial_fn is not None:
-                        rows = partial_fn(win.select(_SIDECAR_COLS))
-                        if len(rows):
-                            pq.write_table(
-                                rows,
-                                os.path.join(pdir, f"winners-{part:04d}.parquet"),
-                            )
-                dv = df.iloc[losers].sort_values(
-                    ["file_idx", "pos"], kind="stable"
-                )
-                if len(dv):
-                    pq.write_table(
-                        pa.table(
-                            {
-                                "file_idx": pa.array(
-                                    dv["file_idx"].to_numpy(dtype=np.int32)
-                                ),
-                                "pos": pa.array(
-                                    dv["pos"].to_numpy(dtype=np.int64)
-                                ),
-                            }
-                        ),
-                        os.path.join(ddir, f"dv-{part:04d}.parquet"),
-                    )
-                return pa.table({"n_deleted": pa.array([len(dv)], pa.int64())})
-
-            counts = ray.get(raw_hash_exchange([(suspects, ["key"])], decide_shard))
+            counts = ray.get(raw_hash_exchange(
+                [(ray.data.read_parquet(flagged_dir), ["key"])],
+                lambda part, t: pa.table(
+                    {"n_deleted": pa.array([decide(part, t)], pa.int64())}
+                ),
+            ))
             n_deleted = int(sum(c["n_deleted"][0].as_py() for c in counts))
-    shutil.rmtree(raw_dir, ignore_errors=True)
+    shutil.rmtree(flagged_dir, ignore_errors=True)
     if stage_seconds is not None:
         stage_seconds["dv_decide_write"] = time.perf_counter() - t0
 
@@ -517,9 +438,8 @@ def build_deduped_dv(
         "n_suspects": int(n_suspects),
         "n_deleted": int(n_deleted),
         "completed": True,
+        "partials_fingerprint": partials_fingerprint,
     }
-    if partial_fn is not None:
-        manifest["partials_fingerprint"] = partials_fingerprint
     _write_dv_manifest(out_dir, manifest)
     return manifest
 
@@ -546,16 +466,6 @@ def load_deletion_vectors(out_dir: str) -> dict[int, np.ndarray]:
         if lo < hi:
             out[int(fi[lo])] = pos[lo:hi]
     return out
-
-
-def read_sidecar(out_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
-    """The pruned survivor projection (what rollup passes read); empty
-    when no row survived (a zero-row input writes no sidecar file)."""
-    columns = columns or _SIDECAR_COLS
-    d = sidecar_dir(out_dir)
-    if not any(f.endswith(".parquet") for f in os.listdir(d)):
-        return ray.data.from_arrow(_SIDECAR_SCHEMA.empty_table().select(columns))
-    return ray.data.read_parquet(d, columns=columns)
 
 
 class _ReadDeduped:
@@ -644,6 +554,7 @@ def _flagged_occurrences(
 def append_deduped_dv(
     input_path: str,
     out_dir: str,
+    partial_fn,
     key: str = "doc_id",
     keep: str = "first",
     decode_rows: int = 2048,
@@ -651,7 +562,9 @@ def append_deduped_dv(
     stage_seconds: dict | None = None,
 ) -> dict:
     """Incremental merge-on-read dedup: extend an existing DV build with
-    the NEW parquet files under ``input_path``.
+    the NEW parquet files under ``input_path``. Returns the manifest plus
+    ``appended_partials``, the partial files of the new survivors (written
+    by ``partial_fn`` under ``fused_partials_dir``, next to the build's).
 
     Contract (keep='first' only): the prior file list keeps its order and
     its winners — the deterministic (file_idx, pos) minimum can only move
@@ -680,7 +593,7 @@ def append_deduped_dv(
         raise ValueError("prior input files were removed; rebuild required")
     files = prior_files + new_files  # stable order: priors keep their idx
     if not new_files:
-        return manifest
+        return {**manifest, "appended_partials": []}
 
     t0 = time.perf_counter()
     probe = duplicated_key_probe_files(
@@ -690,93 +603,69 @@ def append_deduped_dv(
     if stage_seconds is not None:
         stage_seconds["append_probe"] = time.perf_counter() - t0
 
+    pdir = fused_partials_dir(out_dir)
+    seq = len(manifest.get("appends", [])) + 1
+    winners = os.path.join(pdir, f"append{seq:04d}-winners.parquet")
+    dv_path = os.path.join(dv_dir(out_dir), f"append{seq:04d}-dv.parquet")
+    targets = [
+        os.path.join(pdir, f"clean-{i:04d}.parquet")
+        for i in range(len(prior_files), len(files))
+    ] + [winners]
+    # partials/ covers the manifest's file list again only once this append
+    # completes: unmark it meanwhile, so an interrupted append never lets a
+    # build reuse partials of files the manifest does not list, and drop
+    # what an interrupted try of this append left
+    partials_fp = manifest.pop("partials_fingerprint", None)
+    _write_dv_manifest(out_dir, manifest)
+    _create_dir(pdir)
+    for p in targets + [dv_path]:
+        if os.path.exists(p):
+            os.remove(p)
+
     # scan ONLY the new files (payload decode ∝ delta), in the build's
     # token mode (a manifest without the key predates the mode: tokens)
     t0 = time.perf_counter()
-    raw_dir = os.path.join(out_dir, "_sidecar_raw")
-    shutil.rmtree(raw_dir, ignore_errors=True)
-    _scan_items(new_files, first_idx=len(prior_files)).map_batches(
-        _ScanFile(probe_ref, decode_rows, tokens=manifest.get("tokens", True)),
-        batch_size=1,
-        batch_format="pyarrow",
-    ).write_parquet(raw_dir, partition_cols=[_FLAG])
+    flagged_dir = os.path.join(out_dir, "_flagged")
+    flagged = _scan_flagged(
+        new_files, len(prior_files), probe_ref, partial_fn, pdir, decode_rows,
+        manifest.get("tokens", True), flagged_dir,
+    )
     if stage_seconds is not None:
         stage_seconds["append_scan"] = time.perf_counter() - t0
 
-    # clean new rows -> sidecar (metadata renames, tagged to avoid clashes)
+    # flagged NEW rows compete with OLD occurrences of the same keys: one
+    # keep='first' decision over both, of which only the new rows' part
+    # is written (prior survivors stay survivors)
     t0 = time.perf_counter()
-    seq = len(manifest.get("appends", [])) + 1
-    ok_root = os.path.join(raw_dir, f"{_FLAG}=ok")
-    appended_sidecar: list[str] = []
-    if os.path.isdir(ok_root):
-        # sorted: one write's file names differ only in the task index
-        for f in sorted(os.listdir(ok_root)):
-            dst = f"append{seq:04d}-{f}"
-            os.rename(
-                os.path.join(ok_root, f), os.path.join(sidecar_dir(out_dir), dst)
-            )
-            appended_sidecar.append(dst)
-
-    # flagged NEW rows compete with OLD occurrences of the same keys
     n_deleted_new = 0
-    dup_root = os.path.join(raw_dir, f"{_FLAG}=dup")
-    if os.path.isdir(dup_root):
-        new_flagged = pads.dataset(dup_root).to_table()
+    if flagged is not None:
+        new_flagged = flagged.to_table()
         old_occ = _flagged_occurrences(prior_files, probe_ref, key)
-        nf = new_flagged.select(_DUP_COLS).to_pandas()
-        allocc = pd.concat(
-            [old_occ[["key", "file_idx", "pos"]], nf[["key", "file_idx", "pos"]]],
-            ignore_index=True,
+        lose = _decide_losers(
+            pd.concat(
+                [old_occ[_DUP_COLS], new_flagged.select(_DUP_COLS).to_pandas()],
+                ignore_index=True,
+            ),
+            "first",
         )
-        winners = (
-            allocc.sort_values(["key", "file_idx", "pos"], kind="stable")
-            .drop_duplicates(subset="key", keep="first")
+        n_deleted_new = _write_decision(
+            new_flagged, lose[len(old_occ):], partial_fn, winners, dv_path
         )
-        win_set = set(zip(winners["file_idx"].astype(int), winners["pos"].astype(int)))
-        lose_mask = np.array(
-            [
-                (int(fi), int(po)) not in win_set
-                for fi, po in zip(nf["file_idx"], nf["pos"])
-            ],
-            dtype=bool,
-        )
-        new_winners = new_flagged.filter(pa.array(~lose_mask))
-        if len(new_winners):
-            name = f"append{seq:04d}-winners.parquet"
-            pq.write_table(
-                new_winners, os.path.join(sidecar_dir(out_dir), name)
-            )
-            appended_sidecar.append(name)
-        losers = nf[lose_mask].sort_values(["file_idx", "pos"], kind="stable")
-        if len(losers):
-            pq.write_table(
-                pa.table(
-                    {
-                        "file_idx": pa.array(
-                            losers["file_idx"].to_numpy(dtype=np.int32)
-                        ),
-                        "pos": pa.array(losers["pos"].to_numpy(dtype=np.int64)),
-                    }
-                ),
-                os.path.join(dv_dir(out_dir), f"append{seq:04d}-dv.parquet"),
-            )
-        n_deleted_new = int(lose_mask.sum())
-    shutil.rmtree(raw_dir, ignore_errors=True)
+    shutil.rmtree(flagged_dir, ignore_errors=True)
     if stage_seconds is not None:
         stage_seconds["append_decide"] = time.perf_counter() - t0
 
+    appended = [p for p in targets if os.path.exists(p)]
     manifest["files"] = files
     manifest["n_deleted"] = int(manifest.get("n_deleted", 0)) + n_deleted_new
-    # the fused rollup partials (if any) cover only the PRIOR file list —
-    # invalidate so a later full-rollup pass recomputes from the sidecar
-    manifest.pop("partials_fingerprint", None)
     manifest.setdefault("appends", []).append(
         {
             "new_files": new_files,
             "n_deleted_new": n_deleted_new,
-            "sidecar_files": appended_sidecar,
+            "partial_files": [os.path.basename(p) for p in appended],
         }
     )
+    if partials_fp is not None:
+        manifest["partials_fingerprint"] = partials_fp
     _write_dv_manifest(out_dir, manifest)
-    manifest["appended_sidecar"] = appended_sidecar
-    return manifest
+    return {**manifest, "appended_partials": appended}

@@ -2,7 +2,7 @@
 
 Layout (resumable, partitioned — never one giant file):
 
-    out/deduped/                                 deletion vectors + stats sidecar
+    out/deduped/                                 deletion vectors + rollup partials
                                                  (stages/deletion_vector.py)
     out/rollup/data/tier=<t>/source=<s>/*.parquet  rollup points per tier
     out/rollup/state/tier=<t>/source=<s>/*.parquet mergeable tier state

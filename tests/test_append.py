@@ -88,23 +88,84 @@ def test_append_matches_from_scratch(corpus, tmp_path, tokens):
     assert bool(ma["token_checksums"]) is tokens
     assert ma["appends"], "append recorded in lineage"
 
-    # cross-file dedup: the 100 copied rows all lost; sidecar row counts
-    # match the from-scratch survivor count
+    # cross-file dedup: the 100 copied rows all lost; the deduped table
+    # holds the from-scratch survivors
     from contest_parsing_ray.stages.deletion_vector import (
         dv_manifest_file,
-        read_sidecar,
+        read_deduped_dv,
     )
 
     man = json.load(open(dv_manifest_file(os.path.join(out, "deduped"))))
     assert man["appends"][-1]["n_deleted_new"] >= 100
-    assert (
-        read_sidecar(os.path.join(out, "deduped")).count()
-        == read_sidecar(os.path.join(out2, "deduped")).count()
-    )
+    ids = [
+        sorted(read_deduped_dv(os.path.join(o, "deduped")).to_pandas()["doc_id"])
+        for o in (out, out2)
+    ]
+    assert ids[0] == ids[1]
 
     # a third run with nothing new is a plain resume no-op
     m3 = run_rollup_pipeline(corpus, cfg)
     assert sorted(m3["tiers_skipped_by_resume"]) == ["1h", "1m", "5m"]
+
+
+def test_append_without_new_survivors_records_input(corpus, tmp_path):
+    """An append whose new file holds only copies of prior rows (no new
+    survivor), or whose only new file is not parquet (``_SUCCESS``), still
+    records the new input in the tier manifests: the next run skips every
+    tier by resume, and the tiers stay those of the prior build."""
+    out = str(tmp_path / "out")
+    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP)
+    run_rollup_pipeline(corpus, cfg)
+    before = {tier: _tier(out, tier) for tier in ("1m", "5m", "1h")}
+    base0 = pq.read_table(os.path.join(corpus, "part-0000.parquet"))
+    pq.write_table(base0.slice(0, 50), os.path.join(corpus, "part-9000.parquet"))
+    for new in ("part-9000.parquet", "_SUCCESS"):
+        if new == "_SUCCESS":
+            open(os.path.join(corpus, new), "w").close()
+        m = run_rollup_pipeline(corpus, cfg)
+        assert m.get("incremental_append") is True, new
+        assert m["appended_input_files"] == [os.path.join(corpus, new)]
+        m = run_rollup_pipeline(corpus, cfg)
+        assert sorted(m["tiers_skipped_by_resume"]) == ["1h", "1m", "5m"], new
+        assert "appended_input_files" not in m
+        for tier, want in before.items():
+            pd.testing.assert_frame_equal(_tier(out, tier), want)
+
+
+def test_interrupted_append_leaves_partials_unused(corpus, tmp_path, monkeypatch):
+    """An append interrupted after its scan wrote the new file's partials
+    leaves ``partials/`` unmarked: once that file is gone again, a run that
+    rebuilds the tiers re-runs the scan instead of reading partials of a
+    file the deletion vectors do not list, and matches a fresh build."""
+    from contest_parsing_ray.stages import deletion_vector
+
+    out = str(tmp_path / "out")
+    run_rollup_pipeline(corpus, PipelineConfig(out_dir=out, quantile_cap=CAP))
+    new = os.path.join(corpus, "part-9000.parquet")
+    pq.write_table(make_sequences_table(1_000, seed=5), new)
+    scan = deletion_vector._scan_flagged
+
+    def interrupted(*args, **kwargs):
+        scan(*args, **kwargs)
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(deletion_vector, "_scan_flagged", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_rollup_pipeline(corpus, PipelineConfig(out_dir=out, quantile_cap=CAP))
+    monkeypatch.undo()
+    os.remove(new)
+
+    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP, gapfill_mode="linear")
+    m = run_rollup_pipeline(corpus, cfg)
+    assert "dv_scan_write" in m["stage_seconds"]
+    fresh = str(tmp_path / "fresh")
+    run_rollup_pipeline(
+        corpus,
+        PipelineConfig(out_dir=fresh, quantile_cap=CAP, gapfill_mode="linear"),
+        resume=False,
+    )
+    for tier in ("1m", "5m", "1h"):
+        pd.testing.assert_frame_equal(_tier(out, tier), _tier(fresh, tier))
 
 
 def test_append_keep_none_falls_back_to_rebuild(corpus, tmp_path):

@@ -22,13 +22,17 @@ import pytest
 import ray.data
 
 from contest_parsing_ray.config import PipelineConfig
-from contest_parsing_ray.pipelines.rollup_pipeline import run_rollup_pipeline
+from contest_parsing_ray.pipelines.rollup_pipeline import (
+    _fused_partial_fn,
+    _fused_partials_fp,
+    run_rollup_pipeline,
+)
+from contest_parsing_ray.stages import deletion_vector
 from contest_parsing_ray.stages.deletion_vector import (
-    build_deduped_dv,
     dv_manifest_file,
+    fused_partials_dir,
     load_deletion_vectors,
     read_deduped_dv,
-    read_sidecar,
 )
 from test_rollup import _norm, _oracle
 
@@ -44,6 +48,26 @@ def _tier_frame(out_dir: str, tier: str) -> pd.DataFrame:
     t = t[sorted(t.columns)]
     return t.sort_values(["source", "bucket_us"], kind="stable").reset_index(
         drop=True
+    )
+
+
+def build_deduped_dv(input_path: str, out_dir: str, **kw) -> dict:
+    """The deletion-vector build with the default config's partials."""
+    cfg = PipelineConfig()
+    return deletion_vector.build_deduped_dv(
+        input_path, out_dir, _fused_partial_fn(cfg), _fused_partials_fp(cfg), **kw
+    )
+
+
+def _partials(out_dir: str) -> pd.DataFrame:
+    """The build's partial rows summed per (source, 1m bucket): the
+    survivors' rolled-up counts and sums, whatever shards hold them."""
+    t = pads.dataset(fused_partials_dir(out_dir)).to_table().to_pandas()
+    return (
+        t.groupby(["source", "bucket_1m"])
+        .agg(cnt=("cnt", "sum"), sum_v=("sum_v", "sum"),
+             min_v=("min_v", "min"), max_v=("max_v", "max"))
+        .reset_index()
     )
 
 
@@ -128,8 +152,8 @@ def test_dv_keep_none_drops_all_copies(sequences_dir, tmp_path):
     survivors = read_deduped_dv(out).to_pandas()
     assert len(survivors) == len(raw) - n_dup_rows
     assert survivors["doc_id"].is_unique
-    # sidecar row count matches the survivor count
-    assert read_sidecar(out).count() == len(survivors)
+    # the partials count exactly the survivors
+    assert _partials(out)["cnt"].sum() == len(survivors)
 
 
 def test_dv_keep_first_deterministic(sequences_dir, tmp_path):
@@ -159,14 +183,8 @@ def test_dv_distributed_decision_matches_local(sequences_dir, tmp_path):
     assert dv_l.keys() == dv_d.keys()
     for k in dv_l:
         np.testing.assert_array_equal(dv_l[k], dv_d[k])
-    # sidecar contents agree too (same survivor multiset)
-    a = read_sidecar(out_l).to_pandas().sort_values(
-        ["source", "event_time_us", "token_ck", "n_tok"]
-    ).reset_index(drop=True)
-    b = read_sidecar(out_d).to_pandas().sort_values(
-        ["source", "event_time_us", "token_ck", "n_tok"]
-    ).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
+    # the partials roll up the same survivors
+    pd.testing.assert_frame_equal(_partials(out_l), _partials(out_d))
 
 
 def test_dv_bloom_probe_matches_exact(sequences_dir, tmp_path):
@@ -185,8 +203,8 @@ def test_dv_bloom_probe_matches_exact(sequences_dir, tmp_path):
 
 
 def test_dv_no_duplicates_input(tmp_path):
-    """An input with zero duplicate keys produces empty vectors and a
-    sidecar covering every row."""
+    """An input with zero duplicate keys produces empty vectors and
+    partials covering every row."""
     from contest_parsing_ray.sources.synthetic import write_sequences_parquet
 
     d = write_sequences_parquet(
@@ -197,7 +215,8 @@ def test_dv_no_duplicates_input(tmp_path):
     m = build_deduped_dv(d, out)
     assert m["n_deleted"] == 0
     assert load_deletion_vectors(out) == {}
-    assert read_sidecar(out).count() == 2_000
+    assert _partials(out)["cnt"].sum() == 2_000
+    assert read_deduped_dv(out).count() == 2_000
     with open(dv_manifest_file(out)) as f:
         assert json.load(f)["completed"]
 
@@ -212,33 +231,28 @@ def test_dv_resume_skips_rebuild(sequences_dir, tmp_path):
     assert m2["total_seconds"] < m1["total_seconds"] / 5
 
 
-def test_fused_partials_written_and_equal_to_sidecar_path(
-    sequences_dir, tmp_path
-):
+def test_deleted_partials_rebuild_deduped_table(sequences_dir, tmp_path):
     """The scan-fused partials (clean per-file shards + decide winners
-    shards) must merge to the same tier points as recomputing partials
-    from the sidecar (a copy of the build with ``partials/`` and the tier
-    manifests deleted reuses the deduped table and takes the sidecar
-    path)."""
+    shards) are the only source of partial rows: a copy of the build with
+    ``partials/`` and the tier manifests deleted re-runs the scan and
+    merges to the same tier points."""
     out_f = str(tmp_path / "fused")
     run_rollup_pipeline(
         sequences_dir, PipelineConfig(out_dir=out_f), resume=False
     )
     # fused artifacts exist and the manifest records their fingerprint
-    from contest_parsing_ray.stages.deletion_vector import fused_partials_dir
-
     pdir = fused_partials_dir(os.path.join(out_f, "deduped"))
     assert any(f.startswith("clean-") for f in os.listdir(pdir))
     with open(dv_manifest_file(os.path.join(out_f, "deduped"))) as f:
         assert json.load(f)["partials_fingerprint"]
 
-    out_s = str(tmp_path / "sidecar")
+    out_s = str(tmp_path / "rebuilt")
     shutil.copytree(out_f, out_s)
     shutil.rmtree(fused_partials_dir(os.path.join(out_s, "deduped")))
     for tier in TIERS:
         os.remove(os.path.join(out_s, "manifests", f"{tier}.json"))
     m = run_rollup_pipeline(sequences_dir, PipelineConfig(out_dir=out_s))
-    assert "dv_scan_write" not in m["stage_seconds"]  # deduped table reused
+    assert "dv_scan_write" in m["stage_seconds"]  # deduped table rebuilt
     for tier in TIERS:
         pd.testing.assert_frame_equal(
             _tier_frame(out_f, tier), _tier_frame(out_s, tier)
@@ -247,15 +261,16 @@ def test_fused_partials_written_and_equal_to_sidecar_path(
 
 def test_fused_partials_stale_config_falls_back(sequences_dir, tmp_path):
     """Changing the tier spec invalidates the fused partials (fingerprint
-    mismatch) — the pipeline recomputes from the sidecar and matches a
-    from-scratch build with the same spec."""
+    mismatch) — the pipeline re-runs the scan and matches a from-scratch
+    build with the same spec."""
     out = str(tmp_path / "out")
     cfg1 = PipelineConfig(out_dir=out)
     run_rollup_pipeline(sequences_dir, cfg1, resume=False)
-    # same out_dir, different tiers: dedup manifest still matches (resume
-    # keeps it) but the fused partials were built for the old tier set
+    # same out_dir, different tiers: the dedup manifest still matches but
+    # the fused partials were built for the old tier set
     cfg2 = PipelineConfig(out_dir=out, tiers=("2m",))
     m = run_rollup_pipeline(sequences_dir, cfg2)
+    assert "dv_scan_write" in m["stage_seconds"]  # deduped table rebuilt
     assert m["tiers"].get("2m", {}).get("points", 0) > 0
     fresh = str(tmp_path / "fresh")
     run_rollup_pipeline(
@@ -293,18 +308,18 @@ def test_dv_manifest_io_accepts_file_uri(tmp_path):
 def test_dv_uri_out_dir_raises(tmp_path, sequences_dir):
     """The deletion-vector build, its append and the fused-partials read
     write and read local paths only: a URI out_dir raises instead of
-    leaving an empty sidecar next to a valid manifest."""
+    leaving empty partials next to a valid manifest."""
     from contest_parsing_ray.stages.deletion_vector import (
         append_deduped_dv,
-        build_deduped_dv,
         fused_partial_files,
     )
 
     out = str(tmp_path / "dv_out")
     uri = "file://" + out
+    fn = _fused_partial_fn(PipelineConfig())
     for call in (
         lambda: build_deduped_dv(sequences_dir, uri),
-        lambda: append_deduped_dv(sequences_dir, uri),
+        lambda: append_deduped_dv(sequences_dir, uri, fn),
         lambda: fused_partial_files(uri, "fp"),
     ):
         with pytest.raises(ValueError, match="local out_dir"):

@@ -22,13 +22,15 @@ def test_pipeline_end_to_end_and_resume(sequences_dir, out_dir):
     cfg = PipelineConfig(tiers=("1m", "1h"), out_dir=out_dir)
     m1 = run_rollup_pipeline(sequences_dir, cfg)
     assert set(m1["tiers"]) == {"1m", "1h"}
-    # deduped table kept merge-on-read: deletion vectors, stats sidecar,
-    # scan-fused partials and a completed manifest, no payload copy
+    # deduped table kept merge-on-read: deletion vectors, scan-fused
+    # partials and a completed manifest, no payload copy
     import json
 
     dedup_dir = os.path.join(out_dir, "deduped")
-    assert not os.path.exists(os.path.join(dedup_dir, "data"))
-    for sub in ("deletion_vectors", os.path.join("sidecar", "data"), "partials"):
+    assert sorted(os.listdir(dedup_dir)) == [
+        "deletion_vectors", "dv_manifest.json", "partials"
+    ]
+    for sub in ("deletion_vectors", "partials"):
         assert any(
             f.endswith(".parquet") for f in os.listdir(os.path.join(dedup_dir, sub))
         ), sub
@@ -142,12 +144,28 @@ def test_no_tokens_build_equals_default_build(sequences_dir, tmp_path, keep):
     assert trees[False] == trees[True]
 
 
-def test_small_build_runs_one_ray_data_execution(sequences_dir, tmp_path, monkeypatch):
+@pytest.mark.parametrize("append", [False, True], ids=["build", "append"])
+def test_small_build_runs_one_ray_data_execution(
+    sequences_dir, tmp_path, monkeypatch, append
+):
     """A default build whose partial state fits DRIVER_MERGE_BYTES runs
     exactly one Ray Data execution, the deletion-vector scan: the probe is
     plain tasks, and the fused partials, their token totals and the tier
-    merge are read and run in the driver."""
+    merge are read and run in the driver. A one-file append likewise runs
+    one, the scan of the new file, whose tasks and decide write the delta's
+    partials."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    cfg = PipelineConfig(out_dir=str(tmp_path / "out"))
+    inp = sequences_dir
+    if append:
+        inp = str(tmp_path / "in")
+        os.makedirs(inp)
+        names = sorted(f for f in os.listdir(sequences_dir) if f.endswith(".parquet"))
+        for f in names[:-1]:
+            os.link(os.path.join(sequences_dir, f), os.path.join(inp, f))
+        run_rollup_pipeline(inp, cfg, resume=False)
+        os.link(os.path.join(sequences_dir, names[-1]), os.path.join(inp, names[-1]))
 
     runs = []
     execute = StreamingExecutor.execute
@@ -157,9 +175,8 @@ def test_small_build_runs_one_ray_data_execution(sequences_dir, tmp_path, monkey
         return execute(self, dag, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    m = run_rollup_pipeline(
-        sequences_dir, PipelineConfig(out_dir=str(tmp_path / "out")), resume=False
-    )
+    m = run_rollup_pipeline(inp, cfg, resume=append)
+    assert m.get("incremental_append", False) is append
     assert m["tier_merge"]["partitions"] == 1
     assert len(runs) == 1, runs
     assert "Write" in runs[0]
