@@ -496,7 +496,8 @@ def _try_incremental_append(
     keep='first' (stable winners — keep='none' is retroactive and
     rebuilds), all prior files byte-stable, tier state present, and a
     deletion-vector build of the same token mode (``dv_manifest.json``).
-    Runtime ∝ delta plus one doc_id-only probe pass over the corpus.
+    Runtime ∝ delta plus one doc_id-only read of the prior files, which
+    matches them against the new keys by string (no full-corpus probe).
     Exactness: identical to a from-scratch rebuild while merged value
     counts stay under quantile_cap; beyond it both paths are deterministic
     compactions (documented divergence in the last ulp of p95).

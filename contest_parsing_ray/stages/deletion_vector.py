@@ -29,12 +29,16 @@ Artifacts (under ``out_dir``):
                                     decide, append{seq}-winners.parquet
                                     from an append's decide
     dv_manifest.json                ordered file list + policy + counts
+                                    (top-level ``n_suspects`` is the
+                                    build's; each ``appends[]`` entry has
+                                    its own ``n_suspects_new``,
+                                    ``n_prior_matches``, ``n_deleted_new``)
                                     + token mode (``tokens``; an append
                                     scans new files the same way)
                                     + partials_fingerprint (the rollup
                                     config the partials were built under)
 
-Execution (two passes, ONE full decode, nothing heavy ever re-encoded):
+Build (two passes, ONE full decode, nothing heavy ever re-encoded):
 
     exec 1  doc_id-only probe → duplicated key hashes (broadcast; exact
             array or ShardedBloom — ``dedup.duplicated_key_probe_files``)
@@ -54,6 +58,19 @@ Execution (two passes, ONE full decode, nothing heavy ever re-encoded):
             Above ``local_threshold`` the decision runs distributed
             (hash-partitioned on key), same semantics.
 
+Append (keep='first'; new files sort after the prior ones):
+
+    driver  read the new files' doc_id; :func:`_prior_matches` runs one
+            doc_id-only task per group of PRIOR files, matching the key
+            strings against the distinct new keys, and returns the prior
+            occurrences of those keys. The probe is the hashes of the new
+            keys that occur in a prior file or twice among the new rows.
+    exec    the same scan over the new files only (payload decode ∝
+            delta); its tasks write the new files' clean partials.
+    driver  the build's decide over the flagged new rows plus their
+            prior occurrences; only the new rows' winners and losers are
+            written. The prior corpus is read once, doc_id only.
+
 Duplicate copies carry identical payloads for identical doc_ids by the
 input contract (doc_id is the content identity), so rollups over the
 survivors do not depend on which copy wins (tests/test_deletion_vector.py
@@ -71,6 +88,7 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
@@ -518,37 +536,52 @@ def read_deduped_dv(out_dir: str, batch_rows: int = 65536) -> ray.data.Dataset:
     )
 
 
-def _flagged_occurrences(
-    files: list[str], probe_ref, key: str = "doc_id"
-) -> pd.DataFrame:
-    """(file_idx, pos, key) of probe-flagged rows, file_idx = position in
-    ``files`` — doc_id-only raw tasks (no payload decode), one per file
-    group (:func:`_shuffle.file_groups`)."""
+def _prior_matches(
+    files: list[str], new_keys: pa.Array, key: str = "doc_id"
+) -> pa.Table:
+    """(key, file_idx, pos) of every row of ``files`` whose key is one of
+    ``new_keys``, file_idx = position in ``files``: one doc_id-only raw
+    task per file group (:func:`_shuffle.file_groups`), matching the key
+    STRINGS (``pc.is_in``) against the broadcast distinct new keys, so the
+    output is the size of the prior copies of the delta's keys. Typed
+    (``key`` of ``new_keys``' type) also when nothing matches."""
+    value_set = pc.unique(new_keys)
+    schema = pa.schema(
+        [("key", value_set.type), ("file_idx", pa.int32()), ("pos", pa.int64())]
+    )
+    if not files or not len(value_set):
+        return schema.empty_table()
 
     @ray.remote(num_cpus=1)
-    def scan(paths: list[str], fidxs: list[int]) -> pd.DataFrame:
-        probe = ray.get(probe_ref)
-        frames = []
+    def match(paths: list[str], fidxs: list[int], value_set: pa.Array) -> pa.Table:
+        out = [schema.empty_table()]
         for path, fidx in zip(paths, fidxs):
-            t = pq.read_table(path, columns=[key], use_threads=False)
-            pos = np.flatnonzero(_probe_mask(probe, t[key]))
-            frames.append(
-                pd.DataFrame(
-                    {"file_idx": np.full(len(pos), fidx, dtype=np.int32),
-                     "pos": pos.astype(np.int64),
-                     "key": t[key].take(pa.array(pos)).to_pylist()}
-                )
+            col = pq.read_table(path, columns=[key], use_threads=False)[key]
+            pos = np.flatnonzero(
+                pc.is_in(col, value_set=value_set).to_numpy(zero_copy_only=False)
             )
-        return pd.concat(frames, ignore_index=True)
+            out.append(pa.table(
+                [col.take(pos).cast(value_set.type), np.full(len(pos), fidx), pos],
+                schema=schema,
+            ))
+        return pa.concat_tables(out)
 
-    frames = ray.get(
-        [scan.remote([files[i] for i in g], g) for g in file_groups(files)]
-    )
-    return (
-        pd.concat(frames, ignore_index=True)
-        if frames
-        else pd.DataFrame({"file_idx": [], "pos": [], "key": []})
-    )
+    value_ref = ray.put(value_set)
+    return pa.concat_tables(ray.get(
+        [match.remote([files[i] for i in g], g, value_ref)
+         for g in file_groups(files)]
+    ))
+
+
+def _append_probe(new_keys: pa.Array, prior_keys: pa.Array) -> np.ndarray:
+    """The append scan's probe: sorted hashes of the new keys that are
+    duplicates, i.e. occur in a prior file (``prior_keys``) or at least
+    twice among the new rows. Exact; a hash collision can only flag more
+    new rows, and the decide settles those by the key string."""
+    vc = pc.value_counts(new_keys)
+    values, counts = vc.field("values"), vc.field("counts")
+    dup = pc.or_(pc.greater(counts, 1), pc.is_in(values, value_set=prior_keys))
+    return np.unique(hash64_strings(values.filter(dup)))
 
 
 def append_deduped_dv(
@@ -558,7 +591,6 @@ def append_deduped_dv(
     key: str = "doc_id",
     keep: str = "first",
     decode_rows: int = 2048,
-    bloom_threshold: int = 50_000_000,
     stage_seconds: dict | None = None,
 ) -> dict:
     """Incremental merge-on-read dedup: extend an existing DV build with
@@ -573,10 +605,15 @@ def append_deduped_dv(
     cannot append (a new copy invalidates an old survivor retroactively) —
     the pipeline falls back to a full rebuild for it.
 
-    Work ∝ delta + one doc_id-only pass over the full corpus (the global
-    duplicate probe — at 100 TB this column is ~0.1% of the bytes; a
-    persistent key sketch would remove even that and slots in behind the
-    same probe interface).
+    Work ∝ delta + one doc_id-only pass over the prior files: the new
+    files' keys are read in the driver, and :func:`_prior_matches` returns
+    the prior occurrences of exactly those keys (by string). A new row
+    loses exactly when its key occurs in a prior file or earlier among the
+    new rows, so the scan's probe is the hashes of those duplicated new
+    keys (:func:`_append_probe`), and the decide sees the flagged new rows
+    plus their prior occurrences. Each ``appends[]`` entry records
+    ``n_suspects_new`` (new rows the scan flagged) and ``n_prior_matches``;
+    the top-level ``n_suspects`` stays the build's.
     """
     import time
 
@@ -596,10 +633,9 @@ def append_deduped_dv(
         return {**manifest, "appended_partials": []}
 
     t0 = time.perf_counter()
-    probe = duplicated_key_probe_files(
-        input_path, key, exact_threshold=bloom_threshold
-    )
-    probe_ref = ray.put(probe)
+    new_keys = pads.dataset(new_files).to_table(columns=[key])[key].combine_chunks()
+    old_occ = _prior_matches(prior_files, new_keys, key)
+    probe_ref = ray.put(_append_probe(new_keys, old_occ["key"]))
     if stage_seconds is not None:
         stage_seconds["append_probe"] = time.perf_counter() - t0
 
@@ -637,13 +673,13 @@ def append_deduped_dv(
     # keep='first' decision over both, of which only the new rows' part
     # is written (prior survivors stay survivors)
     t0 = time.perf_counter()
-    n_deleted_new = 0
+    n_deleted_new = n_suspects_new = 0
     if flagged is not None:
         new_flagged = flagged.to_table()
-        old_occ = _flagged_occurrences(prior_files, probe_ref, key)
+        n_suspects_new = len(new_flagged)
         lose = _decide_losers(
             pd.concat(
-                [old_occ[_DUP_COLS], new_flagged.select(_DUP_COLS).to_pandas()],
+                [old_occ.to_pandas(), new_flagged.select(_DUP_COLS).to_pandas()],
                 ignore_index=True,
             ),
             "first",
@@ -661,6 +697,8 @@ def append_deduped_dv(
     manifest.setdefault("appends", []).append(
         {
             "new_files": new_files,
+            "n_suspects_new": n_suspects_new,
+            "n_prior_matches": len(old_occ),
             "n_deleted_new": n_deleted_new,
             "partial_files": [os.path.basename(p) for p in appended],
         }

@@ -168,6 +168,160 @@ def test_interrupted_append_leaves_partials_unused(corpus, tmp_path, monkeypatch
         pd.testing.assert_frame_equal(_tier(out, tier), _tier(fresh, tier))
 
 
+def _file_bytes(root: str, sub: str) -> dict[str, bytes]:
+    d = os.path.join(root, sub)
+    out = {}
+    for dp, _, fs in os.walk(d):
+        for f in fs:
+            with open(os.path.join(dp, f), "rb") as fh:
+                out[os.path.relpath(os.path.join(dp, f), d)] = fh.read()
+    return out
+
+
+def _state(out_dir: str, tier: str) -> pd.DataFrame:
+    """Tier state with each qsum blob replaced by its sorted values: the
+    blob's value order follows how the rows were split into partials."""
+    from contest_parsing_ray.stages.retention import read_tier_state
+    from contest_parsing_ray.state.sketches import QuantileSummary
+
+    st = read_tier_state(out_dir, tier)
+    st["qsum"] = [
+        tuple(np.sort(QuantileSummary.from_bytes(b).values)) for b in st["qsum"]
+    ]
+    return st.sort_values(["source", "bucket_us"]).reset_index(drop=True)
+
+
+def _last_append(out_dir: str) -> dict:
+    from contest_parsing_ray.stages.deletion_vector import dv_manifest_file
+
+    with open(dv_manifest_file(os.path.join(out_dir, "deduped"))) as f:
+        return json.load(f)["appends"][-1]
+
+
+def test_append_reads_prior_corpus_once_and_superset_probe_is_exact(
+    corpus, tmp_path, monkeypatch
+):
+    """An append makes no full-corpus probe, and its outputs do not depend
+    on how many new rows its probe flags: a probe flagging the hash of
+    every new key (what hash collisions would do) writes the same deletion
+    vectors, tiers and chunks as the exact probe, because the decide
+    compares key strings. Both equal a from-scratch build. The new files
+    hold fresh rows, copies of prior rows, and copies of the first new
+    file's rows."""
+    from contest_parsing_ray.stages import deletion_vector
+    from contest_parsing_ray.stages._shuffle import hash64_strings
+
+    outs = {name: str(tmp_path / name) for name in ("exact", "superset")}
+    for out in outs.values():
+        run_rollup_pipeline(corpus, PipelineConfig(out_dir=out, quantile_cap=CAP))
+    fresh = make_sequences_table(1_500, seed=7)
+    base0 = pq.read_table(os.path.join(corpus, "part-0000.parquet"))
+    for name, t in (
+        ("part-9000.parquet", fresh),
+        ("part-9001.parquet", base0.slice(0, 100)),
+        ("part-9002.parquet", fresh.slice(200, 50)),
+    ):
+        pq.write_table(t, os.path.join(corpus, name))
+
+    def no_corpus_probe(*args, **kwargs):
+        raise AssertionError("an append must not probe the whole corpus")
+
+    monkeypatch.setattr(
+        deletion_vector, "duplicated_key_probe_files", no_corpus_probe
+    )
+    for name, out in outs.items():
+        if name == "superset":
+            monkeypatch.setattr(
+                deletion_vector, "_append_probe",
+                lambda new_keys, prior_keys: np.unique(hash64_strings(new_keys)),
+            )
+        m = run_rollup_pipeline(corpus, PipelineConfig(out_dir=out, quantile_cap=CAP))
+        assert m["incremental_append"] is True, name
+    monkeypatch.undo()
+    fresh_out = str(tmp_path / "fresh")
+    run_rollup_pipeline(
+        corpus, PipelineConfig(out_dir=fresh_out, quantile_cap=CAP), resume=False
+    )
+
+    exact, superset = (_last_append(out) for out in outs.values())
+    assert superset["n_suspects_new"] == 1_650 > exact["n_suspects_new"]
+    assert exact["n_prior_matches"] == superset["n_prior_matches"] == 100
+    assert exact["n_deleted_new"] == superset["n_deleted_new"] >= 150
+    for sub in ("deduped/deletion_vectors", "rollup/data", "chunks"):
+        got = [_file_bytes(out, sub) for out in outs.values()]
+        assert got[0] and got[0] == got[1], sub
+    for tier in ("1m", "5m", "1h"):
+        for out in outs.values():
+            pd.testing.assert_frame_equal(_tier(out, tier), _tier(fresh_out, tier))
+            pd.testing.assert_frame_equal(_state(out, tier), _state(fresh_out, tier))
+
+    # the delta's partials split the same survivors differently (no new row
+    # is clean under the superset probe): equal cnt and checksum totals
+    def delta_totals(out: str) -> pd.DataFrame:
+        pdir = os.path.join(out, "deduped", "partials")
+        files = [os.path.join(pdir, f) for f in _last_append(out)["partial_files"]]
+        t = pads.dataset(files).to_table().to_pandas()
+        return t.groupby(["source", "bucket_1m"])[["cnt", "ck_v"]].sum()
+
+    assert superset["partial_files"] == ["append0001-winners.parquet"]
+    pd.testing.assert_frame_equal(*(delta_totals(out) for out in outs.values()))
+
+
+def test_prior_matches_against_pandas_oracle(tmp_path):
+    """``_prior_matches`` returns (key, file_idx, pos) of every prior row
+    whose key string is a new file's key, and a typed empty table when
+    nothing matches, there is no prior file or no new row."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from contest_parsing_ray.stages.deletion_vector import (
+        _append_probe,
+        _prior_matches,
+    )
+
+    tables = [make_sequences_table(600, seed=s) for s in (1, 2, 3)]
+    tables[2] = pa.concat_tables([tables[2], tables[0].slice(10, 40)])
+    new = [
+        pa.concat_tables(
+            [make_sequences_table(300, seed=4), tables[1].slice(0, 30)]
+        ),
+        pa.concat_tables([tables[0].slice(0, 20), tables[2].slice(500, 60)]),
+    ]
+    prior = []
+    for i, t in enumerate(tables):
+        prior.append(str(tmp_path / f"prior-{i}.parquet"))
+        pq.write_table(t, prior[-1])
+    new_keys = pa.concat_arrays([t["doc_id"].combine_chunks() for t in new])
+
+    got = _prior_matches(prior, new_keys).to_pandas()
+    want = pd.concat(
+        [
+            pd.DataFrame({"key": t["doc_id"].to_pylist(), "file_idx": i,
+                          "pos": np.arange(len(t))})
+            for i, t in enumerate(tables)
+        ],
+        ignore_index=True,
+    )
+    want = want[want["key"].isin(set(new_keys.to_pylist()))]
+    assert len(want) >= 120
+    pd.testing.assert_frame_equal(
+        got.sort_values(["file_idx", "pos"]).reset_index(drop=True),
+        want.astype({"file_idx": np.int32}).reset_index(drop=True),
+    )
+
+    schema = pa.schema(
+        [("key", pa.string()), ("file_idx", pa.int32()), ("pos", pa.int64())]
+    )
+    fresh_keys = make_sequences_table(50, seed=9)["doc_id"].combine_chunks()
+    for files, keys in (
+        (prior, fresh_keys), ([], new_keys), (prior, new_keys.slice(0, 0))
+    ):
+        empty = _prior_matches(files, keys)
+        assert len(empty) == 0 and empty.schema == schema
+        # distinct new keys with no prior match: nothing to flag
+        assert len(_append_probe(pc.unique(keys), empty["key"])) == 0
+
+
 def test_append_keep_none_falls_back_to_rebuild(corpus, tmp_path):
     out = str(tmp_path / "out")
     cfg = PipelineConfig(out_dir=out, dedup_keep="none", quantile_cap=CAP)
