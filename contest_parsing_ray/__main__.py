@@ -5,7 +5,11 @@ multi-node Ray cluster via
 
     ray job submit --working-dir . -- \
         python -m contest_parsing_ray --input s3://bucket/sequences \
-            --out s3://bucket/rollups --tiers 1m,5m,1h
+            --out /mnt/shared/rollups --tiers 1m,5m,1h
+
+``--out`` must be a local path (on a cluster, a shared filesystem mounted
+at the same path on every node): the deletion vectors and rollup partials
+are written with local-path calls, and a URI ``--out`` raises.
 
 Inside a submitted job ``RAY_ADDRESS`` points at the cluster, so the
 plain ``ray.init()`` below attaches to it; run standalone the same call
@@ -34,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", required=True, help="Parquet dir of sequences "
                    "(doc_id, tokens, n_tok, source, ...)")
-    p.add_argument("--out", required=True, help="output root (tiered Parquet)")
+    p.add_argument("--out", required=True, help="output root (tiered Parquet); "
+                   "a local or shared-filesystem path, not a URI")
     p.add_argument("--tiers", default="1m,5m,1h",
                    help="comma-separated rounding grids (e.g. 30s,5m,1h)")
     p.add_argument("--dedup-keep", choices=["first", "none"], default="first")
@@ -47,9 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-tokens", action="store_true",
                    help="rollup-only mode: the dedup scan does not read "
                    "or checksum the token payload")
-    p.add_argument("--retention-now-us", type=int, default=None,
-                   help="apply per-tier retention expiry relative to this "
-                   "timestamp (us); omit to keep everything")
     p.add_argument("--quantile-cap", type=int, default=4096)
     p.add_argument("--chunk-points", type=int, default=4096)
     return p
@@ -83,7 +85,6 @@ def main(argv: list[str] | None = None) -> int:
         with_gapfill=args.gapfill != "off",
         with_compression=not args.no_compression,
         resume=not args.no_resume,
-        retention_now_us=args.retention_now_us,
     )
     json.dump(metrics, sys.stdout, default=str)
     print()

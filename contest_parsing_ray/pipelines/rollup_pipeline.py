@@ -40,21 +40,28 @@ fixed costs are the serial fraction that caps scaling efficiency):
             gap-fill and the hive write (tier, source) run driver-side.
             A small default build therefore runs ONE Ray Data execution,
             the scan (the probe is plain Ray tasks).
-  [exec 5]  compress: one driver-side delta-of-delta/Gorilla pass over the
-            tiers → out/chunks/tier=<t>/.
+  retention (only with an explicit clock): expired points leave the
+            written tier data and state.
+  [exec 5]  compress: one driver-side delta-of-delta/Gorilla pass over
+            what is left of the tiers → out/chunks/tier=<t>/, so no chunk
+            holds an expired point.
 
-Incremental append (continuous aggregate), in either token mode: when
-only new input files appeared, the append's scan of those files and its
-decide write the delta's partials as the build's do (one Ray Data
-execution, the scan); they go through the same tier merge after the
-stored state of the sources they touch (their token totals come off the
-same driver-side table), and only those sources' state, data and chunks
-are rewritten. When new input is found but the append cannot be taken,
-the run record says why (``append_fallback``).
+One path for a build, a reuse and an append. The run first decides what
+to do with the deduped table: build it; reuse it on resume, when
+``deduped/dv_manifest.json`` records the fingerprint of this input, keep
+policy and rollup config (the only record of whether it is current); or,
+when only new input files appeared under a prior build of this config,
+append them (continuous aggregate, in either token mode). The append's
+scan of the new files and its decide write the delta's partials as the
+build's do (one Ray Data execution, the scan) and record the new input's
+fingerprint when done. Then one tail runs for all three: partials → token
+totals → tier merge (after the stored state of the sources an append
+touches) → tier write (of those sources only, for an append) → retention
+→ compress. When new input is found but the append cannot be taken, the
+run record says why (``append_fallback``).
 
 Resume: tiers whose manifest matches the (input, config) fingerprints are
-skipped; the deduped table is reused when its own manifest matches and
-its partials were built under the current rollup config.
+skipped; the others are rebuilt from the reused (or rebuilt) partials.
 """
 
 from __future__ import annotations
@@ -71,11 +78,7 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..stages import _shuffle, deletion_vector
-from ..stages.retention import (
-    read_tier_manifest,
-    tier_needs_build,
-    write_tier_manifest,
-)
+from ..stages.retention import read_tier_manifest, tier_needs_build
 from ..stages.rollup import PartialRollup, _merge_partition
 from ..state.manifest import (
     clear_dir,
@@ -85,11 +88,15 @@ from ..state.manifest import (
 )
 
 
-def _fused_partials_fp(cfg: PipelineConfig) -> str:
-    """Fingerprint of the rollup config the scan-fused partials depend on —
-    must cover everything that changes PartialRollup's output."""
+def _fused_partials_fp(cfg: PipelineConfig, input_fp: str) -> str:
+    """Fingerprint of what the deduped table and its scan-fused partials
+    cover: the input, the keep policy and everything that changes
+    PartialRollup's output. ``dv_manifest.json`` records it, and it alone
+    decides whether the deduped table is current."""
     return fingerprint_config(
         {
+            "in": input_fp,
+            "keep": cfg.dedup_keep,
             "tiers": dict(zip(cfg.tiers, cfg.tier_widths_us)),
             "cap": cfg.quantile_cap,
             "mode": "nearest",
@@ -324,6 +331,89 @@ def _token_totals(partials: _Partials) -> dict[str, int]:
         }
 
 
+def _stored_state(out_dir: str, tiers: dict, sources: list[str]) -> pa.Table | None:
+    """The stored tier state of ``sources``, tier-tagged: the prior rows an
+    append merges its partials into."""
+    from ..stages.retention import read_tier_state
+
+    state = []
+    for name in tiers:
+        st = read_tier_state(out_dir, name, sources)
+        if len(st):
+            state.append(
+                pa.Table.from_pandas(
+                    st.assign(tier=name)[_TAGGED.names],
+                    schema=_TAGGED,
+                    preserve_index=False,
+                )
+            )
+    return pa.concat_tables(state) if state else None
+
+
+def _append_plan(
+    cfg: PipelineConfig,
+    tiers: dict,
+    config_fp: str,
+    current_files: dict[str, str],
+    metrics: dict,
+) -> dict | None:
+    """Whether this run is a continuous-aggregate append: the prior build's
+    input files are all unchanged and only NEW files appeared. Returns the
+    prior tier manifests and the new files, or None for a build (or a
+    reuse) of the deduped table.
+
+    Applicability, in either token mode: a prior build of the same config,
+    keep='first' (stable winners — keep='none' is retroactive and
+    rebuilds), all prior files byte-stable, tier state present, and a
+    deletion-vector build of the same token mode (``dv_manifest.json``).
+    Runtime ∝ delta plus one doc_id-only read of the prior files, which
+    matches them against the new keys by string (no full-corpus probe).
+    Exactness: identical to a from-scratch rebuild while merged value
+    counts stay under quantile_cap; beyond it both paths are deterministic
+    compactions (documented divergence in the last ulp of p95).
+
+    When the input changed under a prior build of the same config but the
+    append is not taken, ``metrics`` records ``incremental_append: False``
+    and the first failed condition as ``append_fallback``: ``keep_none``,
+    ``prior_file_removed``, ``prior_file_changed``, ``no_state`` or
+    ``dv_manifest`` (missing, or built in the other token mode — an
+    out_dir whose ``--no-tokens`` build predates deletion vectors has none).
+    """
+    from ..stages.retention import tier_state_exists
+
+    manifests = {name: read_tier_manifest(cfg.out_dir, name) for name in tiers}
+    if not all(
+        m and m.get("completed") and m.get("config_fingerprint") == config_fp
+        for m in manifests.values()
+    ):
+        return None  # no prior build of this config: a plain build
+    prior = manifests[next(iter(tiers))].get("input_files") or {}
+    new_files = sorted(set(current_files) - set(prior))
+    dv_manifest = deletion_vector.read_dv_manifest(
+        os.path.join(cfg.out_dir, "deduped")
+    )
+    if cfg.dedup_keep != "first":
+        fallback = "keep_none"
+    elif not set(prior).issubset(current_files):
+        fallback = "prior_file_removed"
+    elif any(current_files[p] != fp for p, fp in prior.items()):
+        fallback = "prior_file_changed"
+    elif not new_files:
+        return None  # nothing new; plain resume handles the no-op
+    elif not prior or not all(tier_state_exists(cfg.out_dir, n) for n in tiers):
+        fallback = "no_state"
+    elif dv_manifest is None or dv_manifest.get("tokens", True) != cfg.ingest_tokens:
+        # a manifest without the key predates --no-tokens DV builds: tokens
+        fallback = "dv_manifest"
+    else:
+        fallback = None
+    metrics["incremental_append"] = fallback is None
+    if fallback is not None:
+        metrics["append_fallback"] = fallback
+        return None
+    return {"manifests": manifests, "new_files": new_files}
+
+
 def run_rollup_pipeline(
     input_path: str,
     cfg: PipelineConfig | None = None,
@@ -350,16 +440,6 @@ def run_rollup_pipeline(
             "chunk_points": cfg.chunk_points if with_compression else None,
         }
     )
-    dedup_fp = fingerprint_config(
-        {
-            "in": input_fp,
-            "keep": cfg.dedup_keep,
-            "tokens": cfg.ingest_tokens,
-            # an out_dir whose --no-tokens build wrote deduped/data (no
-            # deletion vectors) rebuilds the deduped table once
-            "layout": "deletion_vectors",
-        }
-    )
 
     tiers = dict(zip(cfg.tiers, cfg.tier_widths_us))
     todo = {
@@ -372,90 +452,104 @@ def run_rollup_pipeline(
         metrics["total_seconds"] = time.perf_counter() - t_start
         return metrics
 
-    # incremental append (continuous aggregate): when the prior build's
-    # files are all unchanged and only NEW files appeared, merge delta
-    # partials into the stored tier STATE instead of rebuilding
-    if resume and not metrics["tiers_skipped_by_resume"]:
-        appended = _try_incremental_append(
-            input_path, cfg, tiers, with_gapfill, with_compression,
-            input_fp, config_fp, metrics,
-        )
-        if appended is not None:
-            return appended
+    # build, reuse or append the deduped table, decided up front; an append
+    # merges its partials into the stored tier STATE instead of rebuilding
+    current_files = input_file_fingerprints(input_path)
+    append = (
+        _append_plan(cfg, tiers, config_fp, current_files, metrics)
+        if resume and not metrics["tiers_skipped_by_resume"]
+        else None
+    )
 
     # [exec 1-2] merge-on-read deduped table: deletion vectors + scan-fused
-    # partials, no payload rewrite (see stages/deletion_vector.py); skipped
-    # when a matching one already exists with partials of this rollup config
+    # partials, no payload rewrite (see stages/deletion_vector.py). An
+    # append extends it with the new files; a resume reuses it when
+    # dv_manifest.json records this input and config; otherwise it is built
     dedup_dir = os.path.join(cfg.out_dir, "deduped")
+    partials_fp = _fused_partials_fp(cfg, input_fp)
     t0 = time.perf_counter()
-    prior = read_tier_manifest(cfg.out_dir, "deduped")
-    partials_fp = _fused_partials_fp(cfg)
-    reuse = resume and prior and prior.get("completed") and (
-        prior.get("input_fingerprint") == dedup_fp
-    )
-    partial_files = (
-        deletion_vector.fused_partial_files(dedup_dir, partials_fp) if reuse else None
-    )
-    if partial_files is None:
-        clear_dir(dedup_dir)
-        deletion_vector.build_deduped_dv(
-            input_path,
-            dedup_dir,
-            _fused_partial_fn(cfg),
-            partials_fp,
-            keep=cfg.dedup_keep,
+    if append is not None:
+        partial_files = deletion_vector.append_deduped_dv(
+            input_path, dedup_dir, _fused_partial_fn(cfg), partials_fp,
             stage_seconds=metrics["stage_seconds"],
-            tokens=cfg.ingest_tokens,
+        )["appended_partials"]
+        metrics["appended_input_files"] = append["new_files"]
+    else:
+        partial_files = (
+            deletion_vector.fused_partial_files(dedup_dir, partials_fp)
+            if resume
+            else None
         )
-        write_tier_manifest(
-            cfg.out_dir,
-            "deduped",
-            {
-                "tier": "deduped",
-                "input_fingerprint": dedup_fp,
-                "config_fingerprint": dedup_fp,
-                "partitions": {},
-                "completed": True,
-            },
-        )
-        partial_files = deletion_vector.fused_partial_files(dedup_dir, partials_fp)
+        if partial_files is None:
+            clear_dir(dedup_dir)
+            deletion_vector.build_deduped_dv(
+                input_path,
+                dedup_dir,
+                _fused_partial_fn(cfg),
+                partials_fp,
+                keep=cfg.dedup_keep,
+                stage_seconds=metrics["stage_seconds"],
+                tokens=cfg.ingest_tokens,
+            )
+            partial_files = deletion_vector.fused_partial_files(
+                dedup_dir, partials_fp
+            )
     metrics["stage_seconds"]["dedup_ingest"] = time.perf_counter() - t0
 
     # [exec 3] partials: the dedup scan computed the per-file partial-rollup
     # rows (clean rows) and the decide stage the winners' — exec 3
-    # collapses to sizing them from their footers
+    # collapses to sizing them from their footers (an append's: the new
+    # survivors', none when no new row survived)
     t0 = time.perf_counter()
     partials = _Partials.from_files(partial_files)
     token_totals = _token_totals(partials) if cfg.ingest_tokens else {}
     metrics["stage_seconds"]["partials"] = time.perf_counter() - t0
 
     # [exec 4] one merge for every tier (driver-side or one exchange, see
-    # _merge_tiers), then state, gap-fill and the hive write from the driver
+    # _merge_tiers), then state, gap-fill and the hive write from the
+    # driver. An append merges the stored state of the sources its
+    # partials touch and rewrites only those sources
     t0 = time.perf_counter()
-    merged = _merge_tiers(partials, list(todo), cfg.quantile_cap, metrics)
-    extra = {
-        "token_checksums": token_totals,
-        "input_files": input_file_fingerprints(input_path),
-    }
+    sources = prior = None
+    if append is not None:
+        sources = sorted(
+            pc.unique(partials.read(["source"])["source"]).to_pylist()
+            if partials.rows
+            else []
+        )
+        prior = _stored_state(cfg.out_dir, todo, sources)
+    merged = _merge_tiers(
+        partials, list(todo), cfg.quantile_cap, metrics, prior=prior
+    )
+    extras = {}
+    for name in todo:
+        stored = append["manifests"][name] if append is not None else {}
+        # per-source token checksum totals: wrap-add onto the stored ones
+        totals = dict(stored.get("token_checksums", {}))
+        with np.errstate(over="ignore"):
+            for src, d in token_totals.items():
+                totals[src] = int(np.uint64(int(totals.get(src, 0))) + np.uint64(d))
+        extras[name] = {"token_checksums": totals, "input_files": current_files}
+        if append is not None:
+            extras[name]["appends"] = stored.get("appends", []) + [
+                {"new_files": append["new_files"], "sources": sources}
+            ]
     manifests = _write_merged(
-        merged, todo, cfg, with_gapfill, input_fp, config_fp,
-        {name: extra for name in todo},
+        merged, todo, cfg, with_gapfill, input_fp, config_fp, extras,
+        sources=sources,
     )
     for name, manifest in manifests.items():
         metrics["tiers"][name] = {
             "points": manifest["total_rows"],
             "partitions": len(manifest["partitions"]),
         }
+        if sources is not None:
+            metrics["tiers"][name]["appended_sources"] = sources
     metrics["stage_seconds"]["tiers_write"] = time.perf_counter() - t0
 
-    # [exec 5] chunks are a pure function of the (compact) tiers: encode
-    # them driver-side
-    if with_compression and todo:
-        t0 = time.perf_counter()
-        _recompress_tiers(cfg, todo)
-        metrics["stage_seconds"]["compress"] = time.perf_counter() - t0
-
-    # retention expiry (only with an explicit clock — deterministic)
+    # retention expiry (only with an explicit clock — deterministic), on
+    # the written tier data and state, before the chunks are encoded from
+    # them: no chunk holds an expired point
     if retention_now_us is not None and cfg.retention_keep:
         from ..config import parse_duration_us
         from ..stages.retention import apply_retention
@@ -470,151 +564,13 @@ def run_rollup_pipeline(
             metrics["tiers"][name]["retention_dropped"] = res["dropped"]
         metrics["stage_seconds"]["retention"] = time.perf_counter() - t0
 
-    metrics["total_seconds"] = time.perf_counter() - t_start
-    return metrics
-
-
-def _try_incremental_append(
-    input_path: str,
-    cfg: PipelineConfig,
-    tiers: dict,
-    with_gapfill: bool,
-    with_compression: bool,
-    input_fp: str,
-    config_fp: str,
-    metrics: dict,
-) -> dict | None:
-    """Continuous-aggregate append: when the prior build's input files are
-    all unchanged and only NEW files appeared, process ONLY the delta —
-    extend the DV build, whose scan and decide write the new survivors'
-    partials, merge them into the stored per-tier STATE (the qsum blobs
-    make every aggregate mergeable), and regenerate data files for the
-    affected sources only. Returns metrics on success, None when not
-    applicable (caller falls through to the full build).
-
-    Applicability, in either token mode: a prior build of the same config,
-    keep='first' (stable winners — keep='none' is retroactive and
-    rebuilds), all prior files byte-stable, tier state present, and a
-    deletion-vector build of the same token mode (``dv_manifest.json``).
-    Runtime ∝ delta plus one doc_id-only read of the prior files, which
-    matches them against the new keys by string (no full-corpus probe).
-    Exactness: identical to a from-scratch rebuild while merged value
-    counts stay under quantile_cap; beyond it both paths are deterministic
-    compactions (documented divergence in the last ulp of p95).
-
-    When the input changed under a prior build of the same config but the
-    append is not taken, ``metrics`` records ``incremental_append: False``
-    and the first failed condition as ``append_fallback``: ``keep_none``,
-    ``prior_file_removed``, ``prior_file_changed``, ``no_state`` or
-    ``dv_manifest`` (missing, or built in the other token mode — an
-    out_dir whose ``--no-tokens`` build predates deletion vectors has none).
-    """
-    from ..stages.retention import read_tier_state, tier_state_exists
-
-    manifests = {name: read_tier_manifest(cfg.out_dir, name) for name in tiers}
-    if not all(
-        m and m.get("completed") and m.get("config_fingerprint") == config_fp
-        for m in manifests.values()
-    ):
-        return None  # no prior build of this config: a plain build
-    dedup_dir = os.path.join(cfg.out_dir, "deduped")
-    current_files = input_file_fingerprints(input_path)
-    prior = manifests[next(iter(tiers))].get("input_files") or {}
-    new_files = sorted(set(current_files) - set(prior))
-    dv_manifest = deletion_vector.read_dv_manifest(dedup_dir)
-    if cfg.dedup_keep != "first":
-        fallback = "keep_none"
-    elif not set(prior).issubset(current_files):
-        fallback = "prior_file_removed"
-    elif any(current_files[p] != fp for p, fp in prior.items()):
-        fallback = "prior_file_changed"
-    elif not new_files:
-        return None  # nothing new; plain resume handles the no-op
-    elif not prior or not all(tier_state_exists(cfg.out_dir, n) for n in tiers):
-        fallback = "no_state"
-    elif dv_manifest is None or dv_manifest.get("tokens", True) != cfg.ingest_tokens:
-        # a manifest without the key predates --no-tokens DV builds: tokens
-        fallback = "dv_manifest"
-    else:
-        fallback = None
-    if fallback is not None:
-        metrics["incremental_append"] = False
-        metrics["append_fallback"] = fallback
-        return None
-
-    t_start = time.perf_counter()
-    t0 = time.perf_counter()
-    app = deletion_vector.append_deduped_dv(
-        input_path, dedup_dir, _fused_partial_fn(cfg), keep="first",
-        stage_seconds=metrics["stage_seconds"],
-    )
-    metrics["stage_seconds"]["append_dedup"] = time.perf_counter() - t0
-    metrics["appended_input_files"] = new_files
-
-    # delta partials: the new survivors' partial files (none when no new
-    # row survived; the manifests below still record the new input files)
-    t0 = time.perf_counter()
-    partials = _Partials.from_files(app["appended_partials"])
-    delta_ck = _token_totals(partials) if cfg.ingest_tokens else {}
-    metrics["stage_seconds"]["append_partials"] = time.perf_counter() - t0
-
-    # the same merge as the build, over the stored state of the affected
-    # sources followed by the delta partials; then rewrite those sources
-    t0 = time.perf_counter()
-    affected_sources = sorted(
-        pc.unique(partials.read(["source"])["source"]).to_pylist()
-        if partials.rows
-        else []
-    )
-    state = []
-    for name in tiers:
-        st = read_tier_state(cfg.out_dir, name, affected_sources)
-        if len(st):
-            state.append(
-                pa.Table.from_pandas(
-                    st.assign(tier=name)[_TAGGED.names],
-                    schema=_TAGGED,
-                    preserve_index=False,
-                )
-            )
-    merged = _merge_tiers(
-        partials, list(tiers), cfg.quantile_cap, metrics,
-        prior=pa.concat_tables(state) if state else None,
-    )
-    extras = {}
-    for name, man in manifests.items():
-        # per-source token checksum totals: wrap-add the delta
-        totals = dict(man.get("token_checksums", {}))
-        with np.errstate(over="ignore"):
-            for src, d in delta_ck.items():
-                totals[src] = int(
-                    np.uint64(int(totals.get(src, 0)))
-                    + np.uint64(d & 0xFFFFFFFFFFFFFFFF)
-                )
-        extras[name] = {
-            "token_checksums": totals,
-            "input_files": current_files,
-            "appends": man.get("appends", [])
-            + [{"new_files": new_files, "sources": affected_sources}],
-        }
-    written = _write_merged(
-        merged, tiers, cfg, with_gapfill, input_fp, config_fp, extras,
-        sources=affected_sources,
-    )
-    for name, man in written.items():
-        metrics["tiers"][name] = {
-            "points": man["total_rows"],
-            "partitions": len(man["partitions"]),
-            "appended_sources": affected_sources,
-        }
-    metrics["stage_seconds"]["append_merge_write"] = time.perf_counter() - t0
-
+    # [exec 5] chunks are a pure function of the (compact) tiers: encode
+    # them driver-side
     if with_compression:
-        # chunks are a pure function of the (small) tiers; regenerate them
         t0 = time.perf_counter()
-        _recompress_tiers(cfg, tiers)
-        metrics["stage_seconds"]["append_compress"] = time.perf_counter() - t0
-    metrics["incremental_append"] = True
+        _recompress_tiers(cfg, todo)
+        metrics["stage_seconds"]["compress"] = time.perf_counter() - t0
+
     metrics["total_seconds"] = time.perf_counter() - t_start
     return metrics
 

@@ -35,8 +35,11 @@ Artifacts (under ``out_dir``):
                                     ``n_prior_matches``, ``n_deleted_new``)
                                     + token mode (``tokens``; an append
                                     scans new files the same way)
-                                    + partials_fingerprint (the rollup
-                                    config the partials were built under)
+                                    + partials_fingerprint (the input,
+                                    keep policy and rollup config the
+                                    partials cover: the one record of
+                                    whether this deduped table is current;
+                                    absent while an append runs)
 
 Build (two passes, ONE full decode, nothing heavy ever re-encoded):
 
@@ -79,9 +82,7 @@ checks the tiers against a DuckDB oracle over a pandas keep-first dedup).
 
 from __future__ import annotations
 
-import json
 import os
-import posixpath
 import shutil
 from typing import Iterator
 
@@ -95,6 +96,7 @@ import ray
 import ray.data
 
 from ..fsutil import is_uri
+from ..state.manifest import read_manifest, write_manifest
 from ._shuffle import file_groups, hash64_strings
 from .dedup import BloomFilter, ShardedBloom, duplicated_key_probe_files
 
@@ -113,37 +115,6 @@ def dv_manifest_file(out_dir: str) -> str:
     return os.path.join(out_dir, "dv_manifest.json")
 
 
-def _create_dir(path: str) -> None:
-    from ..fsutil import resolve_fs
-
-    fsys, p = resolve_fs(path)
-    fsys.create_dir(p, recursive=True)
-
-
-def _read_dv_manifest(out_dir: str) -> dict:
-    """URI-aware manifest read (file:// and s3:// out_dirs resolve like
-    state/manifest.py; a raw open() on a URI would create a literal
-    './file:/...' path relative to the cwd)."""
-    from ..fsutil import resolve_fs
-
-    fsys, d = resolve_fs(out_dir)
-    with fsys.open_input_stream(posixpath.join(d, "dv_manifest.json")) as f:
-        return json.loads(f.read().decode())
-
-
-def _write_dv_manifest(out_dir: str, manifest: dict) -> None:
-    """URI-aware atomic-ish manifest write (tmp + move, the
-    state/manifest.py pattern)."""
-    from ..fsutil import resolve_fs
-
-    fsys, d = resolve_fs(out_dir)
-    fsys.create_dir(d, recursive=True)
-    tmp = posixpath.join(d, "dv_manifest.json.tmp")
-    with fsys.open_output_stream(tmp) as f:
-        f.write(json.dumps(manifest, indent=1).encode())
-    fsys.move(tmp, posixpath.join(d, "dv_manifest.json"))
-
-
 def dv_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "deletion_vectors")
 
@@ -154,8 +125,9 @@ def fused_partials_dir(out_dir: str) -> str:
 
 def fused_partial_files(out_dir: str, expected_fp: str) -> list[str] | None:
     """The scan-fused rollup partial files, sorted (empty for a zero-row
-    input), or None when absent or built under a different rollup config;
-    the caller then rebuilds the deduped table."""
+    input), or None when absent or built for another ``expected_fp`` (the
+    input, keep policy and rollup config); the caller then rebuilds the
+    deduped table."""
     _require_local(out_dir)
     manifest = read_dv_manifest(out_dir)
     if not manifest or manifest.get("partials_fingerprint") != expected_fp:
@@ -169,10 +141,14 @@ def fused_partial_files(out_dir: str, expected_fp: str) -> list[str] | None:
 
 def read_dv_manifest(out_dir: str) -> dict | None:
     """The build's ``dv_manifest.json``, or None when there is none."""
-    try:
-        return _read_dv_manifest(out_dir)
-    except OSError:
-        return None
+    return read_manifest(dv_manifest_file(out_dir))
+
+
+def _built_dv_manifest(out_dir: str) -> dict:
+    manifest = read_dv_manifest(out_dir)
+    if manifest is None:
+        raise FileNotFoundError(f"no deletion-vector build under {out_dir!r}")
+    return manifest
 
 
 def _require_local(out_dir: str) -> None:
@@ -372,8 +348,8 @@ def build_deduped_dv(
     ``rollup.PartialRollup``) turns survivor rows into partial rows: the
     scan emits per-file shards of the clean rows, the decide stage the
     winners' shards, all under ``fused_partials_dir``;
-    ``partials_fingerprint`` records the rollup config they were built
-    under (checked by :func:`fused_partial_files`). ``tokens=False`` scans
+    ``partials_fingerprint`` records the input and config they cover
+    (checked by :func:`fused_partial_files`). ``tokens=False`` scans
     without the token payload (``token_ck`` null); the manifest records
     the mode for :func:`append_deduped_dv`.
     """
@@ -397,7 +373,7 @@ def build_deduped_dv(
     pdir, ddir = fused_partials_dir(out_dir), dv_dir(out_dir)
     for d in (pdir, ddir):
         shutil.rmtree(d, ignore_errors=True)
-        _create_dir(d)
+        os.makedirs(d)
     flagged_dir = os.path.join(out_dir, "_flagged")
     flagged = _scan_flagged(
         files, 0, probe_ref, partial_fn, pdir, decode_rows, tokens, flagged_dir
@@ -458,7 +434,7 @@ def build_deduped_dv(
         "completed": True,
         "partials_fingerprint": partials_fingerprint,
     }
-    _write_dv_manifest(out_dir, manifest)
+    write_manifest(dv_manifest_file(out_dir), manifest)
     return manifest
 
 
@@ -525,7 +501,7 @@ class _ReadDeduped:
 
 def read_deduped_dv(out_dir: str, batch_rows: int = 65536) -> ray.data.Dataset:
     """Full-payload deduped Dataset from (input files, deletion vectors)."""
-    manifest = _read_dv_manifest(out_dir)
+    manifest = _built_dv_manifest(out_dir)
     dv_ref = ray.put(load_deletion_vectors(out_dir))
     file_items = ray.data.from_items(
         [{"path": p, "file_idx": i} for i, p in enumerate(manifest["files"])],
@@ -588,6 +564,7 @@ def append_deduped_dv(
     input_path: str,
     out_dir: str,
     partial_fn,
+    partials_fingerprint: str,
     key: str = "doc_id",
     keep: str = "first",
     decode_rows: int = 2048,
@@ -614,13 +591,18 @@ def append_deduped_dv(
     plus their prior occurrences. Each ``appends[]`` entry records
     ``n_suspects_new`` (new rows the scan flagged) and ``n_prior_matches``;
     the top-level ``n_suspects`` stays the build's.
+
+    The manifest's ``partials_fingerprint`` is dropped while the append
+    runs; when it completes, ``partials_fingerprint`` (that of the new
+    input) takes its place, so a later resume reuses the partials. A
+    manifest that had none (an interrupted earlier try) keeps none.
     """
     import time
 
     _require_local(out_dir)
     if keep != "first":
         raise ValueError("append supports keep='first' only")
-    manifest = _read_dv_manifest(out_dir)
+    manifest = _built_dv_manifest(out_dir)
     if manifest.get("keep") != "first":
         raise ValueError("existing build used a different keep policy")
     prior_files = manifest["files"]
@@ -651,9 +633,9 @@ def append_deduped_dv(
     # completes: unmark it meanwhile, so an interrupted append never lets a
     # build reuse partials of files the manifest does not list, and drop
     # what an interrupted try of this append left
-    partials_fp = manifest.pop("partials_fingerprint", None)
-    _write_dv_manifest(out_dir, manifest)
-    _create_dir(pdir)
+    current_fp = manifest.pop("partials_fingerprint", None)
+    write_manifest(dv_manifest_file(out_dir), manifest)
+    os.makedirs(pdir, exist_ok=True)
     for p in targets + [dv_path]:
         if os.path.exists(p):
             os.remove(p)
@@ -703,7 +685,7 @@ def append_deduped_dv(
             "partial_files": [os.path.basename(p) for p in appended],
         }
     )
-    if partials_fp is not None:
-        manifest["partials_fingerprint"] = partials_fp
-    _write_dv_manifest(out_dir, manifest)
+    if current_fp is not None:
+        manifest["partials_fingerprint"] = partials_fingerprint
+    write_manifest(dv_manifest_file(out_dir), manifest)
     return {**manifest, "appended_partials": appended}

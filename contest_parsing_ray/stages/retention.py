@@ -2,12 +2,20 @@
 
 Layout (resumable, partitioned — never one giant file):
 
-    out/deduped/                                 deletion vectors + rollup partials
+    out/deduped/deletion_vectors/, partials/     the deduped table and its
+    out/deduped/dv_manifest.json                 rollup partials, and the one
+                                                 manifest that says whether
+                                                 they are current
                                                  (stages/deletion_vector.py)
     out/rollup/data/tier=<t>/source=<s>/*.parquet  rollup points per tier
     out/rollup/state/tier=<t>/source=<s>/*.parquet mergeable tier state
     out/chunks/tier=<t>/*.parquet                compressed segments
     out/manifests/<t>.json                       per-tier lineage manifest
+
+A build and an append run the same tail: write the tiers (all sources, or
+the sources the append touched), expire them (:func:`apply_retention`, data
+and state), then encode the chunks from what is left, so a chunk never
+holds an expired point.
 
 Reference analog: the per-stage Parquet sinks (``MetricsParser.py:139-143``
 etc.) + output clearing (``JoinManager.py:189-195``), upgraded with the
@@ -27,15 +35,13 @@ are picklable and ride into the Ray tasks of the parallel retention pass.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pyarrow as pa
 import ray
 from pyarrow import fs as pafs
 
 from ..fsutil import join_path, resolve_fs
-from ..state.manifest import clear_dir
+from ..state.manifest import clear_dir, read_manifest, write_manifest
 
 
 def _is_dir(fsys: pafs.FileSystem, path: str) -> bool:
@@ -48,25 +54,16 @@ def _ls(fsys: pafs.FileSystem, path: str) -> list[pafs.FileInfo]:
     )
 
 
+def _tier_manifest_file(out_dir: str, tier: str) -> str:
+    return join_path(out_dir, "manifests", f"{tier}.json")
+
+
 def write_tier_manifest(out_dir: str, tier: str, manifest: dict) -> None:
-    fsys, root = resolve_fs(out_dir)
-    fsys.create_dir(join_path(root, "manifests"), recursive=True)
-    final = join_path(root, "manifests", f"{tier}.json")
-    tmp = final + ".tmp"
-    with fsys.open_output_stream(tmp) as f:
-        f.write(json.dumps(manifest, indent=1, sort_keys=True).encode())
-    fsys.move(tmp, final)
+    write_manifest(_tier_manifest_file(out_dir, tier), manifest)
 
 
 def read_tier_manifest(out_dir: str, tier: str) -> dict | None:
-    fsys, root = resolve_fs(out_dir)
-    try:
-        with fsys.open_input_stream(
-            join_path(root, "manifests", f"{tier}.json")
-        ) as f:
-            return json.loads(f.read().decode())
-    except (FileNotFoundError, OSError, json.JSONDecodeError):
-        return None
+    return read_manifest(_tier_manifest_file(out_dir, tier))
 
 
 def tier_needs_build(out_dir: str, tier: str, input_fp: str, config_fp: str) -> bool:

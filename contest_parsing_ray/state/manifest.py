@@ -5,7 +5,7 @@ per service and ``__clear_output`` rm -rf's them on rerun
 (``JoinManager.py:189-195``) — a full recompute. The engine instead records,
 per output partition (tier x source), what was computed from which input:
 
-    manifest.json = {
+    manifests/<tier>.json = {
       "input_fingerprint": <hash of input file paths+sizes+mtimes>,
       "config_fingerprint": <hash of the knobs that affect the output>,
       "partitions": {"<source>": {"rows": n, "checksum": h}},
@@ -14,7 +14,10 @@ per output partition (tier x source), what was computed from which input:
 
 On resume, a tier whose manifest matches the current input+config
 fingerprint is skipped wholesale; per-partition rows/checksums give the
-audit trail (metrics lineage). Writes are atomic: tmp file + move (a true
+audit trail (metrics lineage). Every JSON manifest of the engine (the
+tier manifests and the deletion-vector build's ``dv_manifest.json``) is
+written and read by :func:`write_manifest` / :func:`read_manifest`.
+Writes are atomic: tmp file + move (a true
 rename on local/posix filesystems; object stores get copy+delete, which is
 still safe here because readers treat a missing/partial manifest as
 "rebuild").
@@ -31,7 +34,7 @@ import posixpath
 
 from pyarrow import fs as pafs
 
-from ..fsutil import file_infos, join_path, resolve_fs
+from ..fsutil import file_infos, resolve_fs
 
 
 def _mtime_s(info: pafs.FileInfo) -> int:
@@ -57,32 +60,24 @@ def fingerprint_config(cfg_dict: dict) -> str:
     ).hexdigest()[:32]
 
 
-def write_manifest(tier_dir: str, manifest: dict) -> None:
-    fsys, d = resolve_fs(tier_dir)
-    fsys.create_dir(d, recursive=True)
-    tmp = join_path(d, "manifest.json.tmp")
-    with fsys.open_output_stream(tmp) as f:
+def write_manifest(path: str, manifest: dict) -> None:
+    """Write one JSON manifest file atomically: tmp file, then move."""
+    fsys, p = resolve_fs(path)
+    fsys.create_dir(posixpath.dirname(p), recursive=True)
+    with fsys.open_output_stream(p + ".tmp") as f:
         f.write(json.dumps(manifest, indent=1, sort_keys=True).encode())
-    fsys.move(tmp, join_path(d, "manifest.json"))
+    fsys.move(p + ".tmp", p)
 
 
-def read_manifest(tier_dir: str) -> dict | None:
-    fsys, d = resolve_fs(tier_dir)
+def read_manifest(path: str) -> dict | None:
+    """The JSON manifest file at ``path``, or None when it is missing or
+    unreadable (the caller then rebuilds)."""
+    fsys, p = resolve_fs(path)
     try:
-        with fsys.open_input_stream(posixpath.join(d, "manifest.json")) as f:
+        with fsys.open_input_stream(p) as f:
             return json.loads(f.read().decode())
     except (FileNotFoundError, OSError, json.JSONDecodeError):
         return None
-
-
-def tier_is_complete(tier_dir: str, input_fp: str, config_fp: str) -> bool:
-    m = read_manifest(tier_dir)
-    return bool(
-        m
-        and m.get("completed")
-        and m.get("input_fingerprint") == input_fp
-        and m.get("config_fingerprint") == config_fp
-    )
 
 
 def clear_dir(path: str) -> None:

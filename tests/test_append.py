@@ -17,6 +17,7 @@ import shutil
 
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
@@ -107,6 +108,16 @@ def test_append_matches_from_scratch(corpus, tmp_path, tokens):
     m3 = run_rollup_pipeline(corpus, cfg)
     assert sorted(m3["tiers_skipped_by_resume"]) == ["1h", "1m", "5m"]
 
+    # the append recorded the new input in dv_manifest.json: a partial
+    # resume reuses the deduped table (no probe, no scan) and rebuilds the
+    # missing tier from its partials, equal to the from-scratch build's
+    os.remove(os.path.join(out, "manifests", "1h.json"))
+    m4 = run_rollup_pipeline(corpus, cfg)
+    assert list(m4["tiers"]) == ["1h"]
+    assert not {"dedup_probe", "dv_scan_write"} & set(m4["stage_seconds"])
+    for tier in ("1m", "5m", "1h"):
+        pd.testing.assert_frame_equal(_tier(out, tier), _tier(out2, tier))
+
 
 def test_append_without_new_survivors_records_input(corpus, tmp_path):
     """An append whose new file holds only copies of prior rows (no new
@@ -130,6 +141,43 @@ def test_append_without_new_survivors_records_input(corpus, tmp_path):
         assert "appended_input_files" not in m
         for tier, want in before.items():
             pd.testing.assert_frame_equal(_tier(out, tier), want)
+
+
+def test_append_applies_retention(corpus, tmp_path):
+    """An append runs the build's retention step: the run record has
+    ``retention_dropped`` and no bucket below the cutoff is left in the
+    tier data, the tier state or the chunks, although the new file holds
+    rows from the whole corpus span."""
+    from contest_parsing_ray.sources.synthetic import BASE_EPOCH_MINUTE
+
+    out = str(tmp_path / "out")
+    cfg = PipelineConfig(
+        out_dir=out, quantile_cap=CAP, retention_keep=("1h", None, None)
+    )
+    # the corpus spans 4 hours from BASE_EPOCH_MINUTE; keep the last one
+    now = (BASE_EPOCH_MINUTE + 240) * 60_000_000
+    cutoff = now - 3_600_000_000
+    m1 = run_rollup_pipeline(corpus, cfg, retention_now_us=now)
+    assert m1["tiers"]["1m"]["retention_dropped"] > 0
+    pq.write_table(
+        make_sequences_table(2_000, seed=7),
+        os.path.join(corpus, "part-9000.parquet"),
+    )
+    m2 = run_rollup_pipeline(corpus, cfg, retention_now_us=now)
+    assert m2["incremental_append"] is True
+    assert m2["tiers"]["1m"]["retention_dropped"] > 0
+    assert "retention_dropped" not in m2["tiers"]["5m"]
+    for sub in ("data", "state"):
+        t = pads.dataset(
+            os.path.join(out, "rollup", sub, "tier=1m"), partitioning="hive"
+        ).to_table()
+        assert pc.min(t["bucket_us"]).as_py() >= cutoff, sub
+    chunks = pads.dataset(os.path.join(out, "chunks", "tier=1m")).to_table()
+    assert pc.min(chunks["t0"]).as_py() >= cutoff
+    n_rows = len(_tier(out, "1m"))
+    assert sum(chunks["n_points"].to_pylist()) == n_rows
+    with open(os.path.join(out, "manifests", "1m.json")) as f:
+        assert json.load(f)["total_rows"] == n_rows
 
 
 def test_interrupted_append_leaves_partials_unused(corpus, tmp_path, monkeypatch):

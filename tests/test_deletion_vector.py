@@ -34,6 +34,7 @@ from contest_parsing_ray.stages.deletion_vector import (
     load_deletion_vectors,
     read_deduped_dv,
 )
+from contest_parsing_ray.state.manifest import fingerprint_input
 from test_rollup import _norm, _oracle
 
 TIERS = {"1m": 60_000_000, "5m": 300_000_000, "1h": 3_600_000_000}
@@ -55,7 +56,8 @@ def build_deduped_dv(input_path: str, out_dir: str, **kw) -> dict:
     """The deletion-vector build with the default config's partials."""
     cfg = PipelineConfig()
     return deletion_vector.build_deduped_dv(
-        input_path, out_dir, _fused_partial_fn(cfg), _fused_partials_fp(cfg), **kw
+        input_path, out_dir, _fused_partial_fn(cfg),
+        _fused_partials_fp(cfg, fingerprint_input(input_path)), **kw
     )
 
 
@@ -285,24 +287,23 @@ def test_dv_manifest_io_accepts_file_uri(tmp_path):
     """A file:// out_dir must write the manifest AT the resolved path —
     a raw open() would create a literal './file:/...' directory relative
     to the cwd (the round-3 stray artifact this guards against)."""
-    import json
     import os
 
     from contest_parsing_ray.stages.deletion_vector import (
-        _read_dv_manifest,
-        _write_dv_manifest,
         dv_manifest_file,
+        read_dv_manifest,
     )
+    from contest_parsing_ray.state.manifest import write_manifest
 
     out = str(tmp_path / "dv_out")
     uri = "file://" + out
-    _write_dv_manifest(uri, {"files": [], "policy": "first"})
+    write_manifest(dv_manifest_file(uri), {"files": [], "policy": "first"})
     # the manifest exists at the RESOLVED local path
     assert os.path.exists(dv_manifest_file(out))
     assert not os.path.exists("file:")  # no literal URI-named dir in cwd
-    m = _read_dv_manifest(uri)
+    m = read_dv_manifest(uri)
     assert m["policy"] == "first"
-    assert _read_dv_manifest(out) == m  # plain-path read sees the same file
+    assert read_dv_manifest(out) == m  # plain-path read sees the same file
 
 
 def test_dv_uri_out_dir_raises(tmp_path, sequences_dir):
@@ -319,7 +320,7 @@ def test_dv_uri_out_dir_raises(tmp_path, sequences_dir):
     fn = _fused_partial_fn(PipelineConfig())
     for call in (
         lambda: build_deduped_dv(sequences_dir, uri),
-        lambda: append_deduped_dv(sequences_dir, uri, fn),
+        lambda: append_deduped_dv(sequences_dir, uri, fn, "fp"),
         lambda: fused_partial_files(uri, "fp"),
     ):
         with pytest.raises(ValueError, match="local out_dir"):

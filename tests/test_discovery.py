@@ -127,27 +127,34 @@ def test_find_files_uri_inputs(corpus):
 
 
 def test_manifest_roundtrip_uri(tmp_path):
+    from contest_parsing_ray.stages.retention import (
+        read_tier_manifest,
+        tier_needs_build,
+        write_tier_manifest,
+    )
     from contest_parsing_ray.state.manifest import (
         clear_dir,
         fingerprint_input,
         input_file_fingerprints,
         read_manifest,
-        tier_is_complete,
         write_manifest,
     )
 
-    d = tmp_path / "tier"
+    d = tmp_path / "out"
     (tmp_path / "in").mkdir()
     (tmp_path / "in" / "a.parquet").write_bytes(b"x" * 10)
     uri = "file://" + str(d)
-    write_manifest(uri, {"completed": True, "input_fingerprint": "f",
-                         "config_fingerprint": "c"})
-    assert read_manifest(str(d))["completed"] is True  # plain path reads it
-    assert tier_is_complete(uri, "f", "c")
+    write_manifest(uri + "/m.json", {"completed": True})
+    assert read_manifest(str(d / "m.json")) == {"completed": True}  # plain path
+    write_tier_manifest(uri, "1m", {"completed": True, "input_fingerprint": "f",
+                                    "config_fingerprint": "c"})
+    assert read_tier_manifest(str(d), "1m")["completed"] is True
+    assert not tier_needs_build(uri, "1m", "f", "c")
     # fingerprints agree between plain and URI forms of the same input
     fin = str(tmp_path / "in")
     assert fingerprint_input(fin) == fingerprint_input("file://" + fin)
     ff = input_file_fingerprints("file://" + fin)
     assert len(ff) == 1 and list(ff.values())[0].startswith("10:")
     clear_dir(uri)
-    assert read_manifest(str(d)) is None
+    assert read_tier_manifest(str(d), "1m") is None
+    assert tier_needs_build(str(d), "1m", "f", "c")

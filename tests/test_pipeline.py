@@ -259,6 +259,18 @@ def test_retention_expiry(sequences_dir, out_dir):
     assert man["retention"][0]["dropped"] == res["dropped"]
     assert man["total_rows"] == res["kept"]
 
+    # the pipeline expires the tier before it encodes the chunks: no chunk
+    # holds an expired point, and the chunks hold exactly the tier's rows
+    out2 = out_dir + "-pipeline"
+    cfg2 = PipelineConfig(tiers=("1m",), out_dir=out2, retention_keep=("1h",))
+    m = run_rollup_pipeline(sequences_dir, cfg2, retention_now_us=now)
+    assert m["tiers"]["1m"]["retention_dropped"] == res["dropped"]
+    chunks = pads.dataset(os.path.join(out2, "chunks", "tier=1m")).to_table()
+    assert min(chunks.column("t0").to_pylist()) >= now - 3_600_000_000
+    n_rows = pads.dataset(tier_data_dir(out2, "1m"), partitioning="hive").count_rows()
+    assert n_rows == read_tier_manifest(out2, "1m")["total_rows"] == res["kept"]
+    assert sum(chunks.column("n_points").to_pylist()) == n_rows
+
 
 def test_csv_sink_roundtrip(sequences_dir, tmp_path):
     """S6: rollup points exported via the native CSV sink read back

@@ -84,16 +84,3 @@ def test_align_concat():
     assert got["k"].tolist() == [1, 2, 3]
     assert got.loc[1, "x"] == 20.0 and got.loc[1, "y"] == 200.0
     assert np.isnan(got.loc[0, "y"]) and np.isnan(got.loc[2, "x"])
-
-
-def test_metrics_helpers(tmp_path):
-    from contest_parsing_ray.metrics import corpus_stats, stage_timer
-
-    m: dict = {}
-    with stage_timer(m, "s1"):
-        pass
-    assert "s1" in m["stage_seconds"]
-    (tmp_path / "sub").mkdir()
-    (tmp_path / "sub" / "f.bin").write_bytes(b"12345")
-    stats = corpus_stats(str(tmp_path))
-    assert stats["sub"] == 5
