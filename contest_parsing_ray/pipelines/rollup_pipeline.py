@@ -36,14 +36,22 @@ fixed costs are the serial fraction that caps scaling efficiency):
             on (tier, source, bucket_us). Either way each group merges
             once, so the tiers do not depend on the partition count. The
             merged points (one per (source, bucket), orders of magnitude
-            below the partials) are gathered; the mergeable state,
-            gap-fill and the hive write (tier, source) run driver-side.
-            A small default build therefore runs ONE Ray Data execution,
-            the scan (the probe is plain Ray tasks).
+            below the partials) are gathered as one Arrow table sorted by
+            (tier, source, bucket). The tail is columnar and driver-side:
+            per tier, ONE vectorized gap-fill over all its sources
+            (stages/gapfill.py), then the state and data files of each
+            (tier, source), written tmp-then-move from zero-copy slices of
+            that tier's rows, with the lineage stats computed from the
+            same slices. An append reads the stored state of the sources
+            it touches straight into the tier-tagged schema, one parquet
+            file per (tier, source). A small default build therefore runs
+            ONE Ray Data execution, the scan (the probe is plain Ray
+            tasks).
   retention (only with an explicit clock): expired points leave the
             written tier data and state.
   [exec 5]  compress: one driver-side delta-of-delta/Gorilla pass over
-            what is left of the tiers → out/chunks/tier=<t>/, so no chunk
+            what is left of the tiers (each tier's ``bucket_us`` and
+            ``sum_v`` only, read once) → out/chunks/tier=<t>/, so no chunk
             holds an expired point.
 
 One path for a build, a reuse and an append. The run first decides what
@@ -79,7 +87,7 @@ import ray.data
 from ..config import PipelineConfig
 from ..stages import _shuffle, deletion_vector
 from ..stages.retention import read_tier_manifest, tier_needs_build
-from ..stages.rollup import PartialRollup, _merge_partition
+from ..stages.rollup import PartialRollup, _key_codes, _merge_partition, _run_heads
 from ..state.manifest import (
     clear_dir,
     fingerprint_config,
@@ -164,22 +172,26 @@ def _tier_tagged(t: pa.Table, tiers: list[str]) -> pa.Table:
     )
 
 
-def _merge_tagged(t: pa.Table, cap: int) -> pd.DataFrame:
-    """Final points plus mergeable state (``qsum``) of tier-tagged rows:
-    one ``_merge_partition`` call per tier, which merges each group's rows
-    in one canonical order (see :func:`stages.rollup._merge_partition`)."""
+# the merged points with their mergeable state, tier-tagged
+_MERGED = pa.schema([*list(_TAGGED)[:-1], ("p95_v", pa.float64()), _TAGGED.field("qsum")])
+
+
+def _merge_tagged(t: pa.Table, cap: int) -> pa.Table:
+    """Final points plus mergeable state (``qsum``) of tier-tagged rows, in
+    the ``_MERGED`` schema: one ``_merge_partition`` call per tier, which
+    merges each group's rows in one canonical order (see
+    :func:`stages.rollup._merge_partition`)."""
     tier = t["tier"]
-    outs = [
-        _merge_partition(
+    outs = [_MERGED.empty_table()]
+    for name in pc.unique(tier).to_pylist():
+        df = _merge_partition(
             t.filter(pc.equal(tier, name)), "source", "bucket_us", cap, 0.95, True
-        ).assign(tier=name)
-        for name in pc.unique(tier).to_pylist()
-    ]
-    if not outs:
-        return _merge_partition(t, "source", "bucket_us", cap, 0.95, True).assign(
-            tier=pd.Series([], dtype=object)
         )
-    return pd.concat(outs, ignore_index=True)
+        pts = pa.Table.from_pandas(
+            df, schema=_MERGED.remove(0), preserve_index=False
+        )
+        outs.append(pts.add_column(0, "tier", pa.repeat(name, len(pts))))
+    return pa.concat_tables(outs)
 
 
 class _Partials:
@@ -245,7 +257,7 @@ def _merge_tiers(
     cap: int,
     metrics: dict,
     prior: pa.Table | None = None,
-) -> pd.DataFrame:
+) -> pa.Table:
     """The one tier merge of the build and the append.
 
     Merges tier-tagged ``prior`` rows (an append's stored state) and the
@@ -271,17 +283,17 @@ def _merge_tiers(
             input_bytes=n_bytes,
         )
         n_parts = len(refs)
-        merged = pd.concat(ray.get(refs), ignore_index=True)
+        merged = pa.concat_tables([_MERGED.empty_table(), *ray.get(refs)])
     metrics["tier_merge"] = {
         "partitions": n_parts,
         "partial_rows": int(n_rows),
         "partial_bytes": int(n_bytes),
     }
-    return merged.sort_values(TIER_KEY, kind="stable", ignore_index=True)
+    return merged.sort_by([(c, "ascending") for c in TIER_KEY])
 
 
 def _write_merged(
-    merged: pd.DataFrame,
+    merged: pa.Table,
     tiers: dict,
     cfg: PipelineConfig,
     with_gapfill: bool,
@@ -291,24 +303,20 @@ def _write_merged(
     sources: list[str] | None = None,
 ) -> dict[str, dict]:
     """Write each tier's state and its (gap-filled) public data from the
-    merged frame; ``sources`` limits the rewrite to those sources (the
-    append). Returns the tier manifests."""
+    merged table, sorted by ``TIER_KEY``: per tier one fill call over all
+    its sources, then one file per (tier, source) each for the state and
+    the data, sliced from that tier's rows. ``sources`` limits the rewrite
+    to those sources (the append). Returns the tier manifests."""
     from ..stages.gapfill import fill_group_pandas
     from ..stages.retention import write_tier_state_local, write_tiers_local
 
     manifests = {}
     for name, width in tiers.items():
-        m = merged[merged["tier"] == name].drop(columns=["tier"])
+        m = merged.filter(pc.equal(merged["tier"], name)).drop_columns(["tier"])
         write_tier_state_local(cfg.out_dir, name, m, sources=sources)
-        data = m.drop(columns=["qsum"])
-        if with_gapfill and len(data):
-            data = pd.concat(
-                [
-                    fill_group_pandas(g, width, cfg.gapfill_mode)
-                    for _, g in data.groupby("source", sort=False)
-                ],
-                ignore_index=True,
-            )
+        data = m.drop_columns(["qsum"])
+        if with_gapfill:
+            data = fill_group_pandas(data, width, cfg.gapfill_mode)
         manifests.update(
             write_tiers_local(
                 {name: data}, cfg.out_dir, input_fp, config_fp,
@@ -333,20 +341,17 @@ def _token_totals(partials: _Partials) -> dict[str, int]:
 
 def _stored_state(out_dir: str, tiers: dict, sources: list[str]) -> pa.Table | None:
     """The stored tier state of ``sources``, tier-tagged: the prior rows an
-    append merges its partials into."""
-    from ..stages.retention import read_tier_state
+    append merges its partials into, one file read per (tier, source)."""
+    from ..stages.retention import STATE_FILE, tier_state_dir
 
     state = []
     for name in tiers:
-        st = read_tier_state(out_dir, name, sources)
-        if len(st):
-            state.append(
-                pa.Table.from_pandas(
-                    st.assign(tier=name)[_TAGGED.names],
-                    schema=_TAGGED,
-                    preserve_index=False,
-                )
-            )
+        for src in sources:
+            path = os.path.join(tier_state_dir(out_dir, name), f"source={src}", STATE_FILE)
+            if os.path.exists(path):
+                t = pq.ParquetFile(path).read(columns=_TAGGED.names[2:])
+                tag = [pa.repeat(name, len(t)), pa.repeat(src, len(t))]
+                state.append(pa.table([*tag, *t.columns], schema=_TAGGED))
     return pa.concat_tables(state) if state else None
 
 
@@ -577,13 +582,15 @@ def run_rollup_pipeline(
 
 def _recompress_tiers(cfg: PipelineConfig, tiers: dict) -> None:
     """Driver-side chunk rebuild over the (compact) tier data — the compress
-    stage of the build and of the append."""
+    stage of the build and of the append. Each tier's ``bucket_us`` and
+    ``sum_v`` are read once; every source's series is encoded in the order
+    the sources first appear in that read, by bucket."""
     import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
 
     from ..stages.compress import encode_chunk
     from ..stages.retention import tier_data_dir
 
+    step = cfg.chunk_points
     for name in tiers:
         # per tier: a partial resume rebuilds only its own tiers' chunks
         tdir = os.path.join(cfg.out_dir, "chunks", f"tier={name}")
@@ -591,21 +598,26 @@ def _recompress_tiers(cfg: PipelineConfig, tiers: dict) -> None:
         data_dir = tier_data_dir(cfg.out_dir, name)
         if not os.path.isdir(data_dir):  # a tier with no points
             continue
-        df = pads.dataset(data_dir, partitioning="hive").to_table().to_pandas()
+        t = pads.dataset(data_dir, partitioning="hive").to_table(
+            columns=["source", "bucket_us", "sum_v"]
+        )
+        codes, keys = _key_codes(t["source"])
+        ts = t["bucket_us"].to_numpy()
+        order = np.lexsort((ts, codes))
+        ts = ts[order].astype(np.int64, copy=False)
+        vals = t["sum_v"].to_numpy()[order].astype(np.float64, copy=False)
+        heads = _run_heads(codes[order])
         rows = []
-        for src, g in df.groupby("source", sort=False):
-            g = g.sort_values("bucket_us", kind="stable")
-            ts = g["bucket_us"].to_numpy(dtype=np.int64)
-            vals = g["sum_v"].to_numpy(dtype=np.float64)
-            for ci, lo in enumerate(range(0, len(ts), cfg.chunk_points)):
-                c = encode_chunk(
-                    ts[lo : lo + cfg.chunk_points],
-                    vals[lo : lo + cfg.chunk_points],
-                )
+        for src, lo, hi in zip(keys.to_pylist(), heads, np.append(heads[1:], len(ts))):
+            for ci, c0 in enumerate(range(lo, hi, step)):
+                c1 = min(c0 + step, hi)
+                c = encode_chunk(ts[c0:c1], vals[c0:c1])
                 c["source"] = src
                 c["chunk_id"] = np.int64(ci)
                 rows.append(c)
         os.makedirs(tdir, exist_ok=True)
+        # through pandas, as before, so the chunk files keep their schema
+        # metadata byte for byte
         pq.write_table(
             pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False),
             os.path.join(tdir, "chunks-0000.parquet"),

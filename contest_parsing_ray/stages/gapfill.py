@@ -10,26 +10,32 @@ synthesized points.
 Modes:
 - ``locf``   — last observation carried forward for the value columns.
 - ``linear`` — linear interpolation between the neighboring observed
-  buckets (count stays 0 for filled rows in both modes).
+  buckets, on grid positions (count stays 0 for filled rows in both modes).
 
-Execution: one keyed exchange on the source over the ROLLUP rows (not raw
-events); each partition runs :func:`fill_group_pandas` per source of a
-pandas ``groupby``. Rollup rows are tiny (one per bucket), so even years of
-1m buckets per source is ~O(10^5-10^6) small rows per group: safely
-in-memory and the Python cost is per source, with vectorized pandas
-reindexing inside. For sources whose full bucket range exceeds memory,
-partition the bucket range and carry the last observed row per boundary
-(the per-series encoder in ``compress.py`` carries its previous point the
-same way, inside one group).
+Execution: :func:`fill_group_pandas` fills every key of a table sorted by
+(key, bucket) in one vectorized numpy pass: the key runs are segments (as
+in ``rollup._merge_partition``), each segment's grid is laid out by one
+cumulative sum, LOCF gathers from a ``np.maximum.accumulate`` index of
+the last valid row, and linear calls ``np.interp`` once per value column
+over the whole table (a segment's interior gaps lie between two of its own
+valid rows, so the global positions give the same line as the segment's).
+The flagship tail calls it once per tier, and the :func:`gapfill` query
+stage once per partition of one keyed exchange on the key. Rollup rows
+are tiny (one per bucket), so even years of 1m buckets per source is
+~O(10^5-10^6) rows per key: safely in memory. For sources whose full
+bucket range exceeds memory, partition the bucket range and carry the
+last observed row per boundary (the per-series encoder in ``compress.py``
+carries its previous point the same way, inside one group).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 import ray.data
 
 from ._shuffle import hash_partitioned_map
+from .rollup import _key_codes, _run_heads
 
 VALUE_COLS = ("sum_v", "min_v", "max_v", "p95_v")
 
@@ -46,41 +52,99 @@ def gapfill(
     if mode not in ("locf", "linear"):
         raise ValueError("mode must be 'locf' or 'linear'")
 
-    def fill(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.concat(
-            [
-                fill_group_pandas(g, width_us, mode, key_col, value_cols)
-                for _, g in df.groupby(key_col, sort=False, dropna=False)
-            ],
-            ignore_index=True,
-        )
+    def fill(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(key_col, "ascending"), ("bucket_us", "ascending")])
+        return fill_group_pandas(t, width_us, mode, key_col, value_cols)
 
-    return hash_partitioned_map(rollup, [key_col], fill, batch_format="pandas")
+    return hash_partitioned_map(rollup, [key_col], fill)
 
 
 def fill_group_pandas(
-    g: pd.DataFrame,
+    t: pa.Table,
     width_us: int,
     mode: str,
     key_col: str = "source",
     value_cols: tuple[str, ...] = VALUE_COLS,
-) -> pd.DataFrame:
-    """Gap-fill ONE key's rows (shared by the exchange path and the
-    driver-side tier writer)."""
-    g = g.sort_values("bucket_us", kind="stable")
-    lo, hi = int(g["bucket_us"].iloc[0]), int(g["bucket_us"].iloc[-1])
-    grid = np.arange(lo, hi + width_us, width_us, dtype=np.int64)
-    g = g.set_index("bucket_us").reindex(grid)
-    filled = g["cnt"].isna()
-    g["cnt"] = g["cnt"].fillna(0).astype(np.int64)
-    g[key_col] = g[key_col].ffill().bfill()
-    for c in value_cols:
-        if c not in g.columns:
-            continue
-        if mode == "locf":
-            g[c] = g[c].ffill()
-        else:
-            g[c] = g[c].interpolate(method="linear", limit_direction="forward")
-    g["filled"] = filled.to_numpy()
-    g.index.name = "bucket_us"
-    return g.reset_index()
+) -> pa.Table:
+    """Gap-fill every key of ``t`` (shared by the :func:`gapfill` stage and
+    the flagship tail, which calls it once per tier).
+
+    ``t`` holds at most one row per (key, bucket), sorted by (``key_col``,
+    ``bucket_us``), with a null-free key and every bucket on its key's
+    ``width_us`` grid. Returns ``bucket_us``, then the other columns in
+    their order, then ``filled``: each key's rows from its first to its
+    last observed bucket, ``cnt`` 0 on filled rows, the value columns filled
+    per ``mode`` as float64 (observed NaNs too, as pandas ``ffill`` /
+    ``interpolate`` do), every other column null on filled rows.
+    """
+    if mode not in ("locf", "linear"):
+        raise ValueError("mode must be 'locf' or 'linear'")
+    names = ["bucket_us", *(c for c in t.column_names if c != "bucket_us")]
+    n = len(t)
+    if n == 0:
+        return t.select(names).append_column("filled", pa.array([], pa.bool_()))
+    codes, keys = _key_codes(t[key_col])
+    heads = _run_heads(codes)
+    if len(keys) != len(heads):
+        raise ValueError(f"rows must be sorted by ({key_col}, bucket_us)")
+    seg = np.repeat(np.arange(len(heads)), np.diff(heads, append=n))
+    b = t["bucket_us"].to_numpy().astype(np.int64, copy=False)
+    first = b[heads]
+    off = b - first[seg]
+    pos = off // width_us
+    step = np.diff(pos)
+    if (off % width_us).any() or (step[seg[1:] == seg[:-1]] <= 0).any():
+        raise ValueError(
+            "buckets must be unique, sorted and on the width grid per key"
+        )
+    # each segment's grid: its observed rows land at start + grid position
+    last = np.append(heads[1:], n) - 1
+    size = pos[last] + 1
+    start = np.zeros(len(heads), dtype=np.int64)
+    np.cumsum(size[:-1], out=start[1:])
+    m = int(start[-1] + size[-1])
+    dest = start[seg] + pos
+    seg_out = np.repeat(np.arange(len(heads)), size)
+    observed = np.zeros(m, dtype=bool)
+    observed[dest] = True
+    src = np.zeros(m, dtype=np.int64)
+    src[dest] = np.arange(n)
+    take = pa.array(src, mask=~observed)
+    lo = start[seg_out]
+    cols = {
+        "bucket_us": first[seg_out] + (np.arange(m) - lo) * np.int64(width_us),
+        key_col: t[key_col].take(pa.array(heads[seg_out])),
+    }
+    for c in names[1:]:
+        if c == "cnt":
+            cnt = np.zeros(m, dtype=np.int64)
+            cnt[dest] = t[c].to_numpy()
+            cols[c] = cnt
+        elif c in value_cols:
+            v = np.full(m, np.nan)
+            v[dest] = t[c].to_numpy(zero_copy_only=False).astype(np.float64)
+            cols[c] = _fill_values(v, lo, lo + size[seg_out], mode)
+        elif c != key_col:
+            cols[c] = t[c].take(take)
+    cols["filled"] = ~observed
+    return pa.table({c: cols[c] for c in (*names, "filled")})
+
+
+def _fill_values(v: np.ndarray, lo: np.ndarray, hi: np.ndarray, mode: str) -> np.ndarray:
+    """Fill the NaNs of ``v`` within each row's segment ``[lo, hi)``: LOCF
+    from the segment's last valid row before it; linear between its valid
+    neighbours, or the last valid value after the segment's last one. A NaN
+    before a segment's first valid row stays NaN in both modes."""
+    valid = ~np.isnan(v)
+    if valid.all():
+        return v
+    idx = np.arange(len(v))
+    prev = np.maximum.accumulate(np.where(valid, idx, -1))
+    has_prev = prev >= lo
+    out = np.where(has_prev, v[prev], np.nan)
+    if mode == "linear":
+        nxt = np.minimum.accumulate(np.where(valid, idx, len(v))[::-1])[::-1]
+        inner = has_prev & (nxt < hi) & ~valid
+        if inner.any():
+            out[inner] = np.interp(idx[inner], idx[valid], v[valid])
+    return out

@@ -23,10 +23,13 @@ atomicity/lineage design from SURVEY §4 (idempotent writes, per-partition
 manifest, skip-completed-on-resume). Rollup tiers are compact by design
 (one row per (source, bucket)), so the pipeline merges them into driver
 memory and writes them from there: one parquet file per (tier, source),
-each written tmp-then-move, with the per-partition stats computed from the
-frame being written. The mergeable tier STATE (``rollup/state/``) is
-written the same way. An incremental append rewrites only the sources it
-touched.
+each written tmp-then-move from a zero-copy slice of the tier's Arrow
+table (sorted by source), with the per-partition stats
+(:func:`partition_stats`: rows and an exact digest) computed from that
+slice. The mergeable tier STATE (``rollup/state/``) is written the same
+way. An incremental append rewrites only the sources it touched.
+Retention expiry rewrites the partition stats of every data file it
+keeps, so the manifest's partitions always describe the files on disk.
 
 Every file op goes through ``pyarrow.fs`` (``..fsutil``), so ``out_dir``
 may be a plain local path or an ``s3://``-style URI; resolved filesystems
@@ -35,6 +38,9 @@ are picklable and ride into the Ray tasks of the parallel retention pass.
 
 from __future__ import annotations
 
+import hashlib
+import posixpath
+
 import numpy as np
 import pyarrow as pa
 import ray
@@ -42,6 +48,7 @@ from pyarrow import fs as pafs
 
 from ..fsutil import join_path, resolve_fs
 from ..state.manifest import clear_dir, read_manifest, write_manifest
+from .rollup import _key_codes, _run_heads
 
 
 def _is_dir(fsys: pafs.FileSystem, path: str) -> bool:
@@ -90,32 +97,56 @@ def _write_atomic(fsys: pafs.FileSystem, table: pa.Table, path: str) -> None:
     fsys.move(tmp, path)
 
 
+def partition_stats(t: pa.Table) -> dict:
+    """Lineage stats of one written partition: its rows and an exact digest
+    of its columns (names, types and every value, in row order), so any
+    changed value, swapped row or dropped row changes the checksum, and
+    the same rows give the same checksum however they are chunked."""
+    h = hashlib.sha256()
+    for name, col in zip(t.column_names, t.columns):
+        h.update(f"{name}:{col.type}:{col.null_count};".encode())
+        if pa.types.is_primitive(col.type) and not col.null_count:
+            h.update(np.ascontiguousarray(col.to_numpy()))
+        else:
+            for v in col.to_pylist():
+                b = v if isinstance(v, bytes) else repr(v).encode()
+                h.update(len(b).to_bytes(8, "little") + b)
+    return {"rows": len(t), "checksum": int.from_bytes(h.digest()[:6], "big")}
+
+
 def _write_per_key(
-    df, root: str, key_col: str, fname: str, keys: list[str] | None
-) -> list:
-    """One ``fname`` per key under ``root/<key_col>=<k>/``; returns the
-    written ``(key, group)`` pairs. Without ``keys`` the whole ``root`` is
-    cleared first; with it, only those keys' files are rewritten and every
-    other key's files stay as they are."""
+    t: pa.Table, root: str, key_col: str, fname: str, keys: list[str] | None
+) -> list[tuple[str, pa.Table]]:
+    """One ``fname`` per key under ``root/<key_col>=<k>/``, written from a
+    zero-copy slice of ``t`` (whose rows of one key must be contiguous)
+    without the key column; returns the written ``(key, rows)`` pairs.
+    Without ``keys`` the whole ``root`` is cleared first; with it, only
+    those keys' files are rewritten and every other key's files stay as
+    they are."""
     if keys is None:
         clear_dir(root)
-    else:
-        df = df[df[key_col].isin(keys)]
+    if not len(t):
+        return []
+    codes, names = _key_codes(t[key_col])
+    heads = _run_heads(codes)
+    if len(names) != len(heads):
+        raise ValueError(f"rows of one {key_col} must be contiguous")
+    body = t.drop_columns([key_col])
     fsys, froot = resolve_fs(root)
-    groups = list(df.groupby(key_col, sort=False))
-    for k, g in groups:
+    written = []
+    for k, lo, hi in zip(names.to_pylist(), heads, np.append(heads[1:], len(t))):
+        if keys is not None and k not in keys:
+            continue
+        part = body.slice(lo, hi - lo)
         pdir = join_path(froot, f"{key_col}={k}")
         fsys.create_dir(pdir, recursive=True)
-        _write_atomic(
-            fsys,
-            pa.Table.from_pandas(g.drop(columns=[key_col]), preserve_index=False),
-            join_path(pdir, fname),
-        )
-    return groups
+        _write_atomic(fsys, part, join_path(pdir, fname))
+        written.append((k, part))
+    return written
 
 
 def write_tiers_local(
-    tier_frames: dict,
+    tier_frames: dict[str, pa.Table],
     out_dir: str,
     input_fp: str,
     config_fp: str,
@@ -123,8 +154,9 @@ def write_tiers_local(
     extra_manifest: dict | None = None,
     sources: list[str] | None = None,
 ) -> dict[str, dict]:
-    """Write tiers merged on the driver (pandas) straight to the hive
-    layout with pyarrow, plus one lineage manifest per tier.
+    """Write tiers merged on the driver (Arrow tables whose rows of one key
+    are contiguous) straight to the hive layout, plus one lineage manifest
+    per tier.
 
     Without ``sources`` each tier is replaced whole. With ``sources`` (an
     incremental append) only those sources' files are rewritten, and the
@@ -132,18 +164,16 @@ def write_tiers_local(
     are replaced and every other field is kept unless ``extra_manifest``
     sets it."""
     manifests: dict[str, dict] = {}
-    for name, df in tier_frames.items():
+    for name, t in tier_frames.items():
         manifest = {}
         if sources is not None:
             manifest = read_tier_manifest(out_dir, name) or {}
         stats = dict(manifest.get("partitions", {}))
-        for k, g in _write_per_key(
-            df, tier_data_dir(out_dir, name), key_col, "part-0000.parquet",
+        for k, part in _write_per_key(
+            t, tier_data_dir(out_dir, name), key_col, "part-0000.parquet",
             sources,
         ):
-            num = g.select_dtypes(include=[np.number]).to_numpy(dtype=np.float64)
-            ck = int(np.abs(np.nan_to_num(num)).sum() * 1000) & 0xFFFFFFFFFFFF
-            stats[str(k)] = {"rows": int(len(g)), "checksum": ck}
+            stats[k] = partition_stats(part)
         manifest.update(
             {
                 "tier": name,
@@ -198,36 +228,44 @@ def apply_retention(
                 if f.is_file and f.path.endswith(".parquet"):
                     jobs.append((f.path, root == troot))
 
-    def expire_file(path: str) -> tuple[int, int]:
-        """Atomic per-file expiry; returns (kept, dropped)."""
+    def expire_file(path: str, is_data: bool) -> tuple[int, int, dict | None]:
+        """Atomic per-file expiry; returns (kept, dropped, and for a data
+        file the partition stats of what is left)."""
         t = pq.read_table(path, filesystem=fsys)
+        n = len(t)
         mask = pa.compute.greater_equal(t["bucket_us"], pa.scalar(cutoff))
-        n_keep = pa.compute.sum(mask.cast(pa.int8())).as_py() or 0
-        if n_keep == len(t):
-            return len(t), 0
-        filtered = t.filter(mask)
-        _write_atomic(fsys, filtered, path)
-        return len(filtered), len(t) - len(filtered)
+        if (pa.compute.sum(mask.cast(pa.int8())).as_py() or 0) < n:
+            t = t.filter(mask)
+            _write_atomic(fsys, t, path)
+        return len(t), n - len(t), partition_stats(t) if is_data else None
 
     if len(jobs) <= 16:
-        results = [expire_file(p) for p, _ in jobs]
+        results = [expire_file(*job) for job in jobs]
     else:
         # many-partition tier: expire files as parallel Ray tasks (each
         # rewrite is atomic per file, so partial failures only leave some
         # files un-expired — rerunning converges)
         expire_remote = ray.remote(num_cpus=1)(expire_file)
-        results = ray.get([expire_remote.remote(p) for p, _ in jobs])
-    for (path, is_data), (n_kept, n_dropped) in zip(jobs, results):
+        results = ray.get([expire_remote.remote(*job) for job in jobs])
+    m = read_tier_manifest(out_dir, tier) or {}
+    # the per-partition lineage follows the files: the data file of
+    # <key_col>=<k> is that partition's rows
+    stats = m.setdefault("partitions", {})
+    for (path, is_data), (n_kept, n_dropped, st) in zip(jobs, results):
         if is_data:
             kept += n_kept
             dropped += n_dropped
-    m = read_tier_manifest(out_dir, tier) or {}
+            part = posixpath.basename(posixpath.dirname(path))
+            stats[part.removeprefix(f"{key_col}=")] = st
     m.setdefault("retention", []).append(
         {"cutoff_us": cutoff, "dropped": dropped, "kept": kept}
     )
     m["total_rows"] = kept
     write_tier_manifest(out_dir, tier, m)
     return {"dropped": dropped, "kept": kept}
+
+
+STATE_FILE = "state-0000.parquet"  # one per (tier, source)
 
 
 def tier_state_dir(out_dir: str, tier: str) -> str:
@@ -242,17 +280,15 @@ def tier_state_dir(out_dir: str, tier: str) -> str:
 def write_tier_state_local(
     out_dir: str,
     tier: str,
-    merged,
+    merged: pa.Table,
     key_col: str = "source",
     sources: list[str] | None = None,
 ) -> None:
     """Write per-source state files (state is rollup-point sized, so it is
-    written from the driver). ``merged`` must include the ``qsum`` column;
+    written from the driver). ``merged`` must include the ``qsum`` column
+    and hold each source's rows contiguously;
     ``sources`` works as in :func:`write_tiers_local`."""
-    _write_per_key(
-        merged, tier_state_dir(out_dir, tier), key_col, "state-0000.parquet",
-        sources,
-    )
+    _write_per_key(merged, tier_state_dir(out_dir, tier), key_col, STATE_FILE, sources)
 
 
 def tier_state_exists(out_dir: str, tier: str) -> bool:
@@ -260,23 +296,12 @@ def tier_state_exists(out_dir: str, tier: str) -> bool:
     return _is_dir(fsys, sroot)
 
 
-def read_tier_state(out_dir: str, tier: str, sources: list[str] | None = None):
-    """State rows (pandas) for the given sources (None = all)."""
-    import pandas as pd
+def read_tier_state(out_dir: str, tier: str):
+    """All sources' state rows of ``tier`` (pandas), or None."""
     import pyarrow.dataset as pads
 
-    sdir = tier_state_dir(out_dir, tier)
-    fsys, sroot = resolve_fs(sdir)
+    fsys, sroot = resolve_fs(tier_state_dir(out_dir, tier))
     if not _is_dir(fsys, sroot):
         return None
-    if sources is None:
-        d = pads.dataset(sroot, partitioning="hive", filesystem=fsys)
-        return d.to_table().to_pandas()
-    frames = []
-    for s in sources:
-        pdir = join_path(sroot, f"source={s}")
-        if _is_dir(fsys, pdir):
-            f = pads.dataset(pdir, filesystem=fsys).to_table().to_pandas()
-            f["source"] = s
-            frames.append(f)
-    return pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
+    d = pads.dataset(sroot, partitioning="hive", filesystem=fsys)
+    return d.to_table().to_pandas()

@@ -12,6 +12,11 @@ per output partition (tier x source), what was computed from which input:
       "completed": true,
     }
 
+``h`` is the first 48 bits of a sha256 over the written partition's column
+names, types and values in row order (``stages.retention.partition_stats``):
+any changed value or row order changes it, and the chunking of the rows
+does not.
+
 On resume, a tier whose manifest matches the current input+config
 fingerprint is skipped wholesale; per-partition rows/checksums give the
 audit trail (metrics lineage). Every JSON manifest of the engine (the

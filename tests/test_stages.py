@@ -5,12 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray.data
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contest_parsing_ray.functions.bucketing import bucket_us
 from contest_parsing_ray.sources.ingest import read_sequences
 from contest_parsing_ray.stages.cumulative import cumulative_counts, cumulative_distinct
-from contest_parsing_ray.stages.gapfill import gapfill
+from contest_parsing_ray.stages.gapfill import VALUE_COLS, fill_group_pandas, gapfill
 from contest_parsing_ray.stages.rollup import rollup_tiers
 from contest_parsing_ray.stages.tree import tree_depth_stats
 from contest_parsing_ray.stages.widen import widen
@@ -103,6 +106,94 @@ def test_gapfill_linear(sequences_dir):
     )
     want = g["sum_v"].iloc[lo] + frac * (g["sum_v"].iloc[hi] - g["sum_v"].iloc[lo])
     assert abs(g["sum_v"].iloc[i] - want) < 1e-6
+
+
+def _fill_one_key_pandas(g, width_us, mode, key_col="source", value_cols=VALUE_COLS):
+    """The per-key pandas gap-fill the vectorized kernel replaced: the
+    oracle of :func:`test_fill_kernel_matches_per_key_pandas`."""
+    g = g.sort_values("bucket_us", kind="stable")
+    lo, hi = int(g["bucket_us"].iloc[0]), int(g["bucket_us"].iloc[-1])
+    grid = np.arange(lo, hi + width_us, width_us, dtype=np.int64)
+    g = g.set_index("bucket_us").reindex(grid)
+    filled = g["cnt"].isna()
+    g["cnt"] = g["cnt"].fillna(0).astype(np.int64)
+    g[key_col] = g[key_col].ffill().bfill()
+    for c in value_cols:
+        if c not in g.columns:
+            continue
+        if mode == "locf":
+            g[c] = g[c].ffill()
+        else:
+            g[c] = g[c].interpolate(method="linear", limit_direction="forward")
+    g["filled"] = filled.to_numpy()
+    g.index.name = "bucket_us"
+    return g.reset_index()
+
+
+@st.composite
+def _rollup_rows(draw):
+    """Rollup rows of 1-4 interleaved sources: each source starts on its own
+    grid offset and holds 1-6 observed buckets (single-row sources included)
+    with gaps of 1-4 widths; up to two observed values are NaN; an extra
+    non-value column rides along on some draws."""
+    rows = []
+    extra = draw(st.booleans())
+    value = st.floats(-1e6, 1e6, allow_nan=False)
+    for s in range(draw(st.integers(1, 4))):
+        b = draw(st.integers(0, 5)) * 60
+        for _ in range(draw(st.integers(1, 6))):
+            row = {"source": f"s{s}", "bucket_us": b, "cnt": draw(st.integers(1, 9))}
+            row.update({c: draw(value) for c in VALUE_COLS})
+            if extra:
+                row["tag"] = draw(st.integers(-5, 5))
+            rows.append(row)
+            b += draw(st.integers(1, 4)) * 60
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.sampled_from(VALUE_COLS))] = np.nan
+    order = draw(st.permutations(range(len(rows))))
+    return pd.DataFrame([rows[i] for i in order])
+
+
+def _two_keys_nan_at_boundary() -> pd.DataFrame:
+    """s0's last observed sum_v and s1's first observed min_v are NaN: a
+    fill must neither read across the key boundary nor carry into it."""
+    df = pd.DataFrame(
+        {"source": ["s0", "s0", "s0", "s1", "s1", "s1"],
+         "bucket_us": [0, 120, 240, 0, 60, 180], "cnt": [1, 2, 3, 4, 5, 6]}
+    )
+    for i, c in enumerate(VALUE_COLS):
+        df[c] = np.arange(6, dtype=np.float64) * 10 + i
+    df.loc[2, "sum_v"] = np.nan
+    df.loc[3, "min_v"] = np.nan
+    return df
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(df=_rollup_rows(), mode=st.sampled_from(["locf", "linear"]))
+@example(df=_two_keys_nan_at_boundary(), mode="linear")
+@example(df=_two_keys_nan_at_boundary(), mode="locf")
+def test_fill_kernel_matches_per_key_pandas(df, mode):
+    """The one-pass fill equals the per-key pandas fill on every column,
+    ``filled`` included, for both modes: gaps of several widths, sources
+    of one row, interleaved input, observed NaNs and a non-value column."""
+    want = pd.concat(
+        [_fill_one_key_pandas(g, 60, mode) for _, g in df.groupby("source")],
+        ignore_index=True,
+    )
+    t = pa.Table.from_pandas(df, preserve_index=False).sort_by(
+        [("source", "ascending"), ("bucket_us", "ascending")]
+    )
+    got = fill_group_pandas(t, 60, mode).to_pandas()
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def test_fill_kernel_rejects_unsorted_and_off_grid_rows():
+    t = pa.table({"source": ["a", "b", "a"], "bucket_us": [0, 0, 60], "cnt": [1, 1, 1]})
+    with pytest.raises(ValueError, match="sorted"):
+        fill_group_pandas(t, 60, "locf")
+    t = pa.table({"source": ["a", "a"], "bucket_us": [0, 90], "cnt": [1, 1]})
+    with pytest.raises(ValueError, match="grid"):
+        fill_group_pandas(t, 60, "locf")
 
 
 def test_widen(sequences_dir):
