@@ -75,8 +75,10 @@ class PipelineConfig:
     gapfill_mode: str = "locf"
 
     # Retention policy per tier (same order as `tiers`): keep-duration spec
-    # or None = keep forever. Applied by the pipeline only when an explicit
-    # `retention_now_us` is passed (no wall clock — deterministic).
+    # or None = keep forever. An explicit `retention_now_us` (no wall clock
+    # — deterministic) moves a tier's stored watermark up to now - keep; the
+    # pipeline drops the merged points below the watermark before it
+    # gap-fills and writes, and a run without a clock uses the stored one.
     retention_keep: tuple[str | None, ...] | None = None
 
     # Compression chunk size (points per Gorilla chunk).

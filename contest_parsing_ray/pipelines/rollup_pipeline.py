@@ -38,7 +38,8 @@ fixed costs are the serial fraction that caps scaling efficiency):
             merged points (one per (source, bucket), orders of magnitude
             below the partials) are gathered as one Arrow table sorted by
             (tier, source, bucket). The tail is columnar and driver-side:
-            per tier, ONE vectorized gap-fill over all its sources
+            per tier, the merged rows below its retention cutoff are
+            dropped, then ONE vectorized gap-fill over all its sources
             (stages/gapfill.py), then the state and data files of each
             (tier, source), written tmp-then-move from zero-copy slices of
             that tier's rows, with the lineage stats computed from the
@@ -47,12 +48,9 @@ fixed costs are the serial fraction that caps scaling efficiency):
             file per (tier, source). A small default build therefore runs
             ONE Ray Data execution, the scan (the probe is plain Ray
             tasks).
-  retention (only with an explicit clock): expired points leave the
-            written tier data and state.
   [exec 5]  compress: one driver-side delta-of-delta/Gorilla pass over
-            what is left of the tiers (each tier's ``bucket_us`` and
-            ``sum_v`` only, read once) → out/chunks/tier=<t>/, so no chunk
-            holds an expired point.
+            the written tiers (each tier's ``bucket_us`` and ``sum_v``
+            only, read once) → out/chunks/tier=<t>/.
 
 One path for a build, a reuse and an append. The run first decides what
 to do with the deduped table: build it; reuse it on resume, when
@@ -64,12 +62,16 @@ scan of the new files and its decide write the delta's partials as the
 build's do (one Ray Data execution, the scan) and record the new input's
 fingerprint when done. Then one tail runs for all three: partials → token
 totals → tier merge (after the stored state of the sources an append
-touches) → tier write (of those sources only, for an append) → retention
-→ compress. When new input is found but the append cannot be taken, the
-run record says why (``append_fallback``).
+touches) → retention cut → tier write (of those sources only, for an
+append) → compress. When new input is found but the append cannot be
+taken, the run record says why (``append_fallback``).
 
-Resume: tiers whose manifest matches the (input, config) fingerprints are
-skipped; the others are rebuilt from the reused (or rebuilt) partials.
+Resume: tiers whose manifest matches the (input, config) fingerprints and
+the tier's retention watermark (``stages/retention.py``) are skipped; the
+others are rebuilt from the reused (or rebuilt) partials. A tier rebuilt
+only because its watermark moved is listed in
+``tiers_recut_by_retention``; an append whose watermark moved rewrites
+every stored source of that tier.
 """
 
 from __future__ import annotations
@@ -86,7 +88,11 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..stages import _shuffle, deletion_vector
-from ..stages.retention import read_tier_manifest, tier_needs_build
+from ..stages.retention import (
+    read_tier_manifest,
+    retention_watermarks,
+    tier_needs_build,
+)
 from ..stages.rollup import PartialRollup, _key_codes, _merge_partition, _run_heads
 from ..state.manifest import (
     clear_dir,
@@ -300,30 +306,55 @@ def _write_merged(
     input_fp: str,
     config_fp: str,
     extras: dict[str, dict],
-    sources: list[str] | None = None,
+    sources: dict[str, list[str]] | None = None,
 ) -> dict[str, dict]:
     """Write each tier's state and its (gap-filled) public data from the
     merged table, sorted by ``TIER_KEY``: per tier one fill call over all
     its sources, then one file per (tier, source) each for the state and
-    the data, sliced from that tier's rows. ``sources`` limits the rewrite
-    to those sources (the append). Returns the tier manifests."""
+    the data, sliced from that tier's rows. ``sources`` limits each tier's
+    rewrite to its listed sources (the append). Returns the tier
+    manifests."""
     from ..stages.gapfill import fill_group_pandas
     from ..stages.retention import write_tier_state_local, write_tiers_local
 
     manifests = {}
     for name, width in tiers.items():
         m = merged.filter(pc.equal(merged["tier"], name)).drop_columns(["tier"])
-        write_tier_state_local(cfg.out_dir, name, m, sources=sources)
+        keys = sources[name] if sources is not None else None
+        write_tier_state_local(cfg.out_dir, name, m, sources=keys)
         data = m.drop_columns(["qsum"])
         if with_gapfill:
             data = fill_group_pandas(data, width, cfg.gapfill_mode)
         manifests.update(
             write_tiers_local(
                 {name: data}, cfg.out_dir, input_fp, config_fp,
-                extra_manifest=extras[name], sources=sources,
+                extra_manifest=extras[name], sources=keys,
             )
         )
     return manifests
+
+
+def _cut(merged: pa.Table, cutoffs: dict[str, int]) -> tuple[pa.Table, dict[str, int]]:
+    """The merged rows without those below their tier's retention cutoff,
+    and the number of rows dropped per tier with a cutoff."""
+    expired = np.zeros(len(merged), dtype=bool)
+    dropped = {}
+    for name, cutoff in cutoffs.items():
+        below = pc.and_(
+            pc.equal(merged["tier"], name), pc.less(merged["bucket_us"], cutoff)
+        ).to_numpy(zero_copy_only=False)
+        dropped[name] = int(below.sum())
+        expired |= below
+    return (merged.filter(~expired) if expired.any() else merged), dropped
+
+
+def _written_below(out_dir: str, tier: str, cutoff: int | None) -> bool:
+    """Whether the stored files of ``tier`` were written below its
+    retention cutoff (or without one)."""
+    if cutoff is None:
+        return False
+    written = (read_tier_manifest(out_dir, tier) or {}).get("retention_cutoff_us")
+    return written is None or written < cutoff
 
 
 def _token_totals(partials: _Partials) -> dict[str, int]:
@@ -339,14 +370,15 @@ def _token_totals(partials: _Partials) -> dict[str, int]:
         }
 
 
-def _stored_state(out_dir: str, tiers: dict, sources: list[str]) -> pa.Table | None:
-    """The stored tier state of ``sources``, tier-tagged: the prior rows an
-    append merges its partials into, one file read per (tier, source)."""
+def _stored_state(out_dir: str, sources: dict[str, list[str]]) -> pa.Table | None:
+    """The stored state of each tier's ``sources``, tier-tagged: the prior
+    rows an append merges its partials into, one file read per (tier,
+    source)."""
     from ..stages.retention import STATE_FILE, tier_state_dir
 
     state = []
-    for name in tiers:
-        for src in sources:
+    for name, keys in sources.items():
+        for src in keys:
             path = os.path.join(tier_state_dir(out_dir, name), f"source={src}", STATE_FILE)
             if os.path.exists(path):
                 t = pq.ParquetFile(path).read(columns=_TAGGED.names[2:])
@@ -447,12 +479,19 @@ def run_rollup_pipeline(
     )
 
     tiers = dict(zip(cfg.tiers, cfg.tier_widths_us))
-    todo = {
-        name: w
-        for name, w in tiers.items()
-        if not resume or tier_needs_build(cfg.out_dir, name, input_fp, config_fp)
+    # retention watermarks, stored before any tier file they govern; a tier
+    # written below its watermark is rebuilt, also when it is current
+    cutoffs = retention_watermarks(
+        cfg.out_dir, cfg.tiers, cfg.retention_keep, retention_now_us, resume
+    )
+    moved = {n for n in tiers if _written_below(cfg.out_dir, n, cutoffs.get(n))}
+    current = {
+        n for n in tiers
+        if resume and not tier_needs_build(cfg.out_dir, n, input_fp, config_fp)
     }
+    todo = {n: w for n, w in tiers.items() if n not in current or n in moved}
     metrics["tiers_skipped_by_resume"] = sorted(set(tiers) - set(todo))
+    metrics["tiers_recut_by_retention"] = sorted(current & moved)
     if not todo:
         metrics["total_seconds"] = time.perf_counter() - t_start
         return metrics
@@ -511,21 +550,29 @@ def run_rollup_pipeline(
     metrics["stage_seconds"]["partials"] = time.perf_counter() - t0
 
     # [exec 4] one merge for every tier (driver-side or one exchange, see
-    # _merge_tiers), then state, gap-fill and the hive write from the
-    # driver. An append merges the stored state of the sources its
-    # partials touch and rewrites only those sources
+    # _merge_tiers), the retention cut, then state, gap-fill and the hive
+    # write from the driver. An append merges the stored state of the
+    # sources its partials touch and rewrites only those sources (every
+    # stored source of a tier whose watermark moved)
     t0 = time.perf_counter()
-    sources = prior = None
+    touched = sources = prior = None
     if append is not None:
-        sources = sorted(
+        touched = sorted(
             pc.unique(partials.read(["source"])["source"]).to_pylist()
             if partials.rows
             else []
         )
-        prior = _stored_state(cfg.out_dir, todo, sources)
+        sources = {
+            n: sorted(set(touched).union(
+                append["manifests"][n]["partitions"] if n in moved else ()
+            ))
+            for n in todo
+        }
+        prior = _stored_state(cfg.out_dir, sources)
     merged = _merge_tiers(
         partials, list(todo), cfg.quantile_cap, metrics, prior=prior
     )
+    merged, dropped = _cut(merged, {n: c for n, c in cutoffs.items() if n in todo})
     extras = {}
     for name in todo:
         stored = append["manifests"][name] if append is not None else {}
@@ -535,9 +582,11 @@ def run_rollup_pipeline(
             for src, d in token_totals.items():
                 totals[src] = int(np.uint64(int(totals.get(src, 0))) + np.uint64(d))
         extras[name] = {"token_checksums": totals, "input_files": current_files}
+        if name in cutoffs:
+            extras[name]["retention_cutoff_us"] = cutoffs[name]
         if append is not None:
             extras[name]["appends"] = stored.get("appends", []) + [
-                {"new_files": append["new_files"], "sources": sources}
+                {"new_files": append["new_files"], "sources": touched}
             ]
     manifests = _write_merged(
         merged, todo, cfg, with_gapfill, input_fp, config_fp, extras,
@@ -548,26 +597,12 @@ def run_rollup_pipeline(
             "points": manifest["total_rows"],
             "partitions": len(manifest["partitions"]),
         }
-        if sources is not None:
-            metrics["tiers"][name]["appended_sources"] = sources
+        if touched is not None:
+            metrics["tiers"][name]["appended_sources"] = touched
+        if name in dropped:
+            metrics["tiers"][name]["retention_cutoff_us"] = cutoffs[name]
+            metrics["tiers"][name]["retention_dropped"] = dropped[name]
     metrics["stage_seconds"]["tiers_write"] = time.perf_counter() - t0
-
-    # retention expiry (only with an explicit clock — deterministic), on
-    # the written tier data and state, before the chunks are encoded from
-    # them: no chunk holds an expired point
-    if retention_now_us is not None and cfg.retention_keep:
-        from ..config import parse_duration_us
-        from ..stages.retention import apply_retention
-
-        t0 = time.perf_counter()
-        for name, keep_spec in zip(cfg.tiers, cfg.retention_keep):
-            if keep_spec is None or name not in metrics["tiers"]:
-                continue
-            res = apply_retention(
-                cfg.out_dir, name, parse_duration_us(keep_spec), retention_now_us
-            )
-            metrics["tiers"][name]["retention_dropped"] = res["dropped"]
-        metrics["stage_seconds"]["retention"] = time.perf_counter() - t0
 
     # [exec 5] chunks are a pure function of the (compact) tiers: encode
     # them driver-side
@@ -596,8 +631,8 @@ def _recompress_tiers(cfg: PipelineConfig, tiers: dict) -> None:
         tdir = os.path.join(cfg.out_dir, "chunks", f"tier={name}")
         clear_dir(tdir)
         data_dir = tier_data_dir(cfg.out_dir, name)
-        if not os.path.isdir(data_dir):  # a tier with no points
-            continue
+        if not os.path.isdir(data_dir) or not os.listdir(data_dir):
+            continue  # a tier with no points
         t = pads.dataset(data_dir, partitioning="hive").to_table(
             columns=["source", "bucket_us", "sum_v"]
         )

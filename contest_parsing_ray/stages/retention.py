@@ -11,11 +11,15 @@ Layout (resumable, partitioned — never one giant file):
     out/rollup/state/tier=<t>/source=<s>/*.parquet mergeable tier state
     out/chunks/tier=<t>/*.parquet                compressed segments
     out/manifests/<t>.json                       per-tier lineage manifest
+    out/manifests/retention.json                 {tier: cutoff_us}, the
+                                                 retention watermarks
 
-A build and an append run the same tail: write the tiers (all sources, or
-the sources the append touched), expire them (:func:`apply_retention`, data
-and state), then encode the chunks from what is left, so a chunk never
-holds an expired point.
+Retention is a stored watermark per tier (:func:`retention_watermarks`),
+not a pass over written files: a build and an append run the same tail,
+which drops the merged rows below the cutoff before it gap-fills and
+writes the tiers (all sources, or the sources the append touched) and
+encodes the chunks. An expired bucket never reaches a data, state or
+chunk file, and each tier manifest records its ``retention_cutoff_us``.
 
 Reference analog: the per-stage Parquet sinks (``MetricsParser.py:139-143``
 etc.) + output clearing (``JoinManager.py:189-195``), upgraded with the
@@ -27,25 +31,22 @@ each written tmp-then-move from a zero-copy slice of the tier's Arrow
 table (sorted by source), with the per-partition stats
 (:func:`partition_stats`: rows and an exact digest) computed from that
 slice. The mergeable tier STATE (``rollup/state/``) is written the same
-way. An incremental append rewrites only the sources it touched.
-Retention expiry rewrites the partition stats of every data file it
-keeps, so the manifest's partitions always describe the files on disk.
+way. An incremental append rewrites only the sources it touched; a
+source left with no rows loses its files and its partition.
 
 Every file op goes through ``pyarrow.fs`` (``..fsutil``), so ``out_dir``
-may be a plain local path or an ``s3://``-style URI; resolved filesystems
-are picklable and ride into the Ray tasks of the parallel retention pass.
+may be a plain local path or an ``s3://``-style URI.
 """
 
 from __future__ import annotations
 
 import hashlib
-import posixpath
 
 import numpy as np
 import pyarrow as pa
-import ray
 from pyarrow import fs as pafs
 
+from ..config import parse_duration_us
 from ..fsutil import join_path, resolve_fs
 from ..state.manifest import clear_dir, read_manifest, write_manifest
 from .rollup import _key_codes, _run_heads
@@ -53,12 +54,6 @@ from .rollup import _key_codes, _run_heads
 
 def _is_dir(fsys: pafs.FileSystem, path: str) -> bool:
     return fsys.get_file_info(path).type == pafs.FileType.Directory
-
-
-def _ls(fsys: pafs.FileSystem, path: str) -> list[pafs.FileInfo]:
-    return sorted(
-        fsys.get_file_info(pafs.FileSelector(path)), key=lambda i: i.path
-    )
 
 
 def _tier_manifest_file(out_dir: str, tier: str) -> str:
@@ -81,6 +76,33 @@ def tier_needs_build(out_dir: str, tier: str, input_fp: str, config_fp: str) -> 
         and m.get("input_fingerprint") == input_fp
         and m.get("config_fingerprint") == config_fp
     )
+
+
+def retention_watermarks(
+    out_dir: str,
+    tiers: tuple[str, ...],
+    keep: tuple[str | None, ...] | None,
+    now_us: int | None,
+    resume: bool,
+) -> dict[str, int]:
+    """Each tier's retention cutoff: ``max(stored cutoff, now_us - keep)``.
+
+    The stored cutoffs are ``manifests/retention.json`` (``{tier:
+    cutoff_us}``), read and written only here; a changed set is written
+    before the caller writes any tier file it governs. A cutoff never moves
+    back while ``resume``; without a clock the stored one holds;
+    ``resume=False`` starts with none stored."""
+    path = join_path(out_dir, "manifests", "retention.json")
+    on_disk = read_manifest(path) or {}
+    marks = dict(on_disk) if resume else {}
+    if now_us is not None:
+        for name, spec in zip(tiers, keep or ()):
+            if spec is not None:
+                cut = now_us - parse_duration_us(spec)
+                marks[name] = max(cut, marks.get(name, cut))
+    if marks != on_disk:
+        write_manifest(path, marks)
+    return marks
 
 
 def tier_data_dir(out_dir: str, tier: str) -> str:
@@ -121,12 +143,11 @@ def _write_per_key(
     zero-copy slice of ``t`` (whose rows of one key must be contiguous)
     without the key column; returns the written ``(key, rows)`` pairs.
     Without ``keys`` the whole ``root`` is cleared first; with it, only
-    those keys' files are rewritten and every other key's files stay as
-    they are."""
+    those keys' files are rewritten (a key of ``keys`` with no rows in
+    ``t`` loses its directory) and every other key's files stay as they
+    are."""
     if keys is None:
         clear_dir(root)
-    if not len(t):
-        return []
     codes, names = _key_codes(t[key_col])
     heads = _run_heads(codes)
     if len(names) != len(heads):
@@ -142,6 +163,10 @@ def _write_per_key(
         fsys.create_dir(pdir, recursive=True)
         _write_atomic(fsys, part, join_path(pdir, fname))
         written.append((k, part))
+    for k in set(keys or ()) - {k for k, _ in written}:
+        pdir = join_path(froot, f"{key_col}={k}")
+        if _is_dir(fsys, pdir):
+            fsys.delete_dir(pdir)
     return written
 
 
@@ -161,14 +186,18 @@ def write_tiers_local(
     Without ``sources`` each tier is replaced whole. With ``sources`` (an
     incremental append) only those sources' files are rewritten, and the
     stored manifest is updated in place: those sources' partition stats
-    are replaced and every other field is kept unless ``extra_manifest``
-    sets it."""
+    are replaced (a source left with no rows loses its partition) and
+    every other field is kept unless ``extra_manifest`` sets it."""
     manifests: dict[str, dict] = {}
     for name, t in tier_frames.items():
         manifest = {}
         if sources is not None:
             manifest = read_tier_manifest(out_dir, name) or {}
-        stats = dict(manifest.get("partitions", {}))
+        stats = {
+            k: v
+            for k, v in manifest.get("partitions", {}).items()
+            if k not in (sources or ())
+        }
         for k, part in _write_per_key(
             t, tier_data_dir(out_dir, name), key_col, "part-0000.parquet",
             sources,
@@ -189,80 +218,6 @@ def write_tiers_local(
         write_tier_manifest(out_dir, name, manifest)
         manifests[name] = manifest
     return manifests
-
-
-def apply_retention(
-    out_dir: str,
-    tier: str,
-    keep_us: int,
-    now_us: int,
-    key_col: str = "source",
-) -> dict:
-    """Retention expiry for one tier: drop rollup points with
-    ``bucket_us < now_us - keep_us`` and record the expiry in the manifest.
-
-    ``now_us`` is an explicit argument (no wall clock — deterministic,
-    reproducible runs). Rewrite is per source-partition file and atomic
-    (tmp + move); untouched partitions are not rewritten.
-    """
-    import pyarrow.parquet as pq
-
-    cutoff = now_us - keep_us
-    tdir = tier_data_dir(out_dir, tier)
-    dropped = 0
-    kept = 0
-    fsys, troot = resolve_fs(tdir)
-    if not _is_dir(fsys, troot):
-        return {"dropped": 0, "kept": 0}
-    # expire the mergeable STATE alongside the data: the public tier is
-    # regenerated from state on incremental append, so a state row that
-    # outlives retention would resurrect its dropped bucket
-    _, sroot = resolve_fs(tier_state_dir(out_dir, tier))
-    roots = [troot] + ([sroot] if _is_dir(fsys, sroot) else [])
-    jobs: list[tuple[str, bool]] = []  # (fs path, counts toward data?)
-    for root in roots:
-        for sub in _ls(fsys, root):
-            if sub.type != pafs.FileType.Directory:
-                continue
-            for f in _ls(fsys, sub.path):
-                if f.is_file and f.path.endswith(".parquet"):
-                    jobs.append((f.path, root == troot))
-
-    def expire_file(path: str, is_data: bool) -> tuple[int, int, dict | None]:
-        """Atomic per-file expiry; returns (kept, dropped, and for a data
-        file the partition stats of what is left)."""
-        t = pq.read_table(path, filesystem=fsys)
-        n = len(t)
-        mask = pa.compute.greater_equal(t["bucket_us"], pa.scalar(cutoff))
-        if (pa.compute.sum(mask.cast(pa.int8())).as_py() or 0) < n:
-            t = t.filter(mask)
-            _write_atomic(fsys, t, path)
-        return len(t), n - len(t), partition_stats(t) if is_data else None
-
-    if len(jobs) <= 16:
-        results = [expire_file(*job) for job in jobs]
-    else:
-        # many-partition tier: expire files as parallel Ray tasks (each
-        # rewrite is atomic per file, so partial failures only leave some
-        # files un-expired — rerunning converges)
-        expire_remote = ray.remote(num_cpus=1)(expire_file)
-        results = ray.get([expire_remote.remote(*job) for job in jobs])
-    m = read_tier_manifest(out_dir, tier) or {}
-    # the per-partition lineage follows the files: the data file of
-    # <key_col>=<k> is that partition's rows
-    stats = m.setdefault("partitions", {})
-    for (path, is_data), (n_kept, n_dropped, st) in zip(jobs, results):
-        if is_data:
-            kept += n_kept
-            dropped += n_dropped
-            part = posixpath.basename(posixpath.dirname(path))
-            stats[part.removeprefix(f"{key_col}=")] = st
-    m.setdefault("retention", []).append(
-        {"cutoff_us": cutoff, "dropped": dropped, "kept": kept}
-    )
-    m["total_rows"] = kept
-    write_tier_manifest(out_dir, tier, m)
-    return {"dropped": dropped, "kept": kept}
 
 
 STATE_FILE = "state-0000.parquet"  # one per (tier, source)

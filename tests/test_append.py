@@ -17,6 +17,7 @@ import shutil
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
@@ -407,6 +408,157 @@ def test_append_modified_prior_file_rebuilds(corpus, tmp_path):
     assert m["tiers"], "rebuilt"
 
 
+HOUR = 3_600_000_000
+KEEP_1M = ("1h", None, None)  # only the 1m tier has a retention duration
+
+
+def _corpus_clock() -> int:
+    """The corpus spans 4 hours from BASE_EPOCH_MINUTE: a clock at its end."""
+    from contest_parsing_ray.sources.synthetic import BASE_EPOCH_MINUTE
+
+    return (BASE_EPOCH_MINUTE + 240) * 60_000_000
+
+
+def _outputs(out_dir: str, tiers=("1m", "5m", "1h")) -> dict:
+    """Every tier data, state and chunk file under ``out_dir``, read. A
+    state file's exact quantile blobs are compared as their sorted values:
+    an append concatenates a group's values in another order than a
+    build does."""
+    from contest_parsing_ray.state.sketches import QuantileSummary
+
+    files = {}
+    for tier in tiers:
+        for sub in ("rollup/data", "rollup/state", "chunks"):
+            root = os.path.join(out_dir, sub, f"tier={tier}")
+            for d, _, names in os.walk(root):
+                for f in names:
+                    path = os.path.join(d, f)
+                    t = pq.read_table(path)
+                    if sub == "rollup/state":
+                        vals = [
+                            np.sort(QuantileSummary.from_bytes(b).values).tolist()
+                            for b in t["qsum"].to_pylist()
+                        ]
+                        t = t.set_column(
+                            t.schema.get_field_index("qsum"), "qsum", pa.array(vals)
+                        )
+                    files[os.path.relpath(path, out_dir)] = t
+    return files
+
+
+def _assert_same_outputs(got: dict, want: dict) -> None:
+    assert sorted(got) == sorted(want)
+    for k in want:
+        assert got[k].equals(want[k]), k
+
+
+def test_partial_resume_keeps_retention_cutoff(corpus, tmp_path):
+    """The cutoff is stored apart from the tier manifests: deleting
+    ``manifests/1m.json`` after a clocked build and resuming without a
+    clock rebuilds the 1m tier from the partials, which hold every
+    bucket, and cuts it at the stored cutoff again."""
+    out = str(tmp_path / "out")
+    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP, retention_keep=KEEP_1M)
+    now = _corpus_clock()
+    run_rollup_pipeline(corpus, cfg, retention_now_us=now)
+    before = _outputs(out, ["1m"])
+    os.remove(os.path.join(out, "manifests", "1m.json"))
+    m = run_rollup_pipeline(corpus, cfg)
+    assert list(m["tiers"]) == ["1m"]
+    assert m["tiers"]["1m"]["retention_cutoff_us"] == now - HOUR
+    assert not {"dedup_probe", "dv_scan_write"} & set(m["stage_seconds"])
+    _assert_same_outputs(_outputs(out, ["1m"]), before)
+    with open(os.path.join(out, "manifests", "1m.json")) as f:
+        assert json.load(f)["retention_cutoff_us"] == now - HOUR
+
+
+@pytest.mark.parametrize("later_min", [0, 60], ids=["same_clock", "later_clock"])
+def test_append_with_clock_equals_fresh_build(corpus, tmp_path, later_min):
+    """A clocked build plus a one-file append equals a fresh build with
+    the append's clock (tier data, state and chunks): gap-fill never sees
+    an expired bucket, so the LOCF row at the cutoff cannot depend on what
+    was expired before. The appended file holds rows of two sources only,
+    from the whole corpus span (late rows below the cutoff included); at a
+    later clock the append also re-cuts the sources it did not touch."""
+    out = str(tmp_path / "out")
+    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP, retention_keep=KEEP_1M)
+    now = _corpus_clock()
+    run_rollup_pipeline(corpus, cfg, retention_now_us=now)
+    extra = make_sequences_table(2_000, seed=7)
+    two = pc.unique(extra["source"]).to_pylist()[:2]
+    extra = extra.filter(pc.is_in(extra["source"], pa.array(two)))
+    pq.write_table(extra, os.path.join(corpus, "part-9000.parquet"))
+
+    later = now + later_min * 60_000_000
+    m = run_rollup_pipeline(corpus, cfg, retention_now_us=later)
+    assert m["incremental_append"] is True
+    assert m["tiers"]["1m"]["appended_sources"] == sorted(two)
+    assert m["tiers"]["1m"]["retention_cutoff_us"] == later - HOUR
+    assert m["tiers"]["1m"]["retention_dropped"] > 0
+    fresh = str(tmp_path / "fresh")
+    run_rollup_pipeline(
+        corpus,
+        PipelineConfig(out_dir=fresh, quantile_cap=CAP, retention_keep=KEEP_1M),
+        retention_now_us=later,
+        resume=False,
+    )
+    _assert_same_outputs(_outputs(out), _outputs(fresh))
+    for tier in ("1m", "5m", "1h"):
+        with open(os.path.join(out, "manifests", f"{tier}.json")) as f:
+            got = json.load(f)
+        with open(os.path.join(fresh, "manifests", f"{tier}.json")) as f:
+            want = json.load(f)
+        for key in ("partitions", "total_rows"):
+            assert got[key] == want[key], (tier, key)
+        assert got.get("retention_cutoff_us") == want.get("retention_cutoff_us")
+
+
+def test_later_clock_recuts_current_out_dir(corpus, tmp_path):
+    """A later clock on an out_dir whose tiers are all current re-cuts the
+    tiers whose watermark moved, from the reused partials (no probe, no
+    scan), says so in the run record, and equals a fresh build with that
+    clock; an earlier clock, or none, moves no watermark back."""
+    out = str(tmp_path / "out")
+    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP, retention_keep=KEEP_1M)
+    now = _corpus_clock()
+    first = run_rollup_pipeline(corpus, cfg, retention_now_us=now)
+    m = run_rollup_pipeline(corpus, cfg, retention_now_us=now + HOUR)
+    assert m["tiers_recut_by_retention"] == ["1m"]
+    assert m["tiers_skipped_by_resume"] == ["1h", "5m"]
+    assert not {"dedup_probe", "dv_scan_write"} & set(m["stage_seconds"])
+    assert m["tiers"]["1m"]["retention_dropped"] > 0
+    assert m["tiers"]["1m"]["points"] < first["tiers"]["1m"]["points"]
+    fresh = str(tmp_path / "fresh")
+    run_rollup_pipeline(
+        corpus,
+        PipelineConfig(out_dir=fresh, quantile_cap=CAP, retention_keep=KEEP_1M),
+        retention_now_us=now + HOUR,
+        resume=False,
+    )
+    recut = _outputs(out)
+    _assert_same_outputs(recut, _outputs(fresh))
+    for clock in (now, None):
+        m = run_rollup_pipeline(corpus, cfg, retention_now_us=clock)
+        assert m["tiers"] == {} and m["tiers_recut_by_retention"] == []
+    _assert_same_outputs(_outputs(out), recut)
+
+
+def test_keyed_rewrite_drops_emptied_source(tmp_path):
+    """A rewrite of listed sources (an append) deletes the file and the
+    partition of a listed source left with no rows, e.g. all below a moved
+    retention cutoff, as a fresh build would not write them; an unlisted
+    source stays."""
+    from contest_parsing_ray.stages.retention import tier_data_dir, write_tiers_local
+
+    out = str(tmp_path)
+    t = pa.table({"source": ["a", "b", "c"], "bucket_us": pa.array([1, 2, 3], pa.int64())})
+    write_tiers_local({"1m": t}, out, "in", "cfg")
+    m = write_tiers_local({"1m": t.slice(0, 1)}, out, "in", "cfg", sources=["a", "b"])
+    assert sorted(m["1m"]["partitions"]) == ["a", "c"]
+    assert m["1m"]["total_rows"] == 2
+    assert sorted(os.listdir(tier_data_dir(out, "1m"))) == ["source=a", "source=c"]
+
+
 def test_old_no_tokens_out_dir_rebuilds_once(corpus, tmp_path):
     """An out_dir whose --no-tokens build wrote the older layout (a
     deduped/data table and a deduped manifest under the older fingerprint,
@@ -523,44 +675,6 @@ def test_append_after_exchange_build_appends(corpus, tmp_path, monkeypatch):
     assert m3["tier_merge"]["partitions"] == 1
     for tier in ("1m", "5m", "1h"):
         pd.testing.assert_frame_equal(_tier(out, tier), _tier(out2, tier))
-
-
-def test_distributed_retention_many_partitions(tmp_path):
-    """apply_retention's Ray-task branch (>16 files) matches per-file
-    semantics and also expires the mergeable state."""
-    from contest_parsing_ray.stages.retention import (
-        apply_retention,
-        tier_data_dir,
-        tier_state_dir,
-    )
-
-    out = str(tmp_path / "out")
-    tdir = tier_data_dir(out, "1m")
-    sdir = tier_state_dir(out, "1m")
-    import pyarrow as pa
-
-    # 20 source partitions x (data + state) = 40 files -> distributed branch
-    for i in range(20):
-        for root in (tdir, sdir):
-            pdir = os.path.join(root, f"source=s{i:02d}")
-            os.makedirs(pdir, exist_ok=True)
-            pq.write_table(
-                pa.table(
-                    {
-                        "bucket_us": pa.array(
-                            [0, 1_000_000, 2_000_000], type=pa.int64()
-                        ),
-                        "cnt": pa.array([1, 1, 1], type=pa.int64()),
-                    }
-                ),
-                os.path.join(pdir, "part-0000.parquet"),
-            )
-    # cutoff 1.5e6: buckets 0 and 1e6 drop, 2e6 stays (per data file)
-    res = apply_retention(out, "1m", keep_us=1_000_000, now_us=2_500_000)
-    assert res["dropped"] == 40 and res["kept"] == 20
-    for root in (tdir, sdir):
-        t = pads.dataset(os.path.join(root, "source=s00")).to_table()
-        assert min(t["bucket_us"].to_pylist()) >= 1_500_000
 
 
 def test_append_late_events_update_finalized_buckets_and_chunks(

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pytest
 
@@ -235,41 +236,54 @@ def test_empty_input_file_builds_no_points(tmp_path):
 
 
 def test_retention_expiry(sequences_dir, out_dir):
-    """Retention policy: old buckets dropped per tier, manifest updated."""
+    """A clocked build cuts each tier at now - keep before the gap-fill and
+    the write: no bucket below the cutoff is left in the tier data, state
+    or chunks; every row at or after a source's first kept bucket equals
+    the unclocked build's; and the run record and the tier manifest name
+    the cutoff, the merged points dropped and the rows left."""
     from contest_parsing_ray.stages.retention import (
-        apply_retention,
         read_tier_manifest,
         tier_data_dir,
+        tier_state_dir,
     )
-    import pyarrow.dataset as pads
 
-    cfg = PipelineConfig(tiers=("1m",), out_dir=out_dir)
-    run_rollup_pipeline(sequences_dir, cfg, with_compression=False)
-    tdir = tier_data_dir(out_dir, "1m")
-    before = pads.dataset(tdir, partitioning="hive").to_table()
-    buckets = sorted(set(before.column("bucket_us").to_pylist()))
+    full_dir = out_dir + "-full"
+    run_rollup_pipeline(
+        sequences_dir, PipelineConfig(tiers=("1m",), out_dir=full_dir),
+        with_compression=False,
+    )
+    full = pads.dataset(tier_data_dir(full_dir, "1m"), partitioning="hive")
+    full = full.to_table().to_pandas()
     # keep only the last hour of buckets relative to the max bucket
-    now = buckets[-1] + 60_000_000
-    res = apply_retention(out_dir, "1m", keep_us=3_600_000_000, now_us=now)
-    after = pads.dataset(tdir, partitioning="hive").to_table()
-    assert res["dropped"] > 0
-    assert res["kept"] == after.num_rows
-    assert min(after.column("bucket_us").to_pylist()) >= now - 3_600_000_000
-    man = read_tier_manifest(out_dir, "1m")
-    assert man["retention"][0]["dropped"] == res["dropped"]
-    assert man["total_rows"] == res["kept"]
+    now = int(full["bucket_us"].max()) + 60_000_000
+    cutoff = now - 3_600_000_000
 
-    # the pipeline expires the tier before it encodes the chunks: no chunk
-    # holds an expired point, and the chunks hold exactly the tier's rows
-    out2 = out_dir + "-pipeline"
-    cfg2 = PipelineConfig(tiers=("1m",), out_dir=out2, retention_keep=("1h",))
-    m = run_rollup_pipeline(sequences_dir, cfg2, retention_now_us=now)
-    assert m["tiers"]["1m"]["retention_dropped"] == res["dropped"]
-    chunks = pads.dataset(os.path.join(out2, "chunks", "tier=1m")).to_table()
-    assert min(chunks.column("t0").to_pylist()) >= now - 3_600_000_000
-    n_rows = pads.dataset(tier_data_dir(out2, "1m"), partitioning="hive").count_rows()
-    assert n_rows == read_tier_manifest(out2, "1m")["total_rows"] == res["kept"]
-    assert sum(chunks.column("n_points").to_pylist()) == n_rows
+    cfg = PipelineConfig(tiers=("1m",), out_dir=out_dir, retention_keep=("1h",))
+    m = run_rollup_pipeline(sequences_dir, cfg, retention_now_us=now)
+    state = pads.dataset(tier_state_dir(full_dir, "1m"), partitioning="hive")
+    below = pc.less(state.to_table()["bucket_us"], cutoff)
+    assert m["tiers"]["1m"]["retention_cutoff_us"] == cutoff
+    assert m["tiers"]["1m"]["retention_dropped"] == pc.sum(below).as_py() > 0
+    assert "retention" not in m["stage_seconds"]
+
+    after = pads.dataset(tier_data_dir(out_dir, "1m"), partitioning="hive")
+    after = after.to_table().to_pandas()
+    assert after["bucket_us"].min() >= cutoff
+    first_kept = after[~after["filled"]].groupby("source")["bucket_us"].min()
+    expect = full[full["bucket_us"] >= full["source"].map(first_kept)]
+    key = ["source", "bucket_us"]
+    pd.testing.assert_frame_equal(
+        after.sort_values(key).reset_index(drop=True),
+        expect[after.columns].sort_values(key).reset_index(drop=True),
+    )
+    man = read_tier_manifest(out_dir, "1m")
+    assert man["retention_cutoff_us"] == cutoff and "retention" not in man
+    assert man["total_rows"] == len(after) == m["tiers"]["1m"]["points"]
+
+    # the chunks are encoded from what was written: no expired point
+    chunks = pads.dataset(os.path.join(out_dir, "chunks", "tier=1m")).to_table()
+    assert min(chunks.column("t0").to_pylist()) >= cutoff
+    assert sum(chunks.column("n_points").to_pylist()) == len(after)
 
 
 def _partition_file(out_dir: str, tier: str, source: str) -> str:

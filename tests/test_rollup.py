@@ -139,7 +139,7 @@ def test_compact_exact_bit_identical_to_general_compact():
 
 # -- factor-grid partials and the integer-keyed merge -------------------------
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from contest_parsing_ray.config import parse_duration_us  # noqa: E402
@@ -413,3 +413,46 @@ def test_merge_tied_rows_blob_bytes_order_free(perm, cap, compacted):
     want = _canonical_reference(rows, cap)[("s", 0)]
     assert got["qsum"].iloc[0] == want[1]
     assert _bits(got["p95_v"].iloc[0]) == _bits(want[0])
+
+
+@st.composite
+def _quantile_segments(draw):
+    """Segments of 1-40 values laid out with gaps in one flat array: the
+    values come from a small set (ties), NaN included, or are any finite
+    float."""
+    value = st.one_of(
+        st.sampled_from([0.0, 1.0, 1.5, 2.0, 7.0, -3.25, 1e300, np.nan]),
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0),
+    )
+    segs = draw(st.lists(st.lists(value, min_size=1, max_size=40), min_size=1, max_size=8))
+    flat, starts = [], []
+    for seg in segs:
+        flat += [99.0] * draw(st.integers(0, 3))  # values outside every segment
+        starts.append(len(flat))
+        flat += seg
+    return (
+        np.array(flat, dtype=np.float64),
+        np.array(starts, dtype=np.int64),
+        np.array([len(s) for s in segs], dtype=np.int64),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_quantile_segments(), st.sampled_from([0.0, 0.95, 1.0]))
+@example(  # gamma = 0.5 at n = 11, where numpy's two lerp forms round apart
+    (
+        np.array([0.0] * 9 + [3.45584192064786, 8.216181435011583]),
+        np.array([0]),
+        np.array([11]),
+    ),
+    0.95,
+)
+def test_linear_quantiles_bit_equal_numpy(segments, q):
+    """The merge's vectorized p95 equals ``np.quantile(seg, q)`` bit for
+    bit on every segment: n = 1, ties, NaN in a segment, q at 0 and 1."""
+    from contest_parsing_ray.stages.rollup import _linear_quantiles
+
+    flat, starts, n = segments
+    got = _linear_quantiles(flat, starts, n, q)
+    want = np.array([np.quantile(flat[s : s + m], q) for s, m in zip(starts, n)])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
