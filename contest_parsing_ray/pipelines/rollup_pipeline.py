@@ -4,30 +4,33 @@ tiered rollups → gap-fill → compressed chunks → Parquet with lineage.
 The Ray-Data re-expression of the reference's ``JoinManager().process()``
 lifecycle (``JoinManager.py:32-57``): discovery → parse/normalize → bucket →
 join/aggregate per (entity, bucket) → feature tail → outputs, but lazy and
-streaming end to end (SURVEY §3.4). Execution plan (each [exec] is one
-streaming Ray execution; the count is kept minimal because per-execution
-fixed costs are the serial fraction that caps scaling efficiency):
+streaming end to end (SURVEY §3.4). Execution plan (Ray Data executions
+are kept to the steps that stream work, because each one's fixed cost —
+and, for the first in a session, Ray Data's service actors — is the
+serial fraction that caps scaling efficiency):
 
-  [exec 1]  pruned pass over doc_id → duplicated-key set (broadcast as an
-            exact Arrow array, or a Bloom filter at 100 TB scale).
-  [exec 2]  merge-on-read dedup: ONE streaming decode of the payload
-            computes token checksums + duplicate flags; duplicate losers
-            become per-file deletion vectors. The payload is never
-            re-encoded or re-written — at 100 TB this skips rewriting
-            ~99 TB of untouched bytes (see stages/deletion_vector.py).
-            The same scan, and the decide over its flagged rows, emit the
-            rollup partials for ALL tiers (+ per-group checksum sums): the
-            only per-row output of the dedup. A standalone deduped copy,
-            when a consumer needs one, is
+  [step 1]  doc_id-only probe in plain Ray tasks → duplicated-key set
+            (broadcast as an exact array, or a Bloom filter at 100 TB
+            scale).
+  [step 2]  merge-on-read dedup: ONE decode of the payload, one plain
+            Ray task per file group, computes token checksums +
+            duplicate flags; duplicate losers become per-file deletion
+            vectors. The payload is never re-encoded or re-written — at
+            100 TB this skips rewriting ~99 TB of untouched bytes (see
+            stages/deletion_vector.py). The same scan, and the decide over
+            the flagged rows its tasks return, emit the rollup partials
+            for ALL tiers (+ per-group checksum sums): the only per-row
+            output of the dedup. A standalone deduped copy, when a
+            consumer needs one, is
             ``read_deduped_dv(<out>/deduped).write_parquet``.
             (--no-tokens: the same dedup and scan without the ``tokens``
             column — no checksum, a null ``token_ck``, no ``ck_v``.)
-  [exec 3]  the scan-fused partials, sized from their parquet footers. At
+  [step 3]  the scan-fused partials, sized from their parquet footers. At
             or below DRIVER_MERGE_BYTES of partial state the files are
             read with pyarrow in the driver (no Ray Data execution), and
             the token-integrity totals come off that same table
             (driver-side wrap-sum, no extra pass).
-  [exec 4]  tier merge: the partials become tier-tagged rows (tier,
+  [step 4]  tier merge: the partials become tier-tagged rows (tier,
             source, bucket_us, stats, qsum) and merge on that one key, one
             _merge_partition call per tier (integer-keyed numpy: one
             lexsort, segmented reductions, one blob scatter). At or below
@@ -46,9 +49,9 @@ fixed costs are the serial fraction that caps scaling efficiency):
             same slices. An append reads the stored state of the sources
             it touches straight into the tier-tagged schema, one parquet
             file per (tier, source). A small default build therefore runs
-            ONE Ray Data execution, the scan (the probe is plain Ray
-            tasks).
-  [exec 5]  compress: one driver-side delta-of-delta/Gorilla pass over
+            NO Ray Data execution: the probe and the scan are plain Ray
+            tasks, the rest runs in the driver.
+  [step 5]  compress: one driver-side delta-of-delta/Gorilla pass over
             the written tiers (each tier's ``bucket_us`` and ``sum_v``
             only, read once) → out/chunks/tier=<t>/.
 
@@ -59,8 +62,8 @@ policy and rollup config (the only record of whether it is current); or,
 when only new input files appeared under a prior build of this config,
 append them (continuous aggregate, in either token mode). The append's
 scan of the new files and its decide write the delta's partials as the
-build's do (one Ray Data execution, the scan) and record the new input's
-fingerprint when done. Then one tail runs for all three: partials → token
+build's do (plain Ray tasks, no Ray Data execution) and record the new
+input's fingerprint when done. Then one tail runs for all three: partials → token
 totals → tier merge (after the stored state of the sources an append
 touches) → retention cut → tier write (of those sources only, for an
 append) → compress. When new input is found but the append cannot be
@@ -401,7 +404,8 @@ def _append_plan(
 
     Applicability, in either token mode: a prior build of the same config,
     keep='first' (stable winners — keep='none' is retroactive and
-    rebuilds), all prior files byte-stable, tier state present, and a
+    rebuilds), all prior files byte-stable, tier state present for every
+    tier whose manifest lists partitions, and a
     deletion-vector build of the same token mode (``dv_manifest.json``).
     Runtime ∝ delta plus one doc_id-only read of the prior files, which
     matches them against the new keys by string (no full-corpus probe).
@@ -437,7 +441,11 @@ def _append_plan(
         fallback = "prior_file_changed"
     elif not new_files:
         return None  # nothing new; plain resume handles the no-op
-    elif not prior or not all(tier_state_exists(cfg.out_dir, n) for n in tiers):
+    elif not prior or not all(
+        tier_state_exists(cfg.out_dir, n)
+        for n, m in manifests.items()
+        if m.get("partitions")  # a tier retention emptied stores no state
+    ):
         fallback = "no_state"
     elif dv_manifest is None or dv_manifest.get("tokens", True) != cfg.ingest_tokens:
         # a manifest without the key predates --no-tokens DV builds: tokens
@@ -505,7 +513,7 @@ def run_rollup_pipeline(
         else None
     )
 
-    # [exec 1-2] merge-on-read deduped table: deletion vectors + scan-fused
+    # [step 1-2] merge-on-read deduped table: deletion vectors + scan-fused
     # partials, no payload rewrite (see stages/deletion_vector.py). An
     # append extends it with the new files; a resume reuses it when
     # dv_manifest.json records this input and config; otherwise it is built
@@ -540,8 +548,8 @@ def run_rollup_pipeline(
             )
     metrics["stage_seconds"]["dedup_ingest"] = time.perf_counter() - t0
 
-    # [exec 3] partials: the dedup scan computed the per-file partial-rollup
-    # rows (clean rows) and the decide stage the winners' — exec 3
+    # [step 3] partials: the dedup scan computed the per-file partial-rollup
+    # rows (clean rows) and the decide stage the winners' — step 3
     # collapses to sizing them from their footers (an append's: the new
     # survivors', none when no new row survived)
     t0 = time.perf_counter()
@@ -549,7 +557,7 @@ def run_rollup_pipeline(
     token_totals = _token_totals(partials) if cfg.ingest_tokens else {}
     metrics["stage_seconds"]["partials"] = time.perf_counter() - t0
 
-    # [exec 4] one merge for every tier (driver-side or one exchange, see
+    # [step 4] one merge for every tier (driver-side or one exchange, see
     # _merge_tiers), the retention cut, then state, gap-fill and the hive
     # write from the driver. An append merges the stored state of the
     # sources its partials touch and rewrites only those sources (every
@@ -604,7 +612,7 @@ def run_rollup_pipeline(
             metrics["tiers"][name]["retention_dropped"] = dropped[name]
     metrics["stage_seconds"]["tiers_write"] = time.perf_counter() - t0
 
-    # [exec 5] chunks are a pure function of the (compact) tiers: encode
+    # [step 5] chunks are a pure function of the (compact) tiers: encode
     # them driver-side
     if with_compression:
         t0 = time.perf_counter()

@@ -43,23 +43,27 @@ Artifacts (under ``out_dir``):
 
 Build (two passes, ONE full decode, nothing heavy ever re-encoded):
 
-    exec 1  doc_id-only probe → duplicated key hashes (broadcast; exact
+    tasks   doc_id-only probe → duplicated key hashes (broadcast; exact
             array or ShardedBloom — ``dedup.duplicated_key_probe_files``)
-    exec 2  streaming scan, one task per file group (Ray Data over the
-            groups of ``_shuffle.file_groups``: about one per core, at
-            most one per file), each file in row-group batches:
-            token_ck + event_time_us + probe flag (``tokens=False``
-            reads no ``tokens`` column and leaves token_ck null). Each
-            file's clean rows become its own partials, written by the
-            task; the flagged rows (stats + key, file_idx, pos) are the
-            scan's only output, written to a scratch dir.
+    tasks   scan, one plain Ray task per file group (the groups of
+            ``_shuffle.file_groups``: about one per core, at most one per
+            file), each file in row-group batches: token_ck +
+            event_time_us + probe flag (``tokens=False`` reads no
+            ``tokens`` column and leaves token_ck null). Each file's clean
+            rows become its own partials, written by the task; each task
+            returns its flagged rows (stats + key, file_idx, pos) and their
+            count, so the driver knows the suspect count before it fetches
+            a row. The scan is not a Ray Data execution: it does no
+            streaming work, and an execution would cost a session Ray
+            Data's service actors and a fixed round trip per run.
     driver  the flagged slice (~1-2%) decides winners by the ACTUAL key
             (hash collisions survive): keep='first' keeps the minimum
             (file_idx, pos) per key — deterministic because the file list
             is sorted — keep='none' drops every copy. The winners become
             partials; loser positions become the deletion vectors.
             Above ``local_threshold`` the decision runs distributed
-            (hash-partitioned on key), same semantics.
+            (the tasks' flagged tables hash-partitioned on key), same
+            semantics.
 
 Append (keep='first'; new files sort after the prior ones):
 
@@ -68,7 +72,7 @@ Append (keep='first'; new files sort after the prior ones):
             strings against the distinct new keys, and returns the prior
             occurrences of those keys. The probe is the hashes of the new
             keys that occur in a prior file or twice among the new rows.
-    exec    the same scan over the new files only (payload decode ∝
+    tasks   the same scan over the new files only (payload decode ∝
             delta); its tasks write the new files' clean partials.
     driver  the build's decide over the flagged new rows plus their
             prior occurrences; only the new rows' winners and losers are
@@ -161,20 +165,6 @@ def _require_local(out_dir: str) -> None:
         )
 
 
-def _scan_items(files: list[str], first_idx: int = 0) -> ray.data.Dataset:
-    """One item per file group (:func:`_shuffle.file_groups`) listing its
-    ``path``s and ``file_idx``s (``first_idx`` + position in ``files``),
-    one block per item, so each scan task takes exactly one group."""
-    groups = file_groups(files)
-    return ray.data.from_items(
-        [
-            {"path": [files[i] for i in g], "file_idx": [first_idx + i for i in g]}
-            for g in groups
-        ],
-        override_num_blocks=max(1, len(groups)),
-    )
-
-
 def _probe_mask(probe, keys: pa.ChunkedArray | pa.Array) -> np.ndarray:
     h = hash64_strings(keys)
     if isinstance(probe, (BloomFilter, ShardedBloom)):
@@ -185,15 +175,17 @@ def _probe_mask(probe, keys: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return probe[pos] == h
 
 
-class _ScanFile:
-    """Streaming scan of one file group (an item of :func:`_scan_items`),
-    file by file: decode row-group batches, flag duplicate suspects, write
-    each file's own ``clean-{file_idx}`` partials from its unflagged rows
-    (so neither the partials nor the tiers depend on how files are
-    grouped), and emit the flagged rows with their stats and (key,
-    file_idx, pos) for the decide. Stateless per call but holds the probe
-    ref (fetched on first use in each task). With ``tokens=False`` the
-    ``tokens`` column is never read: no checksum, ``token_ck`` null.
+@ray.remote(num_cpus=1, num_returns=2)
+def _scan_group(paths: list[str], fidxs: list[int], probe, partial_fn,
+                partials_dir: str, decode_rows: int, tokens: bool):
+    """Scan one file group (:func:`_shuffle.file_groups`), file by file:
+    decode row-group batches, flag duplicate suspects, write each file's
+    own ``clean-{file_idx}`` partials from its unflagged rows (so neither
+    the partials nor the tiers depend on how files are grouped), and
+    return ``(number of flagged rows, flagged rows)``: their stats and
+    (key, file_idx, pos) for the decide, or None when none was flagged.
+    With ``tokens=False`` the ``tokens`` column is never read: no
+    checksum, ``token_ck`` null.
 
     ``decode_rows`` is deliberately CACHE-sized, not throughput-sized: a
     batch's working set (decoded tokens plus the checksum buffers, ~20
@@ -201,86 +193,67 @@ class _ScanFile:
     older checksum kernel's ~8 temporaries per token made 65536-row
     batches 14x slower than 2048-row ones (32 files on 16 CPUs: 19 s vs
     1.4 s)."""
+    from ..sources.ingest import derive_event_time, token_checksum
 
-    def __init__(self, probe_ref, partial_fn, partials_dir: str,
-                 decode_rows: int = 2048, tokens: bool = True):
-        self._probe_ref = probe_ref
-        self._probe = None
-        # the scan holds every stats column in memory, so the per-file
-        # partial rows cost no second pass over the corpus
-        self.partial_fn = partial_fn
-        self.partials_dir = partials_dir
-        self.decode_rows = decode_rows
-        self.tokens = tokens
-
-    def __call__(self, files: pa.Table) -> Iterator[pa.Table]:
-        from ..sources.ingest import derive_event_time, token_checksum
-
-        if self._probe is None:
-            self._probe = ray.get(self._probe_ref)
-        columns = ["doc_id", "n_tok", "source"] + (["tokens"] if self.tokens else [])
-        for path, fidx in zip(
-            pa.compute.list_flatten(files["path"]).to_pylist(),
-            pa.compute.list_flatten(files["file_idx"]).to_pylist(),
+    columns = ["doc_id", "n_tok", "source"] + (["tokens"] if tokens else [])
+    flagged: list[pa.Table] = []
+    for path, fidx in zip(paths, fidxs):
+        offset = 0
+        clean: list[pa.Table] = []
+        for rb in pq.ParquetFile(path).iter_batches(
+            batch_size=decode_rows, columns=columns, use_threads=False
         ):
-            offset = 0
-            clean: list[pa.Table] = []
-            flagged: list[pa.Table] = []
-            for rb in pq.ParquetFile(path).iter_batches(
-                batch_size=self.decode_rows,
-                columns=columns,
-                use_threads=False,
-            ):
-                t = derive_event_time(pa.Table.from_batches([rb]))
-                t = (
-                    token_checksum(t)
-                    if self.tokens
-                    else t.append_column("token_ck", pa.nulls(len(t), pa.int64()))
+            t = derive_event_time(pa.Table.from_batches([rb]))
+            t = (
+                token_checksum(t)
+                if tokens
+                else t.append_column("token_ck", pa.nulls(len(t), pa.int64()))
+            )
+            mask = _probe_mask(probe, t["doc_id"])
+            stats = t.select(_STATS_COLS)
+            clean.append(stats.filter(pa.array(~mask)))
+            if mask.any():
+                idx = np.flatnonzero(mask)
+                take = pa.array(idx)
+                flagged.append(
+                    stats.take(take)
+                    .append_column("key", t["doc_id"].take(take))
+                    .append_column(
+                        "file_idx", pa.array(np.full(len(idx), fidx, np.int32))
+                    )
+                    .append_column("pos", pa.array(offset + idx))
                 )
-                mask = _probe_mask(self._probe, t["doc_id"])
-                stats = t.select(_STATS_COLS)
-                clean.append(stats.filter(pa.array(~mask)))
-                if mask.any():
-                    idx = np.flatnonzero(mask)
-                    take = pa.array(idx)
-                    flagged.append(
-                        stats.take(take)
-                        .append_column("key", t["doc_id"].take(take))
-                        .append_column(
-                            "file_idx", pa.array(np.full(len(idx), fidx, np.int32))
-                        )
-                        .append_column("pos", pa.array(offset + idx))
-                    )
-                offset += len(t)
-            stats = pa.concat_tables(clean).combine_chunks() if clean else None
-            if stats is not None and len(stats):
-                rows = self.partial_fn(stats)
-                if len(rows):
-                    pq.write_table(
-                        rows,
-                        os.path.join(self.partials_dir, f"clean-{fidx:04d}.parquet"),
-                    )
-            if flagged:
-                yield pa.concat_tables(flagged).combine_chunks()
+            offset += len(t)
+        stats = pa.concat_tables(clean).combine_chunks() if clean else None
+        if stats is not None and len(stats):
+            rows = partial_fn(stats)
+            if len(rows):
+                pq.write_table(
+                    rows, os.path.join(partials_dir, f"clean-{fidx:04d}.parquet")
+                )
+    if not flagged:
+        return 0, None
+    flagged = pa.concat_tables(flagged).combine_chunks()
+    return len(flagged), flagged
 
 
-def _scan_flagged(files: list[str], first_idx: int, probe_ref, partial_fn,
-                  partials_dir: str, decode_rows: int, tokens: bool,
-                  flagged_dir: str) -> pads.Dataset | None:
-    """Run the scan over ``files`` (``file_idx`` from ``first_idx``): ONE
-    Ray Data execution that writes the clean partials from the tasks and
-    the flagged rows to ``flagged_dir``. Returns the flagged rows as a
-    dataset, or None when no row was flagged."""
-    shutil.rmtree(flagged_dir, ignore_errors=True)
-    _scan_items(files, first_idx).map_batches(
-        _ScanFile(probe_ref, partial_fn, partials_dir, decode_rows, tokens),
-        batch_size=1,
-        batch_format="pyarrow",
-    ).write_parquet(flagged_dir)
-    if not os.path.isdir(flagged_dir):
-        return None
-    flagged = pads.dataset(flagged_dir)
-    return flagged if flagged.count_rows() else None
+def _scan_flagged(files: list[str], first_idx: int, probe, partial_fn,
+                  partials_dir: str, decode_rows: int, tokens: bool):
+    """Scan ``files`` (``file_idx`` from ``first_idx``) with one plain Ray
+    task per file group; the tasks write the clean partials. Returns the
+    number of flagged rows and the refs of the groups' non-empty flagged
+    tables; only the counts are fetched here."""
+    probe_ref = ray.put(probe)
+    counts, tables = [], []
+    for g in file_groups(files):
+        n, t = _scan_group.remote(
+            [files[i] for i in g], [first_idx + i for i in g], probe_ref,
+            partial_fn, partials_dir, decode_rows, tokens,
+        )
+        counts.append(n)
+        tables.append(t)
+    counts = ray.get(counts)
+    return sum(counts), [t for n, t in zip(counts, tables) if n]
 
 
 def _decide_losers(df: pd.DataFrame, keep: str) -> np.ndarray:
@@ -364,19 +337,17 @@ def build_deduped_dv(
     probe = duplicated_key_probe_files(
         input_path, key, exact_threshold=bloom_threshold
     )
-    probe_ref = ray.put(probe)
     if stage_seconds is not None:
         stage_seconds["dedup_probe"] = time.perf_counter() - t0
 
-    # exec 2: one full streaming decode; clean partials from the tasks
+    # one full decode; clean partials from the tasks, flagged rows returned
     t0 = time.perf_counter()
     pdir, ddir = fused_partials_dir(out_dir), dv_dir(out_dir)
     for d in (pdir, ddir):
         shutil.rmtree(d, ignore_errors=True)
         os.makedirs(d)
-    flagged_dir = os.path.join(out_dir, "_flagged")
-    flagged = _scan_flagged(
-        files, 0, probe_ref, partial_fn, pdir, decode_rows, tokens, flagged_dir
+    n_suspects, flagged = _scan_flagged(
+        files, 0, probe, partial_fn, pdir, decode_rows, tokens
     )
     if stage_seconds is not None:
         stage_seconds["dv_scan_write"] = time.perf_counter() - t0
@@ -384,8 +355,7 @@ def build_deduped_dv(
     # flagged slice → winners/losers by actual key
     t0 = time.perf_counter()
     n_deleted = 0
-    n_suspects = 0
-    if flagged is not None:
+    if n_suspects:
 
         def decide(part: int, t: pa.Table) -> int:
             return _write_decision(
@@ -394,32 +364,29 @@ def build_deduped_dv(
                 os.path.join(ddir, f"dv-{part:04d}.parquet"),
             )
 
-        # cheap metadata row count decides the branch; the local branch
-        # then reads the slice once
-        n_suspects = flagged.count_rows()
+        # the tasks' counts decide the branch; the local branch then
+        # fetches the slice once
         if n_suspects <= local_threshold:
-            n_deleted = decide(0, flagged.to_table(use_threads=True))
+            n_deleted = decide(0, pa.concat_tables(ray.get(flagged)))
         else:
             # distributed decision: hash-partition the flagged slice on the
             # key via the raw-task exchange (all occurrences of a key
             # co-locate); each partition decides vectorized and writes its
-            # winners/dv shard DIRECTLY — no second Dataset execution, no
-            # driver gather, and the work runs under the cluster's CPU
-            # budget (the driver-local pandas path rides pyarrow's host
-            # thread pool outside it). Shard sets differ with P but their
-            # union — the deleted (file_idx, pos) set and the winner rows —
-            # is P-invariant: the per-key decision needs only its own key's
-            # occurrences. (100 TB path)
+            # winners/dv shard DIRECTLY — no driver gather, and the work
+            # runs under the cluster's CPU budget (the driver-local pandas
+            # path rides pyarrow's host thread pool outside it). Shard sets
+            # differ with P but their union — the deleted (file_idx, pos)
+            # set and the winner rows — is P-invariant: the per-key
+            # decision needs only its own key's occurrences. (100 TB path)
             from ._shuffle import raw_hash_exchange
 
             counts = ray.get(raw_hash_exchange(
-                [(ray.data.read_parquet(flagged_dir), ["key"])],
+                [(ray.data.from_arrow_refs(flagged), ["key"])],
                 lambda part, t: pa.table(
                     {"n_deleted": pa.array([decide(part, t)], pa.int64())}
                 ),
             ))
             n_deleted = int(sum(c["n_deleted"][0].as_py() for c in counts))
-    shutil.rmtree(flagged_dir, ignore_errors=True)
     if stage_seconds is not None:
         stage_seconds["dv_decide_write"] = time.perf_counter() - t0
 
@@ -617,7 +584,7 @@ def append_deduped_dv(
     t0 = time.perf_counter()
     new_keys = pads.dataset(new_files).to_table(columns=[key])[key].combine_chunks()
     old_occ = _prior_matches(prior_files, new_keys, key)
-    probe_ref = ray.put(_append_probe(new_keys, old_occ["key"]))
+    probe = _append_probe(new_keys, old_occ["key"])
     if stage_seconds is not None:
         stage_seconds["append_probe"] = time.perf_counter() - t0
 
@@ -643,10 +610,9 @@ def append_deduped_dv(
     # scan ONLY the new files (payload decode ∝ delta), in the build's
     # token mode (a manifest without the key predates the mode: tokens)
     t0 = time.perf_counter()
-    flagged_dir = os.path.join(out_dir, "_flagged")
-    flagged = _scan_flagged(
-        new_files, len(prior_files), probe_ref, partial_fn, pdir, decode_rows,
-        manifest.get("tokens", True), flagged_dir,
+    n_suspects_new, flagged = _scan_flagged(
+        new_files, len(prior_files), probe, partial_fn, pdir, decode_rows,
+        manifest.get("tokens", True),
     )
     if stage_seconds is not None:
         stage_seconds["append_scan"] = time.perf_counter() - t0
@@ -655,10 +621,9 @@ def append_deduped_dv(
     # keep='first' decision over both, of which only the new rows' part
     # is written (prior survivors stay survivors)
     t0 = time.perf_counter()
-    n_deleted_new = n_suspects_new = 0
-    if flagged is not None:
-        new_flagged = flagged.to_table()
-        n_suspects_new = len(new_flagged)
+    n_deleted_new = 0
+    if n_suspects_new:
+        new_flagged = pa.concat_tables(ray.get(flagged))
         lose = _decide_losers(
             pd.concat(
                 [old_occ.to_pandas(), new_flagged.select(_DUP_COLS).to_pandas()],
@@ -669,7 +634,6 @@ def append_deduped_dv(
         n_deleted_new = _write_decision(
             new_flagged, lose[len(old_occ):], partial_fn, winners, dv_path
         )
-    shutil.rmtree(flagged_dir, ignore_errors=True)
     if stage_seconds is not None:
         stage_seconds["append_decide"] = time.perf_counter() - t0
 

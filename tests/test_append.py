@@ -513,6 +513,41 @@ def test_append_with_clock_equals_fresh_build(corpus, tmp_path, later_min):
         assert got.get("retention_cutoff_us") == want.get("retention_cutoff_us")
 
 
+def test_append_onto_tier_emptied_by_retention(corpus, tmp_path):
+    """A clock past the whole corpus leaves the 1m tier with no points and
+    so no stored state; the next one-file append still runs incrementally
+    (the tier's manifest lists no partitions, so there is no state to
+    merge) and equals a fresh build with the same clock."""
+    out = str(tmp_path / "out")
+    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP, retention_keep=KEEP_1M)
+    later = _corpus_clock() + 100 * HOUR
+    m = run_rollup_pipeline(corpus, cfg, retention_now_us=later)
+    assert m["tiers"]["1m"]["points"] == 0
+    pq.write_table(
+        make_sequences_table(2_000, seed=7),
+        os.path.join(corpus, "part-9000.parquet"),
+    )
+    m = run_rollup_pipeline(corpus, cfg, retention_now_us=later)
+    assert m["incremental_append"] is True
+    assert "append_fallback" not in m
+    assert m["tiers"]["1m"]["points"] == 0
+    fresh = str(tmp_path / "fresh")
+    run_rollup_pipeline(
+        corpus,
+        PipelineConfig(out_dir=fresh, quantile_cap=CAP, retention_keep=KEEP_1M),
+        retention_now_us=later,
+        resume=False,
+    )
+    _assert_same_outputs(_outputs(out), _outputs(fresh))
+    for tier in ("1m", "5m", "1h"):
+        with open(os.path.join(out, "manifests", f"{tier}.json")) as f:
+            got = json.load(f)
+        with open(os.path.join(fresh, "manifests", f"{tier}.json")) as f:
+            want = json.load(f)
+        for key in ("partitions", "total_rows", "retention_cutoff_us"):
+            assert got.get(key) == want.get(key), (tier, key)
+
+
 def test_later_clock_recuts_current_out_dir(corpus, tmp_path):
     """A later clock on an out_dir whose tiers are all current re-cuts the
     tiers whose watermark moved, from the reused partials (no probe, no

@@ -146,15 +146,16 @@ def test_no_tokens_build_equals_default_build(sequences_dir, tmp_path, keep):
 
 
 @pytest.mark.parametrize("append", [False, True], ids=["build", "append"])
-def test_small_build_runs_one_ray_data_execution(
+def test_small_build_runs_no_ray_data_execution(
     sequences_dir, tmp_path, monkeypatch, append
 ):
-    """A default build whose partial state fits DRIVER_MERGE_BYTES runs
-    exactly one Ray Data execution, the deletion-vector scan: the probe is
-    plain tasks, and the fused partials, their token totals and the tier
+    """A default build whose partial state fits DRIVER_MERGE_BYTES runs no
+    Ray Data execution: the probe and the deletion-vector scan are plain
+    Ray tasks, and the fused partials, their token totals and the tier
     merge are read and run in the driver. A one-file append likewise runs
-    one, the scan of the new file, whose tasks and decide write the delta's
-    partials."""
+    none; the scan tasks of the new file and its decide write the delta's
+    partials. The flagged rows come back from the tasks, so no scratch
+    ``_flagged`` dir is written."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     cfg = PipelineConfig(out_dir=str(tmp_path / "out"))
@@ -179,8 +180,71 @@ def test_small_build_runs_one_ray_data_execution(
     m = run_rollup_pipeline(inp, cfg, resume=append)
     assert m.get("incremental_append", False) is append
     assert m["tier_merge"]["partitions"] == 1
-    assert len(runs) == 1, runs
-    assert "Write" in runs[0]
+    assert runs == []
+    assert not any("_flagged" in dirs for _, dirs, _ in os.walk(cfg.out_dir))
+
+
+_ONE_CPU_BUILD_APPEND = """
+import json, os, sys, threading
+import ray
+from ray.data import DataContext
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+DataContext.get_current().enable_progress_bars = False
+from contest_parsing_ray.config import PipelineConfig
+from contest_parsing_ray.pipelines.rollup_pipeline import run_rollup_pipeline
+from contest_parsing_ray.sources.synthetic import write_sequences_parquet
+
+root = sys.argv[2]
+out = {}
+
+def run():
+    seq = write_sequences_parquet(os.path.join(root, "seq"), n_rows=6_000,
+                                  seed=3, num_files=3)
+    inp = os.path.join(root, "in")
+    os.makedirs(inp)
+    names = sorted(f for f in os.listdir(seq) if f.endswith(".parquet"))
+    for f in names[:-1]:
+        os.link(os.path.join(seq, f), os.path.join(inp, f))
+    cfg = PipelineConfig(out_dir=os.path.join(root, "out"))
+    run_rollup_pipeline(inp, cfg, resume=False)
+    os.link(os.path.join(seq, names[-1]), os.path.join(inp, names[-1]))
+    out["append"] = run_rollup_pipeline(inp, cfg)["incremental_append"]
+    out["actors"] = ray.util.list_named_actors(all_namespaces=True)
+
+th = threading.Thread(target=run, daemon=True)
+th.start()
+th.join(float(sys.argv[1]))
+print(json.dumps(out if not th.is_alive() else None), flush=True)
+if th.is_alive():
+    ray._private.worker._global_node.kill_all_processes(check_alive=False, wait=True)
+else:
+    ray.shutdown()
+os._exit(0)
+"""
+
+
+def test_build_and_append_start_no_named_actor_on_one_cpu_session(tmp_path):
+    """A default build and a one-file append on a fresh num_cpus=1 session
+    finish and leave no named actor behind: no Ray Data execution runs, so
+    neither of its service actors (the stats actor, the autoscaling
+    requester) is started. Runs in a subprocess with its own session; the
+    child gives up after a deadline and reports None."""
+    import json
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_BUILD_APPEND, "120", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got is not None, "the build or the append did not finish on one CPU"
+    assert got == {"append": True, "actors": []}
 
 
 def test_pipeline_partial_resume(sequences_dir, out_dir):
