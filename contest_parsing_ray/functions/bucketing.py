@@ -39,22 +39,3 @@ def bucket_array(ts: pa.ChunkedArray | pa.Array, width_us: int) -> pa.Array:
     if arr.null_count:
         return pa.array(out, type=pa.int64(), mask=np.asarray(arr.is_null()))
     return pa.array(out, type=pa.int64())
-
-
-def add_bucket_columns(
-    batch: pa.Table,
-    ts_col: str,
-    widths_us: dict[str, int],
-) -> pa.Table:
-    """Append one int64 bucket column per tier.
-
-    ``widths_us`` maps output column name → bucket width in µs, e.g.
-    ``{"bucket_1m": 60_000_000}``. ``ts_col`` may be int64 epoch-µs or an
-    Arrow timestamp[us] column (cast is zero-copy).
-    """
-    ts = batch[ts_col]
-    if pa.types.is_timestamp(ts.type):
-        ts = ts.cast(pa.int64())
-    for name, w in widths_us.items():
-        batch = batch.append_column(name, bucket_array(ts, w))
-    return batch

@@ -55,18 +55,23 @@ serial fraction that caps scaling efficiency):
             the written tiers (each tier's ``bucket_us`` and ``sum_v``
             only, read once) → out/chunks/tier=<t>/.
 
-One path for a build, a reuse and an append. The run first decides what
-to do with the deduped table: build it; reuse it on resume, when
+One path for a build, a reuse and an append. The input is listed once
+(per-file size:mtime; the input fingerprint and the sorted parquet file
+list come from that listing), and the run decides once what to do with
+the deduped table, in this order: reuse it on resume, when
 ``deduped/dv_manifest.json`` records the fingerprint of this input, keep
-policy and rollup config (the only record of whether it is current); or,
-when only new input files appeared under a prior build of this config,
-append them (continuous aggregate, in either token mode). The append's
+policy and rollup config (the only record of whether it is current — so
+an append interrupted after its dedup finished resumes here, rebuilding
+the tiers from all partials); else, when only new input files appeared
+under a prior build of this config, append them (continuous aggregate,
+in either token mode); else build it. The run record names the decision
+(``deduped_table``: ``reused``, ``appended`` or ``built``). The append's
 scan of the new files and its decide write the delta's partials as the
 build's do (plain Ray tasks, no Ray Data execution) and record the new
-input's fingerprint when done. Then one tail runs for all three: partials → token
-totals → tier merge (after the stored state of the sources an append
-touches) → retention cut → tier write (of those sources only, for an
-append) → compress. When new input is found but the append cannot be
+input's fingerprint when done. Then one tail runs for all three: partials
+→ token totals → tier merge (after the stored state of the sources an
+append touches) → retention cut → tier write (of those sources only, for
+an append) → compress. When new input is found but the append cannot be
 taken, the run record says why (``append_fallback``).
 
 Resume: tiers whose manifest matches the (input, config) fingerprints and
@@ -102,6 +107,7 @@ from ..state.manifest import (
     fingerprint_config,
     fingerprint_input,
     input_file_fingerprints,
+    parquet_input_files,
 )
 
 
@@ -395,18 +401,21 @@ def _append_plan(
     tiers: dict,
     config_fp: str,
     current_files: dict[str, str],
+    parquet_files: list[str],
     metrics: dict,
 ) -> dict | None:
     """Whether this run is a continuous-aggregate append: the prior build's
     input files are all unchanged and only NEW files appeared. Returns the
-    prior tier manifests and the new files, or None for a build (or a
-    reuse) of the deduped table.
+    prior tier manifests, the new files and the new parquet files among
+    them, or None for a build of the deduped table. Asked only when
+    ``dv_manifest.json`` does not already cover this input and config.
 
     Applicability, in either token mode: a prior build of the same config,
     keep='first' (stable winners — keep='none' is retroactive and
     rebuilds), all prior files byte-stable, tier state present for every
-    tier whose manifest lists partitions, and a
-    deletion-vector build of the same token mode (``dv_manifest.json``).
+    tier whose manifest lists partitions, and a keep='first'
+    deletion-vector build (``dv_manifest.json``) of the same token mode
+    over exactly the prior parquet files.
     Runtime ∝ delta plus one doc_id-only read of the prior files, which
     matches them against the new keys by string (no full-corpus probe).
     Exactness: identical to a from-scratch rebuild while merged value
@@ -417,8 +426,10 @@ def _append_plan(
     append is not taken, ``metrics`` records ``incremental_append: False``
     and the first failed condition as ``append_fallback``: ``keep_none``,
     ``prior_file_removed``, ``prior_file_changed``, ``no_state`` or
-    ``dv_manifest`` (missing, or built in the other token mode — an
-    out_dir whose ``--no-tokens`` build predates deletion vectors has none).
+    ``dv_manifest`` (missing, built in the other token mode — an out_dir
+    whose ``--no-tokens`` build predates deletion vectors has none — or
+    over other files than the tier manifests record, as after an append
+    whose dedup finished before more input arrived).
     """
     from ..stages.retention import tier_state_exists
 
@@ -447,8 +458,14 @@ def _append_plan(
         if m.get("partitions")  # a tier retention emptied stores no state
     ):
         fallback = "no_state"
-    elif dv_manifest is None or dv_manifest.get("tokens", True) != cfg.ingest_tokens:
+    elif (
+        dv_manifest is None
         # a manifest without the key predates --no-tokens DV builds: tokens
+        or dv_manifest.get("tokens", True) != cfg.ingest_tokens
+        or dv_manifest.get("keep") != "first"
+        or set(dv_manifest.get("files", ()))
+        != {f for f in parquet_files if f in prior}
+    ):
         fallback = "dv_manifest"
     else:
         fallback = None
@@ -456,7 +473,11 @@ def _append_plan(
     if fallback is not None:
         metrics["append_fallback"] = fallback
         return None
-    return {"manifests": manifests, "new_files": new_files}
+    return {
+        "manifests": manifests,
+        "new_files": new_files,
+        "new_parquet": [f for f in parquet_files if f not in prior],
+    }
 
 
 def run_rollup_pipeline(
@@ -474,7 +495,10 @@ def run_rollup_pipeline(
     t_start = time.perf_counter()
     metrics: dict = {"input": input_path, "tiers": {}, "stage_seconds": {}}
 
-    input_fp = fingerprint_input(input_path)
+    # the one listing of the input: its fingerprint, the parquet files the
+    # dedup reads, and the per-file fingerprints an append compares
+    current_files = input_file_fingerprints(input_path)
+    input_fp = fingerprint_input(input_path, current_files)
     config_fp = fingerprint_config(
         {
             "tiers": cfg.tiers,
@@ -504,44 +528,44 @@ def run_rollup_pipeline(
         metrics["total_seconds"] = time.perf_counter() - t_start
         return metrics
 
-    # build, reuse or append the deduped table, decided up front; an append
-    # merges its partials into the stored tier STATE instead of rebuilding
-    current_files = input_file_fingerprints(input_path)
-    append = (
-        _append_plan(cfg, tiers, config_fp, current_files, metrics)
-        if resume and not metrics["tiers_skipped_by_resume"]
-        else None
-    )
-
     # [step 1-2] merge-on-read deduped table: deletion vectors + scan-fused
-    # partials, no payload rewrite (see stages/deletion_vector.py). An
-    # append extends it with the new files; a resume reuses it when
-    # dv_manifest.json records this input and config; otherwise it is built
+    # partials, no payload rewrite (see stages/deletion_vector.py). Decided
+    # once, in this order: reuse it when dv_manifest.json records this
+    # input and config (also after an append interrupted past its dedup);
+    # else append the new files when _append_plan finds only new input
+    # under a prior build (the tail then merges its partials into the
+    # stored tier STATE); else build it
+    files = parquet_input_files(input_path, current_files)
     dedup_dir = os.path.join(cfg.out_dir, "deduped")
     partials_fp = _fused_partials_fp(cfg, input_fp)
     t0 = time.perf_counter()
-    if append is not None:
-        partial_files = deletion_vector.append_deduped_dv(
-            input_path, dedup_dir, _fused_partial_fn(cfg), partials_fp,
-            stage_seconds=metrics["stage_seconds"],
-        )["appended_partials"]
-        metrics["appended_input_files"] = append["new_files"]
+    partial_files = (
+        deletion_vector.fused_partial_files(dedup_dir, partials_fp)
+        if resume
+        else None
+    )
+    append = None
+    if partial_files is not None:
+        metrics["deduped_table"] = "reused"
     else:
-        partial_files = (
-            deletion_vector.fused_partial_files(dedup_dir, partials_fp)
-            if resume
-            else None
-        )
-        if partial_files is None:
+        if resume and not metrics["tiers_skipped_by_resume"]:
+            append = _append_plan(
+                cfg, tiers, config_fp, current_files, files, metrics
+            )
+        if append is not None:
+            metrics["deduped_table"] = "appended"
+            metrics["appended_input_files"] = append["new_files"]
+            partial_files = deletion_vector.append_deduped_dv(
+                append["new_parquet"], dedup_dir, _fused_partial_fn(cfg),
+                partials_fp, stage_seconds=metrics["stage_seconds"],
+            )["appended_partials"]
+        else:
+            metrics["deduped_table"] = "built"
             clear_dir(dedup_dir)
             deletion_vector.build_deduped_dv(
-                input_path,
-                dedup_dir,
-                _fused_partial_fn(cfg),
-                partials_fp,
-                keep=cfg.dedup_keep,
-                stage_seconds=metrics["stage_seconds"],
-                tokens=cfg.ingest_tokens,
+                input_path, files, dedup_dir, _fused_partial_fn(cfg),
+                partials_fp, keep=cfg.dedup_keep,
+                stage_seconds=metrics["stage_seconds"], tokens=cfg.ingest_tokens,
             )
             partial_files = deletion_vector.fused_partial_files(
                 dedup_dir, partials_fp

@@ -246,9 +246,9 @@ def exchange_partitions(
     return p
 
 
-def file_groups(paths: list[str], filesystem=None) -> list[list[int]]:
-    """Cut an ordered file list into G <= ``len(paths)`` contiguous groups
-    of near-equal file count (positions into ``paths``), with G =
+def file_groups(paths: list[str]) -> list[list[int]]:
+    """Cut an ordered local file list into G <= ``len(paths)`` contiguous
+    groups of near-equal file count (positions into ``paths``), with G =
     :func:`exchange_partitions` of the files' on-disk bytes: the
     file-granular passes (the doc_id probe, the payload scan) run one task
     per group, so task count follows the cluster, not the file count. One
@@ -258,8 +258,8 @@ def file_groups(paths: list[str], filesystem=None) -> list[list[int]]:
         return []
     import pyarrow.fs as pafs
 
-    fsys = filesystem or pafs.LocalFileSystem()
-    nbytes = sum(max(0, info.size or 0) for info in fsys.get_file_info(paths))
+    infos = pafs.LocalFileSystem().get_file_info(paths)
+    nbytes = sum(max(0, info.size or 0) for info in infos)
     g = min(len(paths), exchange_partitions(nbytes))
     q, r = divmod(len(paths), g)
     bounds = [i * q + min(i, r) for i in range(g + 1)]

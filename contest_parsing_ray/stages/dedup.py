@@ -129,13 +129,56 @@ class ShardedBloom:
         return out
 
 
+@ray.remote(num_cpus=1)
+def _map_group(paths: list[str], key: str, num_shards: int):
+    """Probe map task: hash ``key`` of each file, unique + counts over the
+    group, split by ``hash % num_shards`` (one return object per shard)."""
+    import pyarrow.parquet as pq
+
+    # each task reserves 1 CPU, but pyarrow's internal read pool spawns
+    # a thread per HOST core — N concurrent reads × host threads thrash
+    # (measured: the probe ran 7x SLOWER at 16 CPUs than at 4)
+    h = np.concatenate(
+        [
+            hash64_strings(pq.read_table(p, columns=[key], use_threads=False)[key])
+            for p in paths
+        ]
+    )
+    uniq, cnt = np.unique(h, return_counts=True)
+    sid = (uniq % np.uint64(num_shards)).astype(np.int64)
+    order = np.argsort(sid, kind="stable")
+    uniq, cnt, sid = uniq[order], cnt[order], sid[order]
+    bounds = np.searchsorted(sid, np.arange(num_shards + 1))
+    out = [
+        np.stack([uniq[lo:hi], cnt[lo:hi].astype(np.uint64)])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    return out if num_shards > 1 else out[0]
+
+
+@ray.remote(num_cpus=1)
+def _reduce_shard(per_shard_cap: int, bits_per_key: int, *parts):
+    """Probe reduce task: the shard's hashes with a total count above 1,
+    as raw sorted bytes up to ``per_shard_cap``, else a Bloom bitset."""
+    h = np.concatenate([p[0] for p in parts])
+    c = np.concatenate([p[1] for p in parts])
+    uniq, inv = np.unique(h, return_inverse=True)
+    tot = np.bincount(inv, weights=c.astype(np.float64))
+    dups = uniq[tot > 1.5]
+    if len(dups) <= per_shard_cap:
+        return ("exact", np.sort(dups).tobytes(), len(dups))
+    bloom = BloomFilter(len(dups), bits_per_key)
+    bloom.add_hashes(dups)
+    return ("bloom", (bloom.m, bloom.bits.tobytes()), len(dups))
+
+
 def duplicated_key_probe_files(
-    input_path: str,
+    files: list[str],
     key: str = "doc_id",
     exact_threshold: int = 50_000_000,
     bits_per_key: int = 10,
 ) -> "np.ndarray | ShardedBloom":
-    """Duplicated-key probe over a parquet directory via raw Ray tasks.
+    """Duplicated-key probe over local parquet ``files`` via raw Ray tasks.
 
     The probe is a small shared index, not a per-record transform — the one
     case where raw tasks beat a Dataset plan: a Dataset route shuffles ~24
@@ -156,70 +199,21 @@ def duplicated_key_probe_files(
     Driver assembles either a sorted exact array or a :class:`ShardedBloom`.
     The exact array does not depend on G.
     """
-    import pyarrow.dataset as pads
-
-    dset = pads.dataset(input_path)
-    # thread the dataset's filesystem into the read tasks so s3://-style
-    # URIs work end-to-end (pyarrow filesystems are picklable); local
-    # paths resolve to LocalFileSystem and behave as before
-    fsys = dset.filesystem
-    frag_paths = [f.path for f in dset.get_fragments()]
-    if not frag_paths:
+    if not files:
         return np.array([], dtype=np.uint64)
-    groups = file_groups(frag_paths, fsys)
+    groups = file_groups(files)
     num_shards = len(groups)
-
-    @ray.remote(num_cpus=1, num_returns=num_shards)
-    def map_group(paths: list[str]):
-        import pyarrow.parquet as pq
-
-        # each task reserves 1 CPU, but pyarrow's internal read pool spawns
-        # a thread per HOST core — N concurrent reads × host threads thrash
-        # (measured: the probe ran 7x SLOWER at 16 CPUs than at 4)
-        h = np.concatenate(
-            [
-                hash64_strings(
-                    pq.read_table(
-                        p, columns=[key], use_threads=False, filesystem=fsys
-                    )[key]
-                )
-                for p in paths
-            ]
-        )
-        uniq, cnt = np.unique(h, return_counts=True)
-        sid = (uniq % np.uint64(num_shards)).astype(np.int64)
-        order = np.argsort(sid, kind="stable")
-        uniq, cnt, sid = uniq[order], cnt[order], sid[order]
-        bounds = np.searchsorted(sid, np.arange(num_shards + 1))
-        out = [
-            np.stack([uniq[lo:hi], cnt[lo:hi].astype(np.uint64)])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        return out if num_shards > 1 else out[0]
-
-    per_shard_cap = max(1, exact_threshold // num_shards)
-
-    @ray.remote(num_cpus=1)
-    def reduce_shard(*parts):
-        h = np.concatenate([p[0] for p in parts])
-        c = np.concatenate([p[1] for p in parts])
-        uniq, inv = np.unique(h, return_inverse=True)
-        tot = np.bincount(inv, weights=c.astype(np.float64))
-        dups = uniq[tot > 1.5]
-        if len(dups) <= per_shard_cap:
-            return ("exact", np.sort(dups).tobytes(), len(dups))
-        bloom = BloomFilter(len(dups), bits_per_key)
-        bloom.add_hashes(dups)
-        return ("bloom", (bloom.m, bloom.bits.tobytes()), len(dups))
-
+    map_group = _map_group.options(num_returns=num_shards)
     shard_refs: list[list] = [[] for _ in range(num_shards)]
     for g in groups:
-        refs = map_group.remote([frag_paths[i] for i in g])
-        if num_shards == 1:
-            refs = [refs]
-        for s, r in enumerate(refs):
+        refs = map_group.remote([files[i] for i in g], key, num_shards)
+        for s, r in enumerate(refs if num_shards > 1 else [refs]):
             shard_refs[s].append(r)
-    results = ray.get([reduce_shard.remote(*shard_refs[s]) for s in range(num_shards)])
+    per_shard_cap = max(1, exact_threshold // num_shards)
+    results = ray.get([
+        _reduce_shard.remote(per_shard_cap, bits_per_key, *refs)
+        for refs in shard_refs
+    ])
 
     total_dups = sum(n for _, _, n in results)
     if total_dups <= exact_threshold and all(kind == "exact" for kind, _, _ in results):

@@ -25,9 +25,9 @@ Artifacts (under ``out_dir``):
                                     the only per-row output:
                                     clean-{file}.parquet from the scan of
                                     each input file (build and append),
-                                    winners-{part}.parquet from the build's
-                                    decide, append{seq}-winners.parquet
-                                    from an append's decide
+                                    {prefix}winners-{part}.parquet from a
+                                    decide (prefix: empty for the build,
+                                    append{seq}- for an append)
     dv_manifest.json                ordered file list + policy + counts
                                     (top-level ``n_suspects`` is the
                                     build's; each ``appends[]`` entry has
@@ -41,42 +41,39 @@ Artifacts (under ``out_dir``):
                                     whether this deduped table is current;
                                     absent while an append runs)
 
-Build (two passes, ONE full decode, nothing heavy ever re-encoded):
+The build and the append are one body, scan → decide → record
+(:func:`_scan_decide_record`); they differ only in how they find the
+duplicated keys. The caller lists the input once and passes file lists.
 
-    tasks   doc_id-only probe → duplicated key hashes (broadcast; exact
-            array or ShardedBloom — ``dedup.duplicated_key_probe_files``)
-    tasks   scan, one plain Ray task per file group (the groups of
-            ``_shuffle.file_groups``: about one per core, at most one per
-            file), each file in row-group batches: token_ck +
-            event_time_us + probe flag (``tokens=False`` reads no
-            ``tokens`` column and leaves token_ck null). Each file's clean
+    build   doc_id-only probe → duplicated key hashes (broadcast; exact
+            array or ShardedBloom — ``dedup.duplicated_key_probe_files``).
+    append  (keep='first'; the new files take the next file_idx values)
+            :func:`_prior_matches` matches the PRIOR files' doc_id strings
+            against the new files' distinct keys, one task per file group,
+            and returns their prior occurrences; the probe is the hashes
+            of the new keys that occur in a prior file or twice among the
+            new rows (:func:`_append_probe`).
+    scan    one plain Ray task per file group (``_shuffle.file_groups``:
+            about one per core, at most one per file) over the build's
+            files or the append's new ones, in row-group batches:
+            token_ck + event_time_us + probe flag (``tokens=False`` reads
+            no ``tokens`` and leaves token_ck null). Each file's clean
             rows become its own partials, written by the task; each task
-            returns its flagged rows (stats + key, file_idx, pos) and their
-            count, so the driver knows the suspect count before it fetches
-            a row. The scan is not a Ray Data execution: it does no
-            streaming work, and an execution would cost a session Ray
-            Data's service actors and a fixed round trip per run.
-    driver  the flagged slice (~1-2%) decides winners by the ACTUAL key
-            (hash collisions survive): keep='first' keeps the minimum
-            (file_idx, pos) per key — deterministic because the file list
-            is sorted — keep='none' drops every copy. The winners become
-            partials; loser positions become the deletion vectors.
-            Above ``local_threshold`` the decision runs distributed
-            (the tasks' flagged tables hash-partitioned on key), same
-            semantics.
-
-Append (keep='first'; new files sort after the prior ones):
-
-    driver  read the new files' doc_id; :func:`_prior_matches` runs one
-            doc_id-only task per group of PRIOR files, matching the key
-            strings against the distinct new keys, and returns the prior
-            occurrences of those keys. The probe is the hashes of the new
-            keys that occur in a prior file or twice among the new rows.
-    tasks   the same scan over the new files only (payload decode ∝
-            delta); its tasks write the new files' clean partials.
-    driver  the build's decide over the flagged new rows plus their
-            prior occurrences; only the new rows' winners and losers are
-            written. The prior corpus is read once, doc_id only.
+            returns its flagged rows (stats + key, file_idx, pos) and
+            their count. No Ray Data execution: it would cost a session
+            Ray Data's service actors and a fixed round trip per run.
+    decide  the flagged new rows plus their prior occurrences (none for a
+            build), by the ACTUAL key (hash collisions survive):
+            keep='first' keeps the minimum (file_idx, pos) per key —
+            deterministic because the file list is sorted and an append's
+            files come last — keep='none' drops every copy. Only the new
+            rows' winners (partials) and losers (deletion vectors) are
+            written. Up to ``LOCAL_THRESHOLD`` rows in the driver, above
+            it per partition of one two-input raw task exchange on the
+            key. Shards are ``{prefix}winners-{part}`` and
+            ``{prefix}dv-{part}``, the prefix ``append{seq}-`` or empty.
+    record  the file list, the counts and the fingerprint, written to
+            ``dv_manifest.json``.
 
 Duplicate copies carry identical payloads for identical doc_ids by the
 input contract (doc_id is the content identity), so rollups over the
@@ -86,8 +83,10 @@ checks the tiers against a DuckDB oracle over a pandas keep-first dedup).
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
+import time
 from typing import Iterator
 
 import numpy as np
@@ -101,6 +100,7 @@ import ray.data
 
 from ..fsutil import is_uri
 from ..state.manifest import read_manifest, write_manifest
+from . import _shuffle
 from ._shuffle import file_groups, hash64_strings
 from .dedup import BloomFilter, ShardedBloom, duplicated_key_probe_files
 
@@ -108,11 +108,21 @@ from .dedup import BloomFilter, ShardedBloom, duplicated_key_probe_files
 _STATS_COLS = ["source", "n_tok", "event_time_us", "token_ck"]
 _DUP_COLS = ["key", "file_idx", "pos"]
 
+# The dedup key; the scan's decode batch (see :func:`_scan_group`); the
+# decide size (flagged rows plus prior occurrences) above which the decide
+# runs through the exchange; and the duplicated-key count above which the
+# build's probe is a Bloom filter. Read when a build or an append runs.
+KEY = "doc_id"
+DECODE_ROWS = 2048
+LOCAL_THRESHOLD = 200_000
+BLOOM_THRESHOLD = 50_000_000
 
-def _list_files(input_path: str) -> list[str]:
-    """Deterministic (sorted) parquet fragment list — the file order IS the
-    keep='first' tie-break, so it must be stable across runs/clusters."""
-    return sorted(f.path for f in pads.dataset(input_path).get_fragments())
+
+def _occurrences(key_type: pa.DataType) -> pa.Schema:
+    """Schema of key occurrences: the decide's (key, file_idx, pos)."""
+    return pa.schema(
+        [("key", key_type), ("file_idx", pa.int32()), ("pos", pa.int64())]
+    )
 
 
 def dv_manifest_file(out_dir: str) -> str:
@@ -238,7 +248,7 @@ def _scan_group(paths: list[str], fidxs: list[int], probe, partial_fn,
 
 
 def _scan_flagged(files: list[str], first_idx: int, probe, partial_fn,
-                  partials_dir: str, decode_rows: int, tokens: bool):
+                  partials_dir: str, tokens: bool):
     """Scan ``files`` (``file_idx`` from ``first_idx``) with one plain Ray
     task per file group; the tasks write the clean partials. Returns the
     number of flagged rows and the refs of the groups' non-empty flagged
@@ -248,7 +258,7 @@ def _scan_flagged(files: list[str], first_idx: int, probe, partial_fn,
     for g in file_groups(files):
         n, t = _scan_group.remote(
             [files[i] for i in g], [first_idx + i for i in g], probe_ref,
-            partial_fn, partials_dir, decode_rows, tokens,
+            partial_fn, partials_dir, DECODE_ROWS, tokens,
         )
         counts.append(n)
         tables.append(t)
@@ -272,50 +282,126 @@ def _decide_losers(df: pd.DataFrame, keep: str) -> np.ndarray:
     return lose
 
 
-def _write_decision(flagged: pa.Table, lose: np.ndarray, partial_fn,
-                    winners_path: str, dv_path: str) -> int:
-    """Write one decision over flagged rows: the winners' rollup partials
-    to ``winners_path`` and the losers' (file_idx, pos) to ``dv_path``,
-    each only when non-empty. Rows go in (file_idx, pos) order, so the
-    files do not depend on the order the rows arrived in. Returns the
-    number of losers."""
-    fidx = flagged["file_idx"].to_numpy()
-    pos = flagged["pos"].to_numpy()
-    order = np.lexsort((pos, fidx))
-    win, dv = order[~lose[order]], order[lose[order]]
-    if len(win):
-        rows = partial_fn(flagged.select(_STATS_COLS).take(pa.array(win)))
-        if len(rows):
-            pq.write_table(rows, winners_path)
-    if len(dv):
-        pq.write_table(
-            pa.table(
-                {
+def _decide_write(part: int, flagged: pa.Table, prior: pa.Table, keep: str,
+                  partial_fn, out_dir: str, prefix: str) -> pa.Table:
+    """Decide the ``flagged`` new rows against their ``prior`` occurrences
+    (key, file_idx, pos) and write shard ``part`` of the decision: the new
+    winners' rollup partials and the new losers' (file_idx, pos), each
+    only when non-empty. Rows go in (file_idx, pos) order, so the files do
+    not depend on the order the rows arrived in. Returns the number of
+    losers as a one-row table (the exchange's output)."""
+    n_deleted = 0
+    if len(flagged):
+        df = flagged.select(_DUP_COLS).to_pandas()
+        if len(prior):
+            df = pd.concat([prior.to_pandas(), df], ignore_index=True)
+        lose = _decide_losers(df, keep)[len(prior):]
+        fidx = flagged["file_idx"].to_numpy()
+        pos = flagged["pos"].to_numpy()
+        order = np.lexsort((pos, fidx))
+        win, dv = order[~lose[order]], order[lose[order]]
+        if len(win):
+            rows = partial_fn(flagged.select(_STATS_COLS).take(pa.array(win)))
+            if len(rows):
+                pq.write_table(rows, os.path.join(
+                    fused_partials_dir(out_dir), f"{prefix}winners-{part:04d}.parquet"
+                ))
+        if len(dv):
+            pq.write_table(
+                pa.table({
                     "file_idx": pa.array(fidx[dv].astype(np.int32)),
                     "pos": pa.array(pos[dv].astype(np.int64)),
-                }
-            ),
-            dv_path,
-        )
-    return len(dv)
+                }),
+                os.path.join(dv_dir(out_dir), f"{prefix}dv-{part:04d}.parquet"),
+            )
+        n_deleted = len(dv)
+    return pa.table({"n_deleted": pa.array([n_deleted], pa.int64())})
+
+
+def _scan_decide_record(out_dir: str, manifest: dict, files: list[str],
+                        probe, prior: pa.Table, partial_fn,
+                        partials_fingerprint: str | None, seq: int | None,
+                        stage_seconds: dict) -> list[str]:
+    """The one body of the build (``seq`` None) and of append ``seq``:
+    scan ``files`` with ``probe``; decide the flagged rows against their
+    ``prior`` occurrences; record the run in ``manifest`` and write it
+    (with ``partials_fingerprint`` unless None). Returns the partial files
+    this run wrote: the files' clean shards, then the winners'.
+
+    The decide runs in the driver as shard 0 up to ``LOCAL_THRESHOLD``
+    rows. Above it the raw-task exchange hash-partitions both inputs on
+    the key (all occurrences of a key co-locate) and each partition
+    decides and writes its own shards — no driver gather, under the
+    cluster's CPU budget (the 100 TB path). Shard sets differ with P, but
+    their union (the deleted positions and the winner rows) does not."""
+    pdir = fused_partials_dir(out_dir)
+    first = len(manifest["files"])
+    prefix = "" if seq is None else f"append{seq:04d}-"
+    scan_s, decide_s = (
+        ("dv_scan_write", "dv_decide_write") if seq is None
+        else ("append_scan", "append_decide")
+    )
+    t0 = time.perf_counter()
+    n_flagged, flagged = _scan_flagged(
+        files, first, probe, partial_fn, pdir, manifest.get("tokens", True)
+    )
+    stage_seconds[scan_s] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    decide = functools.partial(
+        _decide_write, keep=manifest["keep"], partial_fn=partial_fn,
+        out_dir=out_dir, prefix=prefix,
+    )
+    if not n_flagged:
+        decided = []
+    elif n_flagged + len(prior) <= LOCAL_THRESHOLD:
+        decided = [decide(0, pa.concat_tables(ray.get(flagged)), prior)]
+    else:
+        decided = ray.get(_shuffle.raw_hash_exchange(
+            [(ray.data.from_arrow_refs(flagged), ["key"]),
+             (ray.data.from_arrow_refs([ray.put(prior)]), ["key"])],
+            decide,
+        ))
+    n_deleted = sum(t["n_deleted"][0].as_py() for t in decided)
+    stage_seconds[decide_s] = time.perf_counter() - t0
+
+    clean = (os.path.join(pdir, f"clean-{i:04d}.parquet")
+             for i in range(first, first + len(files)))
+    written = [p for p in clean if os.path.exists(p)] + sorted(
+        os.path.join(pdir, f) for f in os.listdir(pdir)
+        if f.startswith(f"{prefix}winners-")
+    )
+    manifest["files"] = manifest["files"] + files
+    manifest["n_deleted"] = int(manifest.get("n_deleted", 0)) + n_deleted
+    if seq is None:
+        manifest["n_suspects"] = int(n_flagged)
+    else:
+        manifest.setdefault("appends", []).append({
+            "new_files": files,
+            "n_suspects_new": int(n_flagged),
+            "n_prior_matches": len(prior),
+            "n_deleted_new": n_deleted,
+            "partial_files": [os.path.basename(p) for p in written],
+        })
+    if partials_fingerprint is not None:
+        manifest["partials_fingerprint"] = partials_fingerprint
+    write_manifest(dv_manifest_file(out_dir), manifest)
+    return written
 
 
 def build_deduped_dv(
     input_path: str,
+    files: list[str],
     out_dir: str,
     partial_fn,
     partials_fingerprint: str,
-    key: str = "doc_id",
     keep: str = "first",
-    local_threshold: int = 200_000,
-    bloom_threshold: int = 50_000_000,
-    decode_rows: int = 2048,
     stage_seconds: dict | None = None,
     tokens: bool = True,
 ) -> dict:
-    """Build the merge-on-read deduped view of a sequences parquet dir:
-    deletion vectors + the survivors' rollup partials + manifest. Returns
-    the manifest.
+    """Build the merge-on-read deduped view of the sorted parquet ``files``
+    of ``input_path``: deletion vectors + the survivors' rollup partials +
+    manifest. Returns the manifest.
 
     ``partial_fn`` (a picklable per-batch combiner, e.g.
     ``rollup.PartialRollup``) turns survivor rows into partial rows: the
@@ -326,82 +412,29 @@ def build_deduped_dv(
     without the token payload (``token_ck`` null); the manifest records
     the mode for :func:`append_deduped_dv`.
     """
-    import time
-
     _require_local(out_dir)
     if keep not in ("first", "none"):
         raise ValueError("keep must be 'first' or 'none'")
-    files = _list_files(input_path)
-
+    stage_seconds = {} if stage_seconds is None else stage_seconds
     t0 = time.perf_counter()
-    probe = duplicated_key_probe_files(
-        input_path, key, exact_threshold=bloom_threshold
-    )
-    if stage_seconds is not None:
-        stage_seconds["dedup_probe"] = time.perf_counter() - t0
+    probe = duplicated_key_probe_files(files, KEY, exact_threshold=BLOOM_THRESHOLD)
+    stage_seconds["dedup_probe"] = time.perf_counter() - t0
 
-    # one full decode; clean partials from the tasks, flagged rows returned
-    t0 = time.perf_counter()
-    pdir, ddir = fused_partials_dir(out_dir), dv_dir(out_dir)
-    for d in (pdir, ddir):
+    for d in (fused_partials_dir(out_dir), dv_dir(out_dir)):
         shutil.rmtree(d, ignore_errors=True)
         os.makedirs(d)
-    n_suspects, flagged = _scan_flagged(
-        files, 0, probe, partial_fn, pdir, decode_rows, tokens
-    )
-    if stage_seconds is not None:
-        stage_seconds["dv_scan_write"] = time.perf_counter() - t0
-
-    # flagged slice → winners/losers by actual key
-    t0 = time.perf_counter()
-    n_deleted = 0
-    if n_suspects:
-
-        def decide(part: int, t: pa.Table) -> int:
-            return _write_decision(
-                t, _decide_losers(t.select(_DUP_COLS).to_pandas(), keep),
-                partial_fn, os.path.join(pdir, f"winners-{part:04d}.parquet"),
-                os.path.join(ddir, f"dv-{part:04d}.parquet"),
-            )
-
-        # the tasks' counts decide the branch; the local branch then
-        # fetches the slice once
-        if n_suspects <= local_threshold:
-            n_deleted = decide(0, pa.concat_tables(ray.get(flagged)))
-        else:
-            # distributed decision: hash-partition the flagged slice on the
-            # key via the raw-task exchange (all occurrences of a key
-            # co-locate); each partition decides vectorized and writes its
-            # winners/dv shard DIRECTLY — no driver gather, and the work
-            # runs under the cluster's CPU budget (the driver-local pandas
-            # path rides pyarrow's host thread pool outside it). Shard sets
-            # differ with P but their union — the deleted (file_idx, pos)
-            # set and the winner rows — is P-invariant: the per-key
-            # decision needs only its own key's occurrences. (100 TB path)
-            from ._shuffle import raw_hash_exchange
-
-            counts = ray.get(raw_hash_exchange(
-                [(ray.data.from_arrow_refs(flagged), ["key"])],
-                lambda part, t: pa.table(
-                    {"n_deleted": pa.array([decide(part, t)], pa.int64())}
-                ),
-            ))
-            n_deleted = int(sum(c["n_deleted"][0].as_py() for c in counts))
-    if stage_seconds is not None:
-        stage_seconds["dv_decide_write"] = time.perf_counter() - t0
-
     manifest = {
         "mode": "deletion_vector",
         "input": input_path,
-        "files": files,
+        "files": [],
         "keep": keep,
         "tokens": tokens,
-        "n_suspects": int(n_suspects),
-        "n_deleted": int(n_deleted),
         "completed": True,
-        "partials_fingerprint": partials_fingerprint,
     }
-    write_manifest(dv_manifest_file(out_dir), manifest)
+    _scan_decide_record(
+        out_dir, manifest, files, probe, _occurrences(pa.string()).empty_table(),
+        partial_fn, partials_fingerprint, None, stage_seconds,
+    )
     return manifest
 
 
@@ -479,9 +512,26 @@ def read_deduped_dv(out_dir: str, batch_rows: int = 65536) -> ray.data.Dataset:
     )
 
 
-def _prior_matches(
-    files: list[str], new_keys: pa.Array, key: str = "doc_id"
-) -> pa.Table:
+@ray.remote(num_cpus=1)
+def _match_group(paths: list[str], fidxs: list[int], value_set: pa.Array,
+                 key: str) -> pa.Table:
+    """(key, file_idx, pos) of the rows of ``paths`` whose ``key`` is in
+    ``value_set``, read ``key`` only."""
+    schema = _occurrences(value_set.type)
+    out = [schema.empty_table()]
+    for path, fidx in zip(paths, fidxs):
+        col = pq.read_table(path, columns=[key], use_threads=False)[key]
+        pos = np.flatnonzero(
+            pc.is_in(col, value_set=value_set).to_numpy(zero_copy_only=False)
+        )
+        out.append(pa.table(
+            [col.take(pos).cast(value_set.type), np.full(len(pos), fidx), pos],
+            schema=schema,
+        ))
+    return pa.concat_tables(out)
+
+
+def _prior_matches(files: list[str], new_keys: pa.Array) -> pa.Table:
     """(key, file_idx, pos) of every row of ``files`` whose key is one of
     ``new_keys``, file_idx = position in ``files``: one doc_id-only raw
     task per file group (:func:`_shuffle.file_groups`), matching the key
@@ -489,29 +539,11 @@ def _prior_matches(
     output is the size of the prior copies of the delta's keys. Typed
     (``key`` of ``new_keys``' type) also when nothing matches."""
     value_set = pc.unique(new_keys)
-    schema = pa.schema(
-        [("key", value_set.type), ("file_idx", pa.int32()), ("pos", pa.int64())]
-    )
     if not files or not len(value_set):
-        return schema.empty_table()
-
-    @ray.remote(num_cpus=1)
-    def match(paths: list[str], fidxs: list[int], value_set: pa.Array) -> pa.Table:
-        out = [schema.empty_table()]
-        for path, fidx in zip(paths, fidxs):
-            col = pq.read_table(path, columns=[key], use_threads=False)[key]
-            pos = np.flatnonzero(
-                pc.is_in(col, value_set=value_set).to_numpy(zero_copy_only=False)
-            )
-            out.append(pa.table(
-                [col.take(pos).cast(value_set.type), np.full(len(pos), fidx), pos],
-                schema=schema,
-            ))
-        return pa.concat_tables(out)
-
+        return _occurrences(value_set.type).empty_table()
     value_ref = ray.put(value_set)
     return pa.concat_tables(ray.get(
-        [match.remote([files[i] for i in g], g, value_ref)
+        [_match_group.remote([files[i] for i in g], g, value_ref, KEY)
          for g in file_groups(files)]
     ))
 
@@ -528,26 +560,24 @@ def _append_probe(new_keys: pa.Array, prior_keys: pa.Array) -> np.ndarray:
 
 
 def append_deduped_dv(
-    input_path: str,
+    new_files: list[str],
     out_dir: str,
     partial_fn,
     partials_fingerprint: str,
-    key: str = "doc_id",
-    keep: str = "first",
-    decode_rows: int = 2048,
     stage_seconds: dict | None = None,
 ) -> dict:
-    """Incremental merge-on-read dedup: extend an existing DV build with
-    the NEW parquet files under ``input_path``. Returns the manifest plus
+    """Incremental merge-on-read dedup: extend the keep='first' DV build
+    under ``out_dir`` with ``new_files``, which the caller found new
+    against the files the build lists. Returns the manifest plus
     ``appended_partials``, the partial files of the new survivors (written
     by ``partial_fn`` under ``fused_partials_dir``, next to the build's).
 
-    Contract (keep='first' only): the prior file list keeps its order and
+    Contract (keep='first' only; the caller checks the policy and that no
+    prior file changed or went): the prior file list keeps its order and
     its winners — the deterministic (file_idx, pos) minimum can only move
     EARLIER, and new files append at the end, so every prior survivor
     stays a survivor and all new deletions land in new files. keep='none'
-    cannot append (a new copy invalidates an old survivor retroactively) —
-    the pipeline falls back to a full rebuild for it.
+    cannot append (a new copy invalidates an old survivor retroactively).
 
     Work ∝ delta + one doc_id-only pass over the prior files: the new
     files' keys are read in the driver, and :func:`_prior_matches` returns
@@ -564,92 +594,40 @@ def append_deduped_dv(
     input) takes its place, so a later resume reuses the partials. A
     manifest that had none (an interrupted earlier try) keeps none.
     """
-    import time
-
     _require_local(out_dir)
-    if keep != "first":
-        raise ValueError("append supports keep='first' only")
+    stage_seconds = {} if stage_seconds is None else stage_seconds
     manifest = _built_dv_manifest(out_dir)
-    if manifest.get("keep") != "first":
-        raise ValueError("existing build used a different keep policy")
-    prior_files = manifest["files"]
-    current = _list_files(input_path)
-    new_files = sorted(set(current) - set(prior_files))
-    if set(prior_files) - set(current):
-        raise ValueError("prior input files were removed; rebuild required")
-    files = prior_files + new_files  # stable order: priors keep their idx
-    if not new_files:
+    if manifest.pop("partials_fingerprint", None) is None:
+        partials_fingerprint = None
+    if not new_files:  # only non-parquet files are new: nothing to scan
+        if partials_fingerprint is not None:
+            manifest["partials_fingerprint"] = partials_fingerprint
+            write_manifest(dv_manifest_file(out_dir), manifest)
         return {**manifest, "appended_partials": []}
 
     t0 = time.perf_counter()
-    new_keys = pads.dataset(new_files).to_table(columns=[key])[key].combine_chunks()
-    old_occ = _prior_matches(prior_files, new_keys, key)
-    probe = _append_probe(new_keys, old_occ["key"])
-    if stage_seconds is not None:
-        stage_seconds["append_probe"] = time.perf_counter() - t0
+    new_keys = pads.dataset(new_files).to_table(columns=[KEY])[KEY].combine_chunks()
+    prior = _prior_matches(manifest["files"], new_keys)
+    probe = _append_probe(new_keys, prior["key"])
+    stage_seconds["append_probe"] = time.perf_counter() - t0
 
-    pdir = fused_partials_dir(out_dir)
-    seq = len(manifest.get("appends", [])) + 1
-    winners = os.path.join(pdir, f"append{seq:04d}-winners.parquet")
-    dv_path = os.path.join(dv_dir(out_dir), f"append{seq:04d}-dv.parquet")
-    targets = [
-        os.path.join(pdir, f"clean-{i:04d}.parquet")
-        for i in range(len(prior_files), len(files))
-    ] + [winners]
     # partials/ covers the manifest's file list again only once this append
     # completes: unmark it meanwhile, so an interrupted append never lets a
     # build reuse partials of files the manifest does not list, and drop
     # what an interrupted try of this append left
-    current_fp = manifest.pop("partials_fingerprint", None)
+    seq = len(manifest.get("appends", [])) + 1
     write_manifest(dv_manifest_file(out_dir), manifest)
-    os.makedirs(pdir, exist_ok=True)
-    for p in targets + [dv_path]:
-        if os.path.exists(p):
-            os.remove(p)
+    pdir, ddir = fused_partials_dir(out_dir), dv_dir(out_dir)
+    first = len(manifest["files"])
+    stale = [f"clean-{i:04d}.parquet" for i in range(first, first + len(new_files))]
+    for d in (pdir, ddir):
+        os.makedirs(d, exist_ok=True)
+        for f in os.listdir(d):
+            if f in stale or f.startswith(f"append{seq:04d}-"):
+                os.remove(os.path.join(d, f))
 
-    # scan ONLY the new files (payload decode ∝ delta), in the build's
-    # token mode (a manifest without the key predates the mode: tokens)
-    t0 = time.perf_counter()
-    n_suspects_new, flagged = _scan_flagged(
-        new_files, len(prior_files), probe, partial_fn, pdir, decode_rows,
-        manifest.get("tokens", True),
+    appended = _scan_decide_record(
+        out_dir, manifest, new_files, probe, prior, partial_fn,
+        partials_fingerprint, seq, stage_seconds,
     )
-    if stage_seconds is not None:
-        stage_seconds["append_scan"] = time.perf_counter() - t0
-
-    # flagged NEW rows compete with OLD occurrences of the same keys: one
-    # keep='first' decision over both, of which only the new rows' part
-    # is written (prior survivors stay survivors)
-    t0 = time.perf_counter()
-    n_deleted_new = 0
-    if n_suspects_new:
-        new_flagged = pa.concat_tables(ray.get(flagged))
-        lose = _decide_losers(
-            pd.concat(
-                [old_occ.to_pandas(), new_flagged.select(_DUP_COLS).to_pandas()],
-                ignore_index=True,
-            ),
-            "first",
-        )
-        n_deleted_new = _write_decision(
-            new_flagged, lose[len(old_occ):], partial_fn, winners, dv_path
-        )
-    if stage_seconds is not None:
-        stage_seconds["append_decide"] = time.perf_counter() - t0
-
-    appended = [p for p in targets if os.path.exists(p)]
-    manifest["files"] = files
-    manifest["n_deleted"] = int(manifest.get("n_deleted", 0)) + n_deleted_new
-    manifest.setdefault("appends", []).append(
-        {
-            "new_files": new_files,
-            "n_suspects_new": n_suspects_new,
-            "n_prior_matches": len(old_occ),
-            "n_deleted_new": n_deleted_new,
-            "partial_files": [os.path.basename(p) for p in appended],
-        }
-    )
-    if current_fp is not None:
-        manifest["partials_fingerprint"] = partials_fingerprint
-    write_manifest(dv_manifest_file(out_dir), manifest)
     return {**manifest, "appended_partials": appended}

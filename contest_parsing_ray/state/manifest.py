@@ -47,16 +47,27 @@ def _mtime_s(info: pafs.FileInfo) -> int:
     return int(mt // 1_000_000_000) if mt is not None else 0
 
 
-def fingerprint_input(path: str) -> str:
-    """Stable fingerprint of the input: file names + sizes (+ mtime)."""
+def fingerprint_input(path: str, files: dict[str, str]) -> str:
+    """Stable fingerprint of the input: file names (relative to ``path``)
+    + sizes (+ mtime), over the listing of :func:`input_file_fingerprints`."""
     _, root = resolve_fs(path)
-    _, infos = file_infos(path, recursive=True)
-    entries = [
-        f"{posixpath.relpath(i.path, root)}:{i.size}:{_mtime_s(i)}"
-        for i in infos
-        if i.is_file
-    ]
+    entries = [f"{posixpath.relpath(p, root)}:{files[p]}" for p in sorted(files)]
     return hashlib.sha256("\n".join(entries).encode()).hexdigest()[:32]
+
+
+def parquet_input_files(path: str, files: dict[str, str]) -> list[str]:
+    """The parquet input among ``files`` (the listing of ``path``), sorted:
+    pyarrow's dataset discovery rule, so no path component below ``path``
+    may start with ``_`` or ``.`` (``_SUCCESS``, ``.crc`` sidecars,
+    ``_temporary/``). The order is the keep='first' tie-break."""
+    _, root = resolve_fs(path)
+    return sorted(
+        p for p in files
+        if not any(
+            c.startswith(("_", ".")) for c in posixpath.relpath(p, root).split("/")
+            if c != "."
+        )
+    )
 
 
 def fingerprint_config(cfg_dict: dict) -> str:
@@ -94,9 +105,11 @@ def clear_dir(path: str) -> None:
 
 
 def input_file_fingerprints(path: str) -> dict[str, str]:
-    """Per-file fingerprints (size:mtime) keyed by fs path — the basis for
-    incremental append: a prior build whose recorded files are all unchanged
-    and a superset-free subset of the current listing can be extended by
-    processing only the new files."""
+    """The one listing of the input: per-file fingerprints (size:mtime)
+    keyed by fs path, every file under ``path``. The input fingerprint
+    (:func:`fingerprint_input`), the parquet file list
+    (:func:`parquet_input_files`) and incremental append (a prior build
+    whose recorded files are all unchanged can be extended by processing
+    only the new files) all come from it."""
     _, infos = file_infos(path, recursive=True)
     return {i.path: f"{i.size}:{_mtime_s(i)}" for i in infos if i.is_file}

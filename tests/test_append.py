@@ -69,6 +69,7 @@ def test_append_matches_from_scratch(corpus, tmp_path, tokens):
 
     m2 = run_rollup_pipeline(corpus, cfg)
     assert m2.get("incremental_append") is True
+    assert m2["deduped_table"] == "appended"
     assert sorted(m2["appended_input_files"]) == [
         os.path.join(corpus, "part-9000.parquet"),
         os.path.join(corpus, "part-9001.parquet"),
@@ -116,6 +117,7 @@ def test_append_matches_from_scratch(corpus, tmp_path, tokens):
     m4 = run_rollup_pipeline(corpus, cfg)
     assert list(m4["tiers"]) == ["1h"]
     assert not {"dedup_probe", "dv_scan_write"} & set(m4["stage_seconds"])
+    assert m4["deduped_table"] == "reused"
     for tier in ("1m", "5m", "1h"):
         pd.testing.assert_frame_equal(_tier(out, tier), _tier(out2, tier))
 
@@ -207,6 +209,7 @@ def test_interrupted_append_leaves_partials_unused(corpus, tmp_path, monkeypatch
     cfg = PipelineConfig(out_dir=out, quantile_cap=CAP, gapfill_mode="linear")
     m = run_rollup_pipeline(corpus, cfg)
     assert "dv_scan_write" in m["stage_seconds"]
+    assert m["deduped_table"] == "built"
     fresh = str(tmp_path / "fresh")
     run_rollup_pipeline(
         corpus,
@@ -215,6 +218,144 @@ def test_interrupted_append_leaves_partials_unused(corpus, tmp_path, monkeypatch
     )
     for tier in ("1m", "5m", "1h"):
         pd.testing.assert_frame_equal(_tier(out, tier), _tier(fresh, tier))
+
+
+def test_append_interrupted_after_its_dedup_resumes_to_fresh_build(
+    corpus, tmp_path, monkeypatch
+):
+    """An append interrupted after its deletion-vector append finished
+    (here: the tier write raises) leaves ``dv_manifest.json`` covering the
+    new input. The next run reuses the deduped table and rebuilds every
+    tier from all partials, so the new file's rows are counted and the
+    tiers equal a fresh build's; it neither appends nothing nor records
+    the file as ingested without its rows."""
+    from contest_parsing_ray.pipelines import rollup_pipeline
+
+    out = str(tmp_path / "out")
+    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP)
+    run_rollup_pipeline(corpus, cfg)
+    pq.write_table(
+        make_sequences_table(2_000, seed=7),
+        os.path.join(corpus, "part-9000.parquet"),
+    )
+
+    def interrupted(*args, **kwargs):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(rollup_pipeline, "_write_merged", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_rollup_pipeline(corpus, cfg)
+    monkeypatch.undo()
+
+    m = run_rollup_pipeline(corpus, cfg)
+    fresh = str(tmp_path / "fresh")
+    run_rollup_pipeline(
+        corpus, PipelineConfig(out_dir=fresh, quantile_cap=CAP), resume=False
+    )
+    for tier in ("1m", "5m", "1h"):
+        assert _tier(out, tier)["cnt"].sum() == _tier(fresh, tier)["cnt"].sum(), tier
+    _assert_same_outputs(_outputs(out), _outputs(fresh))
+    assert m["deduped_table"] == "reused"
+    assert "incremental_append" not in m
+    assert m["tier_merge"]["partial_rows"] > 0
+    assert not {"dedup_probe", "dv_scan_write", "append_probe", "append_scan"} & set(
+        m["stage_seconds"]
+    )
+    m = run_rollup_pipeline(corpus, cfg)
+    assert sorted(m["tiers_skipped_by_resume"]) == ["1h", "1m", "5m"]
+
+
+def test_append_after_dedup_finished_and_more_input_rebuilds(corpus, tmp_path, monkeypatch):
+    """When more input arrives after an append whose dedup finished but
+    whose tier write did not, the deletion vectors list a file the tier
+    manifests do not: the append is not taken (``append_fallback`` is
+    ``dv_manifest``), the deduped table is rebuilt, and the tiers equal a
+    fresh build's."""
+    from contest_parsing_ray.pipelines import rollup_pipeline
+
+    out = str(tmp_path / "out")
+    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP)
+    run_rollup_pipeline(corpus, cfg)
+    pq.write_table(
+        make_sequences_table(2_000, seed=7),
+        os.path.join(corpus, "part-9000.parquet"),
+    )
+
+    def interrupted(*args, **kwargs):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(rollup_pipeline, "_write_merged", interrupted)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_rollup_pipeline(corpus, cfg)
+    monkeypatch.undo()
+    pq.write_table(
+        make_sequences_table(1_000, seed=5),
+        os.path.join(corpus, "part-9001.parquet"),
+    )
+    m = run_rollup_pipeline(corpus, cfg)
+    assert m["incremental_append"] is False
+    assert m["append_fallback"] == "dv_manifest"
+    assert m["deduped_table"] == "built"
+    fresh = str(tmp_path / "fresh")
+    run_rollup_pipeline(
+        corpus, PipelineConfig(out_dir=fresh, quantile_cap=CAP), resume=False
+    )
+    _assert_same_outputs(_outputs(out), _outputs(fresh))
+
+
+def test_input_listing_follows_pyarrow_discovery(corpus, tmp_path):
+    """The input is listed once, and its parquet files follow pyarrow's
+    discovery rule: ``_SUCCESS``, ``_DONE``, a ``.crc`` sidecar and a
+    ``_temporary/`` dir are skipped, a nested dir is read. A build and an
+    append on such a dir equal fresh builds over the parquet files alone."""
+    from contest_parsing_ray.state.manifest import (
+        input_file_fingerprints,
+        parquet_input_files,
+    )
+
+    for name in ("_SUCCESS", "_DONE"):
+        open(os.path.join(corpus, name), "w").close()
+    with open(os.path.join(corpus, ".part-0000.parquet.crc"), "wb") as f:
+        f.write(b"not parquet")
+    for sub, seed in (("_temporary", 3), ("nested", 4)):
+        os.makedirs(os.path.join(corpus, sub, "0"))
+        pq.write_table(
+            make_sequences_table(1_000, seed=seed),
+            os.path.join(corpus, sub, "0", "part-0500.parquet"),
+        )
+
+    def same_as_clean_copy(out: str, tag: str) -> None:
+        files = parquet_input_files(corpus, input_file_fingerprints(corpus))
+        assert files == sorted(pads.dataset(corpus).files)
+        assert not any("/_" in f or "/." in f for f in files)
+        clean = str(tmp_path / f"clean-{tag}")
+        for f in files:
+            dst = os.path.join(clean, os.path.relpath(f, corpus))
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            os.link(f, dst)
+        fresh = str(tmp_path / f"fresh-{tag}")
+        run_rollup_pipeline(
+            clean, PipelineConfig(out_dir=fresh, quantile_cap=CAP), resume=False
+        )
+        for tier in ("1m", "5m", "1h"):
+            pd.testing.assert_frame_equal(_tier(out, tier), _tier(fresh, tier))
+
+    out = str(tmp_path / "out")
+    cfg = PipelineConfig(out_dir=out, quantile_cap=CAP)
+    assert run_rollup_pipeline(corpus, cfg)["deduped_table"] == "built"
+    same_as_clean_copy(out, "build")
+    pq.write_table(
+        make_sequences_table(2_000, seed=7),
+        os.path.join(corpus, "nested", "0", "part-0600.parquet"),
+    )
+    open(os.path.join(corpus, "nested", "_SUCCESS"), "w").close()
+    m = run_rollup_pipeline(corpus, cfg)
+    assert m["deduped_table"] == "appended"
+    assert m["appended_input_files"] == [
+        os.path.join(corpus, "nested", "0", "part-0600.parquet"),
+        os.path.join(corpus, "nested", "_SUCCESS"),
+    ]
+    same_as_clean_copy(out, "append")
 
 
 def _file_bytes(root: str, sub: str) -> dict[str, bytes]:
@@ -312,7 +453,7 @@ def test_append_reads_prior_corpus_once_and_superset_probe_is_exact(
         t = pads.dataset(files).to_table().to_pandas()
         return t.groupby(["source", "bucket_1m"])[["cnt", "ck_v"]].sum()
 
-    assert superset["partial_files"] == ["append0001-winners.parquet"]
+    assert superset["partial_files"] == ["append0001-winners-0000.parquet"]
     pd.testing.assert_frame_equal(*(delta_totals(out) for out in outs.values()))
 
 
@@ -467,6 +608,7 @@ def test_partial_resume_keeps_retention_cutoff(corpus, tmp_path):
     assert list(m["tiers"]) == ["1m"]
     assert m["tiers"]["1m"]["retention_cutoff_us"] == now - HOUR
     assert not {"dedup_probe", "dv_scan_write"} & set(m["stage_seconds"])
+    assert m["deduped_table"] == "reused"
     _assert_same_outputs(_outputs(out, ["1m"]), before)
     with open(os.path.join(out, "manifests", "1m.json")) as f:
         assert json.load(f)["retention_cutoff_us"] == now - HOUR
@@ -561,6 +703,7 @@ def test_later_clock_recuts_current_out_dir(corpus, tmp_path):
     assert m["tiers_recut_by_retention"] == ["1m"]
     assert m["tiers_skipped_by_resume"] == ["1h", "5m"]
     assert not {"dedup_probe", "dv_scan_write"} & set(m["stage_seconds"])
+    assert m["deduped_table"] == "reused"
     assert m["tiers"]["1m"]["retention_dropped"] > 0
     assert m["tiers"]["1m"]["points"] < first["tiers"]["1m"]["points"]
     fresh = str(tmp_path / "fresh")
@@ -606,6 +749,7 @@ def test_old_no_tokens_out_dir_rebuilds_once(corpus, tmp_path):
     from contest_parsing_ray.state.manifest import (
         fingerprint_config,
         fingerprint_input,
+        input_file_fingerprints,
     )
 
     old = str(tmp_path / "old")
@@ -621,7 +765,8 @@ def test_old_no_tokens_out_dir_rebuilds_once(corpus, tmp_path):
         partition_cols=["source"],
     )
     old_fp = fingerprint_config(
-        {"in": fingerprint_input(corpus), "keep": "first", "tokens": False}
+        {"in": fingerprint_input(corpus, input_file_fingerprints(corpus)),
+         "keep": "first", "tokens": False}
     )
     write_tier_manifest(old, "deduped", {
         "tier": "deduped", "input_fingerprint": old_fp,

@@ -33,8 +33,13 @@ from contest_parsing_ray.stages.deletion_vector import (
     fused_partials_dir,
     load_deletion_vectors,
     read_deduped_dv,
+    read_dv_manifest,
 )
-from contest_parsing_ray.state.manifest import fingerprint_input
+from contest_parsing_ray.state.manifest import (
+    fingerprint_input,
+    input_file_fingerprints,
+    parquet_input_files,
+)
 from test_rollup import _norm, _oracle
 
 TIERS = {"1m": 60_000_000, "5m": 300_000_000, "1h": 3_600_000_000}
@@ -55,9 +60,11 @@ def _tier_frame(out_dir: str, tier: str) -> pd.DataFrame:
 def build_deduped_dv(input_path: str, out_dir: str, **kw) -> dict:
     """The deletion-vector build with the default config's partials."""
     cfg = PipelineConfig()
+    listing = input_file_fingerprints(input_path)
     return deletion_vector.build_deduped_dv(
-        input_path, out_dir, _fused_partial_fn(cfg),
-        _fused_partials_fp(cfg, fingerprint_input(input_path)), **kw
+        input_path, parquet_input_files(input_path, listing), out_dir,
+        _fused_partial_fn(cfg),
+        _fused_partials_fp(cfg, fingerprint_input(input_path, listing)), **kw
     )
 
 
@@ -175,12 +182,19 @@ def test_dv_keep_first_deterministic(sequences_dir, tmp_path):
     assert len(survivors) == raw["doc_id"].nunique()
 
 
-def test_dv_distributed_decision_matches_local(sequences_dir, tmp_path):
-    """local_threshold=0 forces the distributed winner decision — the
-    deletion vectors must be identical to the driver-side decision."""
+def test_dv_distributed_decision_matches_local(sequences_dir, tmp_path, monkeypatch):
+    """LOCAL_THRESHOLD=0 forces the distributed winner decision — the
+    deletion vectors must be identical to the driver-side decision. So for
+    an append, whose exchange carries the prior occurrences of the new
+    keys as its second input: the new file holds fresh rows, copies of
+    prior rows and copies among its own rows, and the deletion vectors,
+    the partials' survivors and the tiers equal the driver-side decide's."""
+    from contest_parsing_ray.sources.synthetic import make_sequences_table
+
     out_l, out_d = str(tmp_path / "local"), str(tmp_path / "dist")
     build_deduped_dv(sequences_dir, out_l, keep="first")
-    build_deduped_dv(sequences_dir, out_d, keep="first", local_threshold=0)
+    monkeypatch.setattr(deletion_vector, "LOCAL_THRESHOLD", 0)
+    build_deduped_dv(sequences_dir, out_d, keep="first")
     dv_l, dv_d = load_deletion_vectors(out_l), load_deletion_vectors(out_d)
     assert dv_l.keys() == dv_d.keys()
     for k in dv_l:
@@ -188,16 +202,47 @@ def test_dv_distributed_decision_matches_local(sequences_dir, tmp_path):
     # the partials roll up the same survivors
     pd.testing.assert_frame_equal(_partials(out_l), _partials(out_d))
 
+    names = sorted(pads.dataset(sequences_dir).files)
+    fresh = make_sequences_table(1_000, seed=5)
+    new = pa.concat_tables(
+        [fresh, pq.read_table(names[0]).slice(0, 100), fresh.slice(0, 40)]
+    )
+    outs = {}
+    for name, threshold in (("local", 200_000), ("dist", 0)):
+        monkeypatch.setattr(deletion_vector, "LOCAL_THRESHOLD", threshold)
+        inp, out = str(tmp_path / f"in-{name}"), str(tmp_path / f"out-{name}")
+        os.makedirs(inp)
+        for f in names:
+            os.link(f, os.path.join(inp, os.path.basename(f)))
+        run_rollup_pipeline(inp, PipelineConfig(out_dir=out), resume=False)
+        pq.write_table(new, os.path.join(inp, "part-9000.parquet"))
+        m = run_rollup_pipeline(inp, PipelineConfig(out_dir=out))
+        assert m["deduped_table"] == "appended", name
+        outs[name] = os.path.join(out, "deduped")
+        last = read_dv_manifest(outs[name])["appends"][-1]
+        assert last["n_prior_matches"] >= 100 and last["n_deleted_new"] >= 140
+    dv_l, dv_d = (load_deletion_vectors(d) for d in outs.values())
+    assert dv_l.keys() == dv_d.keys() and len(names) in dv_l
+    for k in dv_l:
+        np.testing.assert_array_equal(dv_l[k], dv_d[k])
+    pd.testing.assert_frame_equal(*(_partials(d) for d in outs.values()))
+    for tier in TIERS:
+        pd.testing.assert_frame_equal(
+            *(_tier_frame(os.path.dirname(d), tier) for d in outs.values())
+        )
 
-def test_dv_bloom_probe_matches_exact(sequences_dir, tmp_path):
-    """bloom_threshold=1 broadcasts the duplicated keys as a Bloom filter
+
+def test_dv_bloom_probe_matches_exact(sequences_dir, tmp_path, monkeypatch):
+    """BLOOM_THRESHOLD=1 broadcasts the duplicated keys as a Bloom filter
     (false positives become extra suspects): the deletion vectors must be
     identical to the exact-probe build under both keep policies."""
     for keep in ("first", "none"):
         out_e = str(tmp_path / f"exact_{keep}")
         out_b = str(tmp_path / f"bloom_{keep}")
         build_deduped_dv(sequences_dir, out_e, keep=keep)
-        build_deduped_dv(sequences_dir, out_b, keep=keep, bloom_threshold=1)
+        with monkeypatch.context() as mp:
+            mp.setattr(deletion_vector, "BLOOM_THRESHOLD", 1)
+            build_deduped_dv(sequences_dir, out_b, keep=keep)
         dv_e, dv_b = load_deletion_vectors(out_e), load_deletion_vectors(out_b)
         assert dv_e and dv_e.keys() == dv_b.keys(), keep
         for k in dv_e:
@@ -255,6 +300,7 @@ def test_deleted_partials_rebuild_deduped_table(sequences_dir, tmp_path):
         os.remove(os.path.join(out_s, "manifests", f"{tier}.json"))
     m = run_rollup_pipeline(sequences_dir, PipelineConfig(out_dir=out_s))
     assert "dv_scan_write" in m["stage_seconds"]  # deduped table rebuilt
+    assert m["deduped_table"] == "built"
     for tier in TIERS:
         pd.testing.assert_frame_equal(
             _tier_frame(out_f, tier), _tier_frame(out_s, tier)
@@ -273,6 +319,7 @@ def test_fused_partials_stale_config_falls_back(sequences_dir, tmp_path):
     cfg2 = PipelineConfig(out_dir=out, tiers=("2m",))
     m = run_rollup_pipeline(sequences_dir, cfg2)
     assert "dv_scan_write" in m["stage_seconds"]  # deduped table rebuilt
+    assert m["deduped_table"] == "built"
     assert m["tiers"].get("2m", {}).get("points", 0) > 0
     fresh = str(tmp_path / "fresh")
     run_rollup_pipeline(
@@ -320,7 +367,9 @@ def test_dv_uri_out_dir_raises(tmp_path, sequences_dir):
     fn = _fused_partial_fn(PipelineConfig())
     for call in (
         lambda: build_deduped_dv(sequences_dir, uri),
-        lambda: append_deduped_dv(sequences_dir, uri, fn, "fp"),
+        lambda: append_deduped_dv(
+            sorted(pads.dataset(sequences_dir).files), uri, fn, "fp"
+        ),
         lambda: fused_partial_files(uri, "fp"),
     ):
         with pytest.raises(ValueError, match="local out_dir"):
@@ -392,9 +441,10 @@ def test_file_grouping_does_not_change_outputs(tmp_path, monkeypatch):
         os.link(last, os.path.join(inp, names[-1]))
         m = run_rollup_pipeline(inp, PipelineConfig(out_dir=out), resume=True)
         assert m.get("incremental_append") is True
-        exact = duplicated_key_probe_files(src, "doc_id")
+        src_files = sorted(pads.dataset(src).files)
+        exact = duplicated_key_probe_files(src_files, "doc_id")
         np.testing.assert_array_equal(exact, want_probe)
-        bloom = duplicated_key_probe_files(src, "doc_id", exact_threshold=1)
+        bloom = duplicated_key_probe_files(src_files, "doc_id", exact_threshold=1)
         assert bloom.contains_hashes(want_probe).all()
         runs[g] = (build, _output_bytes(out))
 

@@ -152,8 +152,10 @@ def test_manifest_roundtrip_uri(tmp_path):
     assert not tier_needs_build(uri, "1m", "f", "c")
     # fingerprints agree between plain and URI forms of the same input
     fin = str(tmp_path / "in")
-    assert fingerprint_input(fin) == fingerprint_input("file://" + fin)
     ff = input_file_fingerprints("file://" + fin)
+    assert fingerprint_input(fin, input_file_fingerprints(fin)) == fingerprint_input(
+        "file://" + fin, ff
+    )
     assert len(ff) == 1 and list(ff.values())[0].startswith("10:")
     clear_dir(uri)
     assert read_tier_manifest(str(d), "1m") is None
