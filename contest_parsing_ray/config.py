@@ -66,9 +66,10 @@ class PipelineConfig:
     # duplicated key; reference FileConcat.py:22 unique(keep='none')).
     dedup_keep: str = "first"
 
-    # p95 machinery: partial aggregates carry exact value arrays up to this
-    # many points per (key, batch) partial; beyond it they compact into a
-    # deterministic mergeable summary (weighted subsample). Exact below cap.
+    # p95 machinery: a group's mergeable state is its sorted (value, count)
+    # pairs, exact up to this many DISTINCT values; beyond it the values map
+    # onto a fixed relative-error grid (state/sketches.py). Either way the
+    # state is a function of the group's values, whatever the merge order.
     quantile_cap: int = 4096
 
     # Gap-fill mode: 'locf' (last observation carried forward) or 'linear'.

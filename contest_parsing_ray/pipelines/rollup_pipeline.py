@@ -32,8 +32,10 @@ serial fraction that caps scaling efficiency):
             (driver-side wrap-sum, no extra pass).
   [step 4]  tier merge: the partials become tier-tagged rows (tier,
             source, bucket_us, stats, qsum) and merge on that one key, one
-            _merge_partition call per tier (integer-keyed numpy: one
-            lexsort, segmented reductions, one blob scatter). At or below
+            _merge_partition call per tier (integer-keyed numpy:
+            segmented reductions, one union of the groups' sorted
+            (value, count) pairs, p95 off their cumulative counts, one
+            blob buffer). At or below
             DRIVER_MERGE_BYTES this runs in the driver; above it, the
             partial files or blocks stream through ONE raw task exchange
             on (tier, source, bucket_us). Either way each group merges
@@ -102,6 +104,7 @@ from ..stages.retention import (
     tier_needs_build,
 )
 from ..stages.rollup import PartialRollup, _key_codes, _merge_partition, _run_heads
+from ..state import sketches
 from ..state.manifest import (
     clear_dir,
     fingerprint_config,
@@ -125,6 +128,7 @@ def _fused_partials_fp(cfg: PipelineConfig, input_fp: str) -> str:
             "mode": "nearest",
             "value": "n_tok",
             "ck": cfg.ingest_tokens,
+            "qsum": sketches.PAIR_FORMAT,
         }
     )
 
@@ -193,8 +197,8 @@ _MERGED = pa.schema([*list(_TAGGED)[:-1], ("p95_v", pa.float64()), _TAGGED.field
 
 def _merge_tagged(t: pa.Table, cap: int) -> pa.Table:
     """Final points plus mergeable state (``qsum``) of tier-tagged rows, in
-    the ``_MERGED`` schema: one ``_merge_partition`` call per tier, which
-    merges each group's rows in one canonical order (see
+    the ``_MERGED`` schema: one ``_merge_partition`` call per tier, whose
+    output depends only on which rows each group holds (see
     :func:`stages.rollup._merge_partition`)."""
     tier = t["tier"]
     outs = [_MERGED.empty_table()]
@@ -418,9 +422,10 @@ def _append_plan(
     over exactly the prior parquet files.
     Runtime ∝ delta plus one doc_id-only read of the prior files, which
     matches them against the new keys by string (no full-corpus probe).
-    Exactness: identical to a from-scratch rebuild while merged value
-    counts stay under quantile_cap; beyond it both paths are deterministic
-    compactions (documented divergence in the last ulp of p95).
+    Exactness: the tier data, state and chunks equal a from-scratch
+    rebuild's byte for byte, at any quantile_cap: a group's quantile
+    state is a function of its multiset of values, also when it is
+    gridded above the cap (``state/sketches.py``).
 
     When the input changed under a prior build of the same config but the
     append is not taken, ``metrics`` records ``incremental_append: False``
@@ -507,6 +512,7 @@ def run_rollup_pipeline(
             "ingest_tokens": cfg.ingest_tokens,
             "gapfill_mode": cfg.gapfill_mode if with_gapfill else None,
             "chunk_points": cfg.chunk_points if with_compression else None,
+            "qsum": sketches.PAIR_FORMAT,
         }
     )
 

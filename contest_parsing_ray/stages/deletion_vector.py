@@ -516,19 +516,23 @@ def read_deduped_dv(out_dir: str, batch_rows: int = 65536) -> ray.data.Dataset:
 def _match_group(paths: list[str], fidxs: list[int], value_set: pa.Array,
                  key: str) -> pa.Table:
     """(key, file_idx, pos) of the rows of ``paths`` whose ``key`` is in
-    ``value_set``, read ``key`` only."""
-    schema = _occurrences(value_set.type)
-    out = [schema.empty_table()]
-    for path, fidx in zip(paths, fidxs):
-        col = pq.read_table(path, columns=[key], use_threads=False)[key]
-        pos = np.flatnonzero(
-            pc.is_in(col, value_set=value_set).to_numpy(zero_copy_only=False)
-        )
-        out.append(pa.table(
-            [col.take(pos).cast(value_set.type), np.full(len(pos), fidx), pos],
-            schema=schema,
-        ))
-    return pa.concat_tables(out)
+    ``value_set``, read ``key`` only. One ``is_in`` over the files' keys
+    together builds the lookup set once; the positions are split back per
+    file."""
+    cols = [
+        pq.read_table(path, columns=[key], use_threads=False)[key].cast(value_set.type)
+        for path in paths
+    ]
+    col = pa.chunked_array([c for k in cols for c in k.chunks], type=value_set.type)
+    pos = np.flatnonzero(
+        pc.is_in(col, value_set=value_set).to_numpy(zero_copy_only=False)
+    )
+    starts = np.cumsum([0] + [len(k) for k in cols])
+    file = np.searchsorted(starts, pos, side="right") - 1
+    return pa.table(
+        [col.take(pos), np.asarray(fidxs, dtype=np.int32)[file], pos - starts[file]],
+        schema=_occurrences(value_set.type),
+    )
 
 
 def _prior_matches(files: list[str], new_keys: pa.Array) -> pa.Table:

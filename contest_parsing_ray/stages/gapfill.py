@@ -14,7 +14,8 @@ Modes:
 
 Execution: :func:`fill_group_pandas` fills every key of a table sorted by
 (key, bucket) in one vectorized numpy pass: the key runs are segments (as
-in ``rollup._merge_partition``), each segment's grid is laid out by one
+are the groups of ``rollup._merge_partition``'s segmented reductions),
+each segment's grid is laid out by one
 cumulative sum, LOCF gathers from a ``np.maximum.accumulate`` index of
 the last valid row, and linear calls ``np.interp`` once per value column
 over the whole table (a segment's interior gaps lie between two of its own

@@ -290,7 +290,9 @@ def exact_quantiles_by_key(
     keys there are. CONTRACT: driver memory is O(keys * len(qs) * 2^16 * 8B)
     per pass — sized for tier-stats key cardinalities (sources, event
     types, <= a few thousand keys). For high-cardinality keys use the
-    mergeable qsum sketch in ``stages/rollup.py`` instead. The
+    rollups' mergeable quantile state instead (``stages/rollup.py``: sorted
+    (value, count) pairs per group, ``state/sketches.py``; exact up to
+    its distinct-value cap, within a fixed relative error past it). The
     deterministic-rescan contract of ``exact_quantiles`` applies here too
     (``ds`` is re-executed once per refinement pass).
 

@@ -36,11 +36,16 @@ Scale design (the part the reference lacks — it is single-process,
   tiers DO compose and :func:`reaggregate` implements the cheap
   hierarchical 1m->5m->1h path.
 - **Final merge over partials only, on integer codes.**
-  :func:`_merge_partition` sorts a partition's partial rows once (numpy
-  lexsort on key code, bucket and stats) and reduces every group with
-  segmented numpy kernels: the exact blobs' values are gathered by one
-  mask, p95 is numpy's linear quantile per group, and the merged blobs are
-  one scatter; only compacted groups take :class:`QuantileSummary`.
+  :func:`_merge_partition` reduces every group of a partition's partial
+  rows with segmented numpy kernels. Each row's quantile state is sorted
+  (value, count) pairs (``state/sketches.py``): all rows' pairs are
+  decoded at once, unioned per group by one value sort and one stable
+  sort on the group id, and equal values add their counts; p95 is read
+  for every group from the cumulative counts, bit-equal to
+  ``np.quantile`` on the expanded values; the merged blobs are one
+  buffer. The merged state is a function of the group's multiset, so its
+  bytes do not depend on the arrival order, the partition count, or on
+  whether the group was built at once or appended to.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.bucketing import bucket_us
-from ..state.sketches import QuantileSummary
+from ..state import sketches
 from ._shuffle import hash_partitioned_map
 
 
@@ -115,49 +120,6 @@ def _run_heads(*cols: np.ndarray) -> np.ndarray:
         for c in cols:
             new[1:] |= c[1:] != c[:-1]
     return np.flatnonzero(new)
-
-
-def _exact_blob_array(
-    v_sorted: np.ndarray,
-    counts: np.ndarray,
-    starts: np.ndarray,
-    patch: dict[int, bytes] | None = None,
-) -> pa.Array:
-    """Build the per-group QuantileSummary blob column as ONE contiguous
-    buffer + Arrow offsets (zero per-group Python on the exact path).
-
-    Blob layout (``QuantileSummary.to_bytes`` exact mode): int64 n, int64
-    flag=1, then n float64 values — every field is 8 bytes, so the whole
-    column is a single int64 scatter. ``patch`` replaces the blobs of the
-    few groups that are not exact (above the cap, or merged from a
-    compacted blob).
-    """
-    n_groups = len(counts)
-    if n_groups == 0:
-        return pa.array([], type=pa.binary())
-    out = np.empty(2 * n_groups + len(v_sorted), dtype=np.int64)
-    # group g's blob starts at word offset 2*g + starts[g]
-    word_start = 2 * np.arange(n_groups, dtype=np.int64) + starts[:-1]
-    out[word_start] = counts
-    out[word_start + 1] = 1  # exact flag
-    gix = np.repeat(np.arange(n_groups, dtype=np.int64), counts)
-    out[2 * gix + 2 + np.arange(len(v_sorted), dtype=np.int64)] = v_sorted.view(
-        np.int64
-    )
-    byte_offsets = np.empty(n_groups + 1, dtype=np.int32)
-    byte_offsets[:-1] = 8 * word_start
-    byte_offsets[-1] = 8 * len(out)
-    arr = pa.Array.from_buffers(
-        pa.binary(),
-        n_groups,
-        [None, pa.py_buffer(byte_offsets.tobytes()), pa.py_buffer(out.tobytes())],
-    )
-    if patch:
-        blobs = arr.to_pylist()
-        for g, blob in patch.items():
-            blobs[g] = blob
-        arr = pa.array(blobs, type=pa.binary())
-    return arr
 
 
 class PartialRollup:
@@ -237,24 +199,20 @@ class PartialRollup:
         gid = np.repeat(np.cumsum(is_head) - 1, np.diff(np.append(runs, len(ts))))
         if n_groups < len(runs):
             # a merged group's rows arrive slice by slice: order them by
-            # group id, stably, so each blob keeps the input-row order
+            # group id, stably, so the sums keep the input-row order
             in_row = np.empty(len(ts), dtype=np.int64)
             in_row[order] = gid
             order = np.argsort(in_row, kind="stable")
         counts = np.bincount(gid, minlength=n_groups).astype(np.int64)
-        starts = np.zeros(n_groups + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
+        first = np.zeros(n_groups, dtype=np.int64)
+        np.cumsum(counts[:-1], out=first[1:])
         v_sorted = np.ascontiguousarray(v[order])
-        first = starts[:-1]
-        big = np.flatnonzero(counts > self.cap)
-        blobs = _exact_blob_array(
-            v_sorted, counts, starts,
-            {
-                int(i): QuantileSummary.of(
-                    v_sorted[starts[i] : starts[i + 1]], cap=self.cap
-                ).to_bytes()
-                for i in big
-            },
+        blobs = sketches.to_blobs(
+            *sketches.merge_pairs(
+                np.repeat(np.arange(n_groups), counts), v_sorted,
+                np.ones(len(v_sorted), dtype=np.int64),
+                np.zeros(n_groups, dtype=bool), self.cap,
+            )
         )
         out = {
             # explicit string type: an all-filtered batch would otherwise
@@ -295,84 +253,6 @@ def _reduce(ufunc: np.ufunc, x: np.ndarray, heads: np.ndarray) -> np.ndarray:
     return ufunc.reduceat(x, heads)
 
 
-def _same(x: np.ndarray) -> np.ndarray:
-    """x[i] equals x[i - 1], for i >= 1 (NaN equals NaN, as in a sort)."""
-    eq = x[1:] == x[:-1]
-    if x.dtype.kind == "f":
-        eq |= np.isnan(x[1:]) & np.isnan(x[:-1])
-    return eq
-
-
-def _linear_quantiles(
-    flat: np.ndarray, starts: np.ndarray, n: np.ndarray, q: float
-) -> np.ndarray:
-    """``np.quantile(seg, q)`` (method 'linear') of every segment
-    ``flat[starts[g]:starts[g] + n[g]]`` with ``n[g] >= 1``, bit-equal:
-    numpy's own virtual index, gamma and lerp arithmetic, vectorized. Only
-    the two order statistics around the index are selected per segment
-    (``np.partition``), not the segment sorted."""
-    vi = (n - 1).astype(np.float64) * q
-    prev = np.floor(vi)
-    above = vi >= n - 1
-    prev[above] = -1  # numpy takes the last element there, gamma = vi + 1
-    lo = np.where(above, n - 1, prev).astype(np.int64)
-    hi = np.where(above, n - 1, lo + 1)
-    a = np.empty(len(n))
-    b = np.empty(len(n))
-    top = np.empty(len(n))
-    for i, (s, m, k, j) in enumerate(
-        zip(starts.tolist(), n.tolist(), lo.tolist(), hi.tolist())
-    ):
-        part = np.partition(flat[s : s + m], sorted({k, j, m - 1}))
-        a[i], b[i], top[i] = part[k], part[j], part[m - 1]
-    gamma = vi - prev
-    diff = b - a
-    out = a + diff * gamma
-    ge = gamma >= 0.5
-    out[ge] = (b - diff * (1 - gamma))[ge]
-    nan = np.isnan(top)  # numpy returns NaN for a segment holding one
-    out[nan] = top[nan]
-    return out
-
-
-def _offsets(blobs: pa.BinaryArray) -> np.ndarray:
-    return np.frombuffer(blobs.buffers()[1], dtype=np.int32)[
-        blobs.offset : blobs.offset + len(blobs) + 1
-    ].astype(np.int64)
-
-
-def _tie_order(blobs: pa.Array, tie: np.ndarray) -> np.ndarray | None:
-    """Permutation that orders each run of rows tied on (group, stats) by
-    blob bytes, stably, as a sort on the blob column would; None when every
-    tied run holds equal blobs (the common case: one-value partials)."""
-    offs = _offsets(blobs)
-    lens = np.diff(offs)
-    i = np.flatnonzero(tie)  # row i is tied with row i - 1
-    differ = lens[i] != lens[i - 1]
-    same_len = np.flatnonzero(~differ)
-    n_bytes = lens[i[same_len]]
-    if n_bytes.sum():
-        # compare each equal-length pair byte by byte, all pairs at once
-        data = np.frombuffer(blobs.buffers()[2], dtype=np.uint8)
-        pair = np.repeat(np.arange(len(same_len)), n_bytes)
-        at = np.arange(n_bytes.sum()) - np.repeat(np.cumsum(n_bytes) - n_bytes, n_bytes)
-        cur = offs[i[same_len]][pair] + at
-        prev = offs[i[same_len] - 1][pair] + at
-        ne = data[cur] != data[prev]
-        differ[same_len] = np.bincount(pair, weights=ne, minlength=len(same_len)) > 0
-    if not differ.any():
-        return None
-    edges = np.diff(tie.astype(np.int8), prepend=0, append=0)
-    lo = np.flatnonzero(edges == 1) - 1
-    hi = np.flatnonzero(edges == -1)
-    perm = np.arange(len(blobs))
-    for r in np.unique(np.searchsorted(hi, i[differ], side="right")).tolist():
-        a, b = int(lo[r]), int(hi[r])
-        run = blobs[a:b].to_pylist()
-        perm[a:b] = a + np.array(sorted(range(b - a), key=run.__getitem__))
-    return perm
-
-
 _MERGE_COLS = ["cnt", "sum_v", "min_v", "max_v", "qsum"]
 
 
@@ -386,19 +266,18 @@ def _merge_partition(
 ) -> pd.DataFrame:
     """Merge ALL (key, bucket) groups co-located in one partition of partial
     rows (a pandas frame or an Arrow table) into final points, without
-    per-group Python on the exact path.
+    per-group Python.
 
-    The rows are sorted once, on (key, bucket, cnt, sum_v, min_v, max_v);
-    rows tied on all of those are ordered by their blob bytes. Each group
-    therefore merges its rows in one canonical order, so the float sums
-    and the blob bytes depend only on which rows the group holds, not on
-    the order they arrived in (Ray Data does not keep block order) or on
-    the partition count. cnt/sum/min/max are segmented reductions; the
-    exact blobs' values are gathered by one mask over the sorted blob
-    buffer that drops the 16-byte headers; p95 is numpy's linear quantile
-    per group; the merged blobs are one scatter. Only a group above
-    ``cap`` values (compacted) or holding a compacted blob goes through
-    :class:`QuantileSummary`.
+    cnt/sum/min/max are segmented reductions over the rows sorted on (key,
+    bucket, sum_v): sum_v is the one sort key that is not a group key,
+    because a float sum depends on the order of its terms, and rows tied
+    on it add the same terms in any order, so the sums depend only on
+    which rows a group holds, not on the order they arrived in (Ray Data
+    does not keep block order) or on the partition count. The quantile
+    states merge without any row order: every row's (value, count) pairs
+    are decoded at once and unioned per group
+    (:func:`sketches.merge_pairs`), p95 is numpy's linear quantile read
+    from the cumulative counts, and the merged blobs are one buffer.
     """
     if isinstance(df, pd.DataFrame):
         df = pa.Table.from_pandas(
@@ -431,79 +310,37 @@ def _merge_partition(
         return t[name].to_numpy().astype(dtype, copy=False)
 
     kc, keys = _key_codes(t[key_col])
-    stats = [col(bucket_col, np.int64), col("cnt", np.int64)] + [
-        col(c, np.float64) for c in ("sum_v", "min_v", "max_v")
-    ]
-    order = np.lexsort((*stats[::-1], kc))
-    kc = kc[order]
-    stats = [x[order] for x in stats]
-    bk, cnt, sv, mn, mx = stats
-    heads = _run_heads(kc, bk)
-    tie = np.zeros(len(kc), dtype=bool)
-    tie[1:] = np.logical_and.reduce([_same(x) for x in (kc, *stats)])
-    blobs = t["qsum"].combine_chunks().take(pa.array(order))
-    perm = _tie_order(blobs, tie) if tie.any() else None
-    if perm is not None:
-        order = order[perm]
-        blobs = blobs.take(pa.array(perm))
+    bk, sv = col(bucket_col, np.int64), col("sum_v", np.float64)
+    by_key = _pair_order(kc, bk)
+    is_head = np.zeros(len(kc), dtype=np.int64)
+    is_head[_run_heads(kc[by_key], bk[by_key])] = 1
+    group = np.empty(len(kc), dtype=np.int64)  # group id of each row
+    group[by_key] = np.cumsum(is_head) - 1
+    n_groups = int(is_head.sum())
+    order = sketches.order_in_groups(group, n_groups, sv)
+    heads = np.zeros(n_groups, dtype=np.int64)
+    np.cumsum(np.bincount(group, minlength=n_groups)[:-1], out=heads[1:])
 
-    # the sorted blob buffer as int64 words (every blob is whole words):
-    # an exact blob is [n, 1, n values], a compacted one [n, 0, values,
-    # weights]; one mask keeps the exact blobs' values, in group order
-    offs = _offsets(blobs)
-    words = np.frombuffer(blobs.buffers()[2], dtype=np.int64, count=offs[-1] // 8)
-    ws = offs[:-1] // 8
-    nv = words[ws]
-    exact = words[ws + 1] == 1
-    keep = np.ones(len(words), dtype=bool)
-    keep[ws] = False
-    keep[ws + 1] = False
-    for lo, hi in zip(ws[~exact].tolist(), (offs[1:][~exact] // 8).tolist()):
-        keep[lo:hi] = False
-    flat = words.view(np.float64)[keep]
-    nv[~exact] = 0
-    n_groups = len(heads)
-    vcount = _reduce(np.add, nv, heads)
-    vstart = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(vcount, out=vstart[1:])
-    compacted = _reduce(np.add, (~exact).astype(np.int64), heads) > 0
-
-    p95 = np.full(n_groups, np.nan)
-    simple = np.flatnonzero(~compacted & (vcount <= cap) & (vcount > 0))
-    p95[simple] = _linear_quantiles(flat, vstart[simple], vcount[simple], p)
-    patch: dict[int, bytes] = {}
-    ends = np.append(heads[1:], len(blobs))
-    for g in np.flatnonzero(compacted | (vcount > cap)).tolist():
-        if compacted[g]:
-            merged = QuantileSummary.merge_all(
-                [
-                    QuantileSummary.from_bytes(b)
-                    for b in blobs[heads[g] : ends[g]].to_pylist()
-                ],
-                cap=cap,
-            )
-        else:
-            merged = QuantileSummary.compact_exact(
-                flat[vstart[g] : vstart[g + 1]], cap
-            )
-        p95[g] = merged.quantile(p)
-        patch[g] = merged.to_bytes()
-
+    n, gridded, values, counts = sketches.from_blobs(t["qsum"])
+    any_gridded = np.zeros(n_groups, dtype=bool)
+    any_gridded[group[gridded]] = True
+    state = sketches.merge_pairs(
+        np.repeat(group, n), values, counts, any_gridded, cap
+    )
+    first = order[heads]
     out = pd.DataFrame(
         {
-            key_col: keys.take(pa.array(kc[heads])).to_numpy(zero_copy_only=False),
-            "bucket_us": bk[heads],
-            "cnt": _reduce(np.add, cnt, heads),
-            "sum_v": _reduce(np.add, sv, heads),
-            "min_v": _reduce(np.fmin, mn, heads),
-            "max_v": _reduce(np.fmax, mx, heads),
-            "p95_v": p95,
+            key_col: keys.take(pa.array(kc[first])).to_numpy(zero_copy_only=False),
+            "bucket_us": bk[first],
+            "cnt": _reduce(np.add, col("cnt", np.int64)[order], heads),
+            "sum_v": _reduce(np.add, sv[order], heads),
+            "min_v": _reduce(np.fmin, col("min_v", np.float64)[order], heads),
+            "max_v": _reduce(np.fmax, col("max_v", np.float64)[order], heads),
+            "p95_v": sketches.linear_quantiles(state[0], state[2], state[3], p),
         }
     )
     if keep_summary:
-        out["qsum"] = _exact_blob_array(flat, vcount, vstart, patch).to_numpy(
-            zero_copy_only=False
-        )
+        out["qsum"] = sketches.to_blobs(*state).to_numpy(zero_copy_only=False)
     return out
 
 

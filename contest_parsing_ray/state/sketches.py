@@ -1,129 +1,237 @@
-"""Mergeable quantile summary for distributed p95.
+"""Mergeable sketches: the quantile state of the rollups, HyperLogLog and
+Count-Min.
 
 min/max/sum/count compose across partial aggregates and across tiers;
-quantiles don't (SURVEY §7.6). Partials therefore carry a *value summary*:
+quantiles don't (SURVEY §7.6). Partials therefore carry a *quantile state*
+per group: its distinct values in ascending order, each with the number of
+samples that hold it — sorted (value, count) pairs.
 
-- EXACT mode (n <= cap): the raw float64 values. Merging concatenates.
-  Finalize = numpy linear-interpolated quantile — identical to DuckDB's
-  ``quantile_cont`` — so at test scale (sf0.01 groups are far below the
-  cap) the result matches the SQL oracle bit-for-bit.
-- COMPACT mode (n > cap): deterministic weighted compaction: sort, then
-  keep every k-th value with weight k (a single-level KLL-style compactor,
-  cf. Karnin-Lang-Liberty 2016). Approximate, bounded memory, still
-  mergeable and deterministic (no randomness → reproducible across runs
-  and cluster sizes).
+- EXACT (at most ``cap`` distinct values): the pairs are the group's
+  multiset itself. A merge unions the pairs and adds the counts of equal
+  values, so the state is a function of the multiset alone: the same bytes
+  whatever the split into partials, the merge order or the partition
+  count. p95 is read from the cumulative counts: numpy's linear quantile
+  (DuckDB's ``quantile_cont``) from the two order statistics around its
+  virtual index, with numpy's own gamma and lerp arithmetic, so it is
+  bit-equal to ``np.quantile`` on the expanded values.
+- GRIDDED (more than ``cap`` distinct values): every value is mapped onto a
+  fixed relative-error grid, the float's binary exponent and its top
+  ``GRID_BITS`` mantissa bits, the cell's midpoint standing for the cell
+  (DDSketch's linearly interpolated mapping; Masson, Rim and Lee, VLDB
+  2019), and the state carries a gridded flag. The map acts on each value
+  alone and maps a midpoint to itself, so grid(A + B) = grid(grid(A) + B);
+  and a part never has more distinct values than the union, so a group is
+  gridded exactly when its multiset has more than ``cap`` distinct values.
+  The state stays a function of the multiset. The map is monotone, so
+  every order statistic, and with it p95, is within a relative
+  ``2**-(GRID_BITS + 1)`` of the exact one; the state is bounded by the
+  grid cells the values span, not by the sample count. The map is exact
+  float arithmetic (``frexp``/``ldexp``), so the cells do not depend on
+  the host's libm.
 
-Serialized as a binary blob (numpy tobytes) so it rides through Arrow
-``binary`` columns between the partial and final aggregation stages.
+Serialized per group as one binary blob, so it rides through Arrow
+``binary`` columns between the partial and final aggregation stages and in
+the stored tier state: int64 n, int64 flag (2 exact, 3 gridded), n float64
+values ascending, n int32 counts. Values are never NaN (a NaN is not a
+sample) and a zero is stored as +0.0. The functions below act on every
+group of a column at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
-_HDR = np.dtype(np.int64).itemsize
+# the blob format, recorded in the fingerprints of every output that stores
+# these blobs: an out_dir written in another format rebuilds, never merges
+PAIR_FORMAT = "value-count-pairs/1"
+
+GRID_BITS = 6  # 64 cells per octave: relative error at most 2**-7
+_EXACT, _GRIDDED = 2, 3
+_HDR = 16
+_PAIR = 12  # float64 value + int32 count
+_TINY = np.finfo(np.float64).tiny
 
 
-class QuantileSummary:
-    __slots__ = ("values", "weights")
+def grid_values(v: np.ndarray) -> np.ndarray:
+    """Each value's grid cell midpoint: the binary exponent and the top
+    ``GRID_BITS`` mantissa bits of ``|v|`` kept, the rest set to the cell
+    middle. Idempotent and monotone; infinities stay, zeros and subnormals
+    map to +0.0."""
+    a = np.abs(v)
+    m, e = np.frexp(a)  # a = m * 2**e, m in [0.5, 1)
+    scale = float(1 << (GRID_BITS + 1))
+    r = np.ldexp((np.floor(m * scale) + 0.5) / scale, e)
+    r[a < _TINY] = 0.0
+    return np.copysign(r, v) + 0.0
 
-    def __init__(self, values: np.ndarray | None = None, weights: np.ndarray | None = None):
-        self.values = np.asarray(values, dtype=np.float64) if values is not None else np.empty(0)
-        if weights is None:
-            self.weights = np.ones(len(self.values), dtype=np.float64)
-        else:
-            self.weights = np.asarray(weights, dtype=np.float64)
 
-    # -- construction ------------------------------------------------------
-    @classmethod
-    def of(cls, values: np.ndarray, cap: int = 4096) -> "QuantileSummary":
-        s = cls(np.asarray(values, dtype=np.float64))
-        return s.compact(cap)
+def _pair_heads(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Positions where (g, v), sorted, changes: the first of each run."""
+    new = np.ones(len(g), dtype=bool)
+    new[1:] = (g[1:] != g[:-1]) | (v[1:] != v[:-1])
+    return np.flatnonzero(new)
 
-    def compact(self, cap: int) -> "QuantileSummary":
-        if len(self.values) <= cap:
-            return self
-        order = np.argsort(self.values, kind="stable")
-        v, w = self.values[order], self.weights[order]
-        k = int(np.ceil(len(v) / (cap // 2)))
-        # group consecutive sorted values into runs of k; keep the weighted
-        # mean of each run with the run's total weight (deterministic)
-        n_runs = int(np.ceil(len(v) / k))
-        pad = n_runs * k - len(v)
-        vw = np.concatenate([v * w, np.zeros(pad)])
-        ww = np.concatenate([w, np.zeros(pad)])
-        run_w = ww.reshape(n_runs, k).sum(axis=1)
-        run_v = vw.reshape(n_runs, k).sum(axis=1) / np.maximum(run_w, 1e-300)
-        return QuantileSummary(run_v, run_w)
 
-    # -- merge -------------------------------------------------------------
-    @classmethod
-    def compact_exact(cls, values: np.ndarray, cap: int) -> "QuantileSummary":
-        """``QuantileSummary(values).compact(cap)`` specialized to unit
-        weights — bit-identical output (``x * 1.0 == x`` exactly, and the
-        all-ones run-weight sums equal the computed run lengths), without
-        allocating the per-value weights array. The merge stage calls this
-        per above-cap group; the weights allocation there measured as large
-        as the values themselves."""
-        values = np.asarray(values, dtype=np.float64)
-        if len(values) <= cap:
-            return cls(values)
-        v = np.sort(values, kind="stable")
-        k = int(np.ceil(len(v) / (cap // 2)))
-        n_runs = int(np.ceil(len(v) / k))
-        pad = n_runs * k - len(v)
-        vw = np.concatenate([v, np.zeros(pad)])
-        run_w = np.full(n_runs, float(k))
-        if pad:
-            run_w[-1] = float(k - pad)
-        run_v = vw.reshape(n_runs, k).sum(axis=1) / np.maximum(run_w, 1e-300)
-        return cls(run_v, run_w)
+def order_in_groups(group: np.ndarray, n_groups: int, key: np.ndarray) -> np.ndarray:
+    """Permutation that orders rows by (``group``, ``key``), for group ids
+    in ``[0, n_groups)``: a sort on the key, then a stable sort on the
+    group id (a radix sort on 16-bit ids). Rows tied on both keep no
+    particular order."""
+    order = np.argsort(key)
+    gid = group[order].astype(np.uint16 if n_groups <= 1 << 16 else np.int64)
+    return order[np.argsort(gid, kind="stable")]
 
-    @classmethod
-    def merge_all(cls, summaries: list["QuantileSummary"], cap: int = 4096) -> "QuantileSummary":
-        if not summaries:
-            return cls()
-        v = np.concatenate([s.values for s in summaries])
-        w = np.concatenate([s.weights for s in summaries])
-        return cls(v, w).compact(cap)
 
-    # -- finalize ----------------------------------------------------------
-    def quantile(self, q: float) -> float:
-        if len(self.values) == 0:
-            return float("nan")
-        if np.all(self.weights == 1.0):
-            # exact path: matches numpy 'linear' == DuckDB quantile_cont
-            return float(np.quantile(self.values, q))
-        order = np.argsort(self.values, kind="stable")
-        v, w = self.values[order], self.weights[order]
-        cw = np.cumsum(w)
-        # weighted linear interpolation on the cumulative-weight midpoints
-        target = q * (cw[-1] - 1) + 1 if cw[-1] >= 1 else q * cw[-1]
-        idx = np.searchsorted(cw, target, side="left")
-        idx = min(idx, len(v) - 1)
-        return float(v[idx])
+def merge_pairs(
+    group: np.ndarray,
+    values: np.ndarray,
+    counts: np.ndarray,
+    gridded: np.ndarray,
+    cap: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The state of every group from its pairs (``group`` id per pair, in
+    any order) and whether any of its inputs is gridded (``gridded``, one
+    bool per group). Returns the pairs per group, the gridded flag per
+    group, and the values and counts (int64), grouped by id and ascending
+    within each group, equal values merged."""
+    n_groups = len(gridded)
+    values = values + 0.0  # -0.0 and 0.0 are one value: store +0.0
+    order = order_in_groups(group, n_groups, values)
+    g, v = group[order], values[order]
+    heads = _pair_heads(g, v)
+    g, v = g[heads], v[heads]
+    c = (
+        np.add.reduceat(counts[order], heads, dtype=np.int64)
+        if len(heads)
+        else np.zeros(0, dtype=np.int64)
+    )
+    n = np.bincount(g, minlength=n_groups)
+    gridded = gridded | (n > cap)
+    if gridded.any():
+        on = gridded[g]
+        v[on] = grid_values(v[on])
+        # the grid is monotone: each group's values stay ascending
+        heads = _pair_heads(g, v)
+        g, v, c = g[heads], v[heads], np.add.reduceat(c, heads)
+        n = np.bincount(g, minlength=n_groups)
+    return n, gridded, v, c
 
-    # -- serialization (binary blob for Arrow binary columns) --------------
-    def to_bytes(self) -> bytes:
-        n = np.int64(len(self.values))
-        exact = np.all(self.weights == 1.0)
-        flag = np.int64(1 if exact else 0)
-        parts = [n.tobytes(), flag.tobytes(), self.values.tobytes()]
-        if not exact:
-            parts.append(self.weights.tobytes())
-        return b"".join(parts)
 
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "QuantileSummary":
-        n = int(np.frombuffer(blob[:_HDR], dtype=np.int64)[0])
-        exact = int(np.frombuffer(blob[_HDR : 2 * _HDR], dtype=np.int64)[0]) == 1
-        off = 2 * _HDR
-        values = np.frombuffer(blob[off : off + 8 * n], dtype=np.float64).copy()
-        if exact:
-            return cls(values)
-        off += 8 * n
-        weights = np.frombuffer(blob[off : off + 8 * n], dtype=np.float64).copy()
-        return cls(values, weights)
+def linear_quantiles(
+    n: np.ndarray, values: np.ndarray, counts: np.ndarray, q: float
+) -> np.ndarray:
+    """``np.quantile`` (method 'linear') of every group's expanded values,
+    bit-equal, for groups of ``n`` pairs laid out one after another (as
+    :func:`merge_pairs` returns them); NaN for a group with no pairs. The
+    order statistics around numpy's virtual index are found in the
+    cumulative counts, for all groups at once."""
+    if not len(values):
+        return np.full(len(n), np.nan)
+    cum = np.cumsum(counts, dtype=np.int64)
+    at = np.zeros(len(n) + 1, dtype=np.int64)
+    np.cumsum(n, out=at[1:])
+    before = np.concatenate([[0], cum])[at]
+    size = before[1:] - before[:-1]
+    # numpy's virtual index, gamma and lerp arithmetic
+    vi = (size - 1).astype(np.float64) * q
+    prev = np.floor(vi)
+    above = vi >= size - 1
+    prev[above] = -1  # numpy takes the last element there, gamma = vi + 1
+    lo = np.where(above, size - 1, prev).astype(np.int64)
+    hi = np.where(above, size - 1, lo + 1)
+    has = size > 0
+    start = before[:-1]
+
+    def stat(k: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(cum, start + np.where(has, k, 0), side="right")
+        return values[np.minimum(pos, len(values) - 1)]
+
+    a, b = stat(lo), stat(hi)
+    gamma = vi - prev
+    diff = b - a
+    out = a + diff * gamma
+    ge = gamma >= 0.5
+    out[ge] = (b - diff * (1 - gamma))[ge]
+    out[~has] = np.nan
+    return out
+
+
+def _layout(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where consecutive blobs of ``n`` pairs keep their fields, in int32
+    words (a blob is 4 header words, 2 per value, 1 per count): each
+    blob's first word (and the end), and per pair the word of its value's
+    low half and of its count."""
+    offs = np.zeros(len(n) + 1, dtype=np.int64)
+    np.cumsum(_HDR // 4 + 3 * n, out=offs[1:])
+    first = np.zeros(len(n), dtype=np.int64)  # global index of a blob's pair 0
+    np.cumsum(n[:-1], out=first[1:])
+    at = offs[:-1] + _HDR // 4 - first
+    j = np.arange(int(n.sum()))
+    return offs, np.repeat(at - first, n) + 2 * j, np.repeat(at + 2 * n, n) + j
+
+
+def to_blobs(
+    n: np.ndarray, gridded: np.ndarray, values: np.ndarray, counts: np.ndarray
+) -> pa.Array:
+    """The blob column of groups of ``n`` pairs laid out one after another:
+    one buffer and its offsets, no per-group Python."""
+    if len(counts) and int(counts.max()) > np.iinfo(np.int32).max:
+        raise OverflowError("a quantile state count does not fit in int32")
+    n = np.asarray(n, dtype=np.int64)
+    offs, vw, cw = _layout(n)
+    if 4 * offs[-1] > np.iinfo(np.int32).max:
+        raise OverflowError("quantile state blobs exceed 2 GiB in one column")
+    words = np.zeros(offs[-1], dtype="<i4")
+    words[offs[:-1]] = n
+    words[offs[:-1] + 2] = np.where(gridded, _GRIDDED, _EXACT)
+    halves = np.ascontiguousarray(values, dtype="<f8").view("<i4")
+    words[vw] = halves[0::2]
+    words[vw + 1] = halves[1::2]
+    words[cw] = counts
+    return pa.Array.from_buffers(
+        pa.binary(),
+        len(n),
+        [None, pa.py_buffer((4 * offs).astype(np.int32)), pa.py_buffer(words)],
+    )
+
+
+def from_blobs(
+    blobs: pa.Array,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(pairs per blob, gridded per blob, values, counts) of a blob column,
+    the pairs laid out blob after blob. Raises ``ValueError`` on a blob in
+    another format."""
+    if isinstance(blobs, pa.ChunkedArray):
+        blobs = blobs.combine_chunks()
+    if blobs.null_count:
+        raise ValueError("a quantile state blob is null")
+    if not len(blobs):
+        none = np.zeros(0, dtype=np.int64)
+        return none, none.astype(bool), none.astype(np.float64), none.astype("<i4")
+    offs = np.frombuffer(blobs.buffers()[1], dtype=np.int32)[
+        blobs.offset : blobs.offset + len(blobs) + 1
+    ].astype(np.int64)
+    lens = np.diff(offs)
+    n = (lens - _HDR) // _PAIR
+    ok = (lens >= _HDR) & ((lens - _HDR) % _PAIR == 0)
+    if ok.all():
+        words = np.frombuffer(
+            blobs.buffers()[2], dtype="<i4", count=(offs[-1] - offs[0]) // 4,
+            offset=offs[0],
+        )
+        woffs, vw, cw = _layout(n)
+        flag = words[woffs[:-1] + 2]
+        ok = (words[woffs[:-1]] == n) & np.isin(flag, (_EXACT, _GRIDDED))
+    if not ok.all():
+        raise ValueError(
+            "qsum blob is not in the (value, count) pair format "
+            f"{PAIR_FORMAT!r}: rebuild the state that holds it"
+        )
+    halves = np.empty((len(vw), 2), dtype="<i4")
+    halves[:, 0] = words[vw]
+    halves[:, 1] = words[vw + 1]
+    return n, flag == _GRIDDED, halves.view("<f8").ravel(), words[cw]
 
 
 class HyperLogLog:

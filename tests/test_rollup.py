@@ -106,35 +106,32 @@ def test_hierarchical_floor_reaggregate(sequences_dir):
 
 
 def test_quantile_summary_compaction_bounded_error():
-    from contest_parsing_ray.state.sketches import QuantileSummary
+    """Above the cap a group's state is gridded: 20 partial states of a
+    heavy-tailed sample merge into one state much smaller than the sample,
+    and its p95 is within the grid's relative error of the exact p95."""
+    from contest_parsing_ray.state import sketches
 
     rng = np.random.default_rng(7)
     vals = rng.pareto(1.5, size=200_000) * 100
     parts = [
-        QuantileSummary.of(vals[i : i + 10_000], cap=1024) for i in range(0, len(vals), 10_000)
+        sketches.merge_pairs(
+            np.zeros(10_000, dtype=np.int64), vals[i : i + 10_000],
+            np.ones(10_000, dtype=np.int64), np.zeros(1, dtype=bool), 1024,
+        )
+        for i in range(0, len(vals), 10_000)
     ]
-    merged = QuantileSummary.merge_all(parts, cap=1024)
-    approx = merged.quantile(0.95)
+    assert all(p[1][0] for p in parts)  # every part is gridded alone
+    n, gridded, v, c = sketches.merge_pairs(
+        np.zeros(sum(len(p[2]) for p in parts), dtype=np.int64),
+        np.concatenate([p[2] for p in parts]),
+        np.concatenate([p[3] for p in parts]),
+        np.ones(1, dtype=bool),
+        1024,
+    )
+    assert gridded[0] and c.sum() == len(vals) and n[0] < 2_000
+    approx = sketches.linear_quantiles(n, v, c, 0.95)[0]
     exact = float(np.quantile(vals, 0.95))
-    assert abs(approx - exact) / exact < 0.05
-
-
-def test_compact_exact_bit_identical_to_general_compact():
-    """compact_exact (the unit-weight fast path the tier merge uses) must
-    equal QuantileSummary(values).compact(cap) bit-for-bit — values,
-    weights, serialized blob — at and around the cap boundary."""
-    from contest_parsing_ray.state.sketches import QuantileSummary
-
-    rng = np.random.default_rng(7)
-    for n in (0, 1, 512, 4096, 4097, 8193, 100_000):
-        vals = rng.normal(size=n) * 100
-        fast = QuantileSummary.compact_exact(vals, 4096)
-        ref = QuantileSummary(vals.copy()).compact(4096)
-        np.testing.assert_array_equal(fast.values, ref.values)
-        np.testing.assert_array_equal(fast.weights, ref.weights)
-        assert fast.to_bytes() == ref.to_bytes()
-        if n:
-            assert fast.quantile(0.95) == ref.quantile(0.95)
+    assert abs(approx - exact) / exact <= 2.0 ** -(sketches.GRID_BITS + 1)
 
 
 # -- factor-grid partials and the integer-keyed merge -------------------------
@@ -155,7 +152,6 @@ def _reference_partials(batch, tiers, mode, cap, checksum):
     import pyarrow.compute as pc
 
     from contest_parsing_ray.functions.bucketing import bucket_us
-    from contest_parsing_ray.state.sketches import QuantileSummary
 
     batch = batch.filter(pc.and_(batch["v"].is_valid(), batch["ts"].is_valid()))
     batch = batch.filter(pc.invert(pc.is_nan(batch["v"])))
@@ -181,7 +177,7 @@ def _reference_partials(batch, tiers, mode, cap, checksum):
             "sum_v": float(vals.sum()),
             "min_v": float(vals.min()),
             "max_v": float(vals.max()),
-            "qsum": QuantileSummary.of(vals, cap=cap).to_bytes(),
+            "qsum": _state_blob(vals, cap),
         }
         if checksum:
             with np.errstate(over="ignore"):
@@ -310,28 +306,68 @@ def test_factor_grid_partials_long_span():
         _assert_partials_match(batch, {"a": 3, "b": 7}, mode, 4096)
 
 
-def _canonical_reference(rows, cap, p=0.95):
-    """Per (key, bucket) group: merge_all of its blobs in the canonical
-    order (cnt, sum_v, min_v, max_v, blob bytes)."""
-    from contest_parsing_ray.state.sketches import QuantileSummary
+def _grid_ref(x: float) -> float:
+    """One value's grid cell midpoint, in scalar Python: the binary
+    exponent and the top GRID_BITS mantissa bits kept."""
+    import math
 
+    from contest_parsing_ray.state.sketches import GRID_BITS
+
+    a = abs(x)
+    if a < np.finfo(np.float64).tiny:
+        return 0.0
+    if math.isinf(a):
+        return x
+    m, e = math.frexp(a)
+    scale = 2 ** (GRID_BITS + 1)
+    return math.copysign(math.ldexp((math.floor(m * scale) + 0.5) / scale, e), x)
+
+
+def _state_blob(vals, cap, gridded=False) -> bytes:
+    """One group's state blob from its values, by the documented layout:
+    int64 n, int64 flag (2 exact, 3 gridded), n float64 values ascending,
+    n int32 counts; gridded past ``cap`` distinct values (or when asked)."""
+    import struct
+
+    vals = np.asarray(vals, dtype=np.float64) + 0.0
+    gridded = gridded or len(np.unique(vals)) > cap
+    if gridded:
+        vals = np.array([_grid_ref(x) for x in vals.tolist()]) + 0.0
+    u, c = np.unique(vals, return_counts=True)
+    return (
+        struct.pack("<qq", len(u), 3 if gridded else 2)
+        + u.astype("<f8").tobytes()
+        + c.astype("<i4").tobytes()
+    )
+
+
+def _blob_values(blob: bytes) -> tuple[np.ndarray, bool]:
+    """A state blob's values, each repeated by its count, and its flag."""
+    n, flag = np.frombuffer(blob[:16], dtype="<i8")
+    v = np.frombuffer(blob[16 : 16 + 8 * n], dtype="<f8")
+    c = np.frombuffer(blob[16 + 8 * n :], dtype="<i4")
+    assert len(c) == n and flag in (2, 3)
+    return np.repeat(v, c), flag == 3
+
+
+def _canonical_reference(rows, cap, p=0.95):
+    """Per (key, bucket) group: the state of the union of its blobs'
+    multisets, gridded when any blob is or past ``cap`` distinct values,
+    and the p95 of the (gridded) multiset by ``np.quantile``."""
     out = {}
     for (k, b), g in rows.groupby(["source", "bucket_us"]):
-        g = g.assign(_blob=g["qsum"]).sort_values(
-            ["cnt", "sum_v", "min_v", "max_v", "_blob"], kind="stable"
-        )
-        merged = QuantileSummary.merge_all(
-            [QuantileSummary.from_bytes(x) for x in g["qsum"]], cap=cap
-        )
-        out[(k, b)] = (merged.quantile(p), merged.to_bytes())
+        parts = [_blob_values(x) for x in g["qsum"]]
+        vals = np.concatenate([v for v, _ in parts])
+        blob = _state_blob(vals, cap, any(f for _, f in parts))
+        out[(k, b)] = (float(np.quantile(_blob_values(blob)[0], p)), blob)
     return out
 
 
 def test_merge_mixed_exact_and_compacted_blobs_equals_merge_all(sequences_dir):
-    """The append's merge input: stored state (compacted blobs where a
+    """The append's merge input: stored state (gridded blobs where a
     group passed the cap, exact ones elsewhere) followed by fresh exact
-    partials. Every group's p95 bits and blob bytes equal
-    ``QuantileSummary.merge_all`` over its blobs in canonical order."""
+    partials. Every group's p95 bits and blob bytes equal those of the
+    union of its blobs' multisets (:func:`_canonical_reference`)."""
     import pyarrow as pa
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
@@ -368,23 +404,21 @@ def test_merge_mixed_exact_and_compacted_blobs_equals_merge_all(sequences_dir):
 
 
 def _is_exact(blob: bytes) -> bool:
-    return int(np.frombuffer(blob[8:16], dtype=np.int64)[0]) == 1
+    return int(np.frombuffer(blob[8:16], dtype=np.int64)[0]) == 2
 
 
 def _bits(x: float) -> int:
     return int(np.float64(x).view(np.int64))
 
 
-def _tied_rows(compacted: bool):
+def _tied_rows(gridded: bool):
     """Rows of one group tied on every stat, with different blobs (the
-    last one compacted)."""
-    from contest_parsing_ray.state.sketches import QuantileSummary
-
+    last one gridded)."""
     blobs = [
-        QuantileSummary(np.array(v, dtype=np.float64)).to_bytes()
-        for v in ([1, 2], [2, 1], [1, 2], [1, 2, 3], [3, 1, 2], [2, 3, 1])
+        _state_blob(v, 4096)
+        for v in ([1, 2], [2, 2], [1, 1], [1, 2, 3], [3, 1, 3], [2, 2, 2])
     ]
-    blobs.append(QuantileSummary(np.array([1.0, 3.0]), np.array([2.0, 1.0])).to_bytes())
+    blobs.append(_state_blob([1.0, 1.0, 3.0], 4096, gridded=True))
     return pd.DataFrame(
         {
             "source": "s",
@@ -395,19 +429,20 @@ def _tied_rows(compacted: bool):
             "max_v": [2.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0],
             "qsum": blobs,
         }
-    ).iloc[: 7 if compacted else 6]
+    ).iloc[: 7 if gridded else 6]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.permutations(list(range(7))), st.sampled_from([4096, 4]), st.booleans()
 )
-def test_merge_tied_rows_blob_bytes_order_free(perm, cap, compacted):
+def test_merge_tied_rows_blob_bytes_order_free(perm, cap, gridded):
     """Rows tied on every stat but holding different blobs merge to the
-    same bytes in any input order: the tie is broken by blob bytes."""
+    same bytes in any input order: the merged state is the union of the
+    blobs' multisets, with no row order in it."""
     from contest_parsing_ray.stages.rollup import _merge_partition
 
-    rows = _tied_rows(compacted)
+    rows = _tied_rows(gridded)
     perm = [i for i in perm if i < len(rows)]
     got = _merge_partition(rows.iloc[perm], "source", "bucket_us", cap, 0.95, True)
     want = _canonical_reference(rows, cap)[("s", 0)]
@@ -416,43 +451,125 @@ def test_merge_tied_rows_blob_bytes_order_free(perm, cap, compacted):
 
 
 @st.composite
-def _quantile_segments(draw):
-    """Segments of 1-40 values laid out with gaps in one flat array: the
-    values come from a small set (ties), NaN included, or are any finite
-    float."""
+def _quantile_groups(draw):
+    """1-8 groups of 1-40 values: from a small set (ties) or any finite
+    float (zero as +0.0, as the state stores it)."""
     value = st.one_of(
-        st.sampled_from([0.0, 1.0, 1.5, 2.0, 7.0, -3.25, 1e300, np.nan]),
+        st.sampled_from([0.0, 1.0, 1.5, 2.0, 7.0, -3.25, 1e300]),
         st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0),
     )
-    segs = draw(st.lists(st.lists(value, min_size=1, max_size=40), min_size=1, max_size=8))
-    flat, starts = [], []
-    for seg in segs:
-        flat += [99.0] * draw(st.integers(0, 3))  # values outside every segment
-        starts.append(len(flat))
-        flat += seg
-    return (
-        np.array(flat, dtype=np.float64),
-        np.array(starts, dtype=np.int64),
-        np.array([len(s) for s in segs], dtype=np.int64),
-    )
+    return draw(st.lists(st.lists(value, min_size=1, max_size=40), min_size=1, max_size=8))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_quantile_segments(), st.sampled_from([0.0, 0.95, 1.0]))
+@given(_quantile_groups(), st.sampled_from([0.0, 0.95, 1.0]))
 @example(  # gamma = 0.5 at n = 11, where numpy's two lerp forms round apart
-    (
-        np.array([0.0] * 9 + [3.45584192064786, 8.216181435011583]),
-        np.array([0]),
-        np.array([11]),
-    ),
-    0.95,
+    [[0.0] * 9 + [3.45584192064786, 8.216181435011583]], 0.95
 )
-def test_linear_quantiles_bit_equal_numpy(segments, q):
-    """The merge's vectorized p95 equals ``np.quantile(seg, q)`` bit for
-    bit on every segment: n = 1, ties, NaN in a segment, q at 0 and 1."""
-    from contest_parsing_ray.stages.rollup import _linear_quantiles
+def test_linear_quantiles_bit_equal_numpy(groups, q):
+    """p95 read off each group's merged (value, count) pairs equals
+    ``np.quantile`` of its values bit for bit: n = 1, ties, q at 0 and 1,
+    the values arriving shuffled across the groups."""
+    from contest_parsing_ray.state import sketches
 
-    flat, starts, n = segments
-    got = _linear_quantiles(flat, starts, n, q)
-    want = np.array([np.quantile(flat[s : s + m], q) for s, m in zip(starts, n)])
+    g = np.repeat(np.arange(len(groups)), [len(x) for x in groups])
+    v = np.concatenate([np.array(x, dtype=np.float64) for x in groups])
+    perm = np.random.default_rng(len(v)).permutation(len(v))
+    n, gridded, pv, pc = sketches.merge_pairs(
+        g[perm], v[perm], np.ones(len(v), dtype=np.int64),
+        np.zeros(len(groups), dtype=bool), 4096,
+    )
+    assert not gridded.any()
+    got = sketches.linear_quantiles(n, pv, pc, q)
+    want = np.array([np.quantile(x, q) for x in groups])
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@st.composite
+def _split_multiset(draw):
+    """A multiset of values split into 1-6 parts in random order, and how
+    many of the parts merge first (a stored state an append merges the
+    rest into)."""
+    value = st.one_of(
+        st.integers(-6, 40).map(float),
+        st.sampled_from([0.5, -0.0, 3.3, 1e300, -1e-310, 2.5e-308]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    vals = draw(st.lists(value, min_size=1, max_size=60))
+    perm = draw(st.permutations(range(len(vals))))
+    cuts = draw(
+        st.lists(st.integers(1, max(1, len(vals) - 1)), max_size=5, unique=True)
+    )
+    parts = np.split(np.array(vals)[perm], sorted(c for c in cuts if c < len(vals)))
+    first = draw(st.integers(1, len(parts)))
+    return vals, parts, first
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_split_multiset(), st.sampled_from([1, 4, 4096]))
+def test_state_bytes_independent_of_split_and_merge_order(case, cap):
+    """Whatever the split of a multiset into partials and the order and
+    stages of the merge, its state is the same bytes: those of the
+    multiset's own state, exact (p95 bit-equal to ``np.quantile``) up to
+    ``cap`` distinct values and gridded past it, where every stored value
+    is a fixed point of the grid and re-merging the state changes
+    nothing."""
+    import pyarrow as pa
+
+    from contest_parsing_ray.stages.rollup import PartialRollup, _merge_partition
+    from contest_parsing_ray.state import sketches
+
+    vals, parts, first = case
+    # a tier named "us" emits its bucket as bucket_us
+    partial = PartialRollup({"us": 60_000_000}, "v", "key", "ts", cap)
+    rows = [
+        partial(pa.table({
+            "key": ["s"] * len(p),
+            "ts": np.zeros(len(p), dtype=np.int64),
+            "v": p.astype(np.float64),
+        })).to_pandas().rename(columns={"key": "source"})
+        for p in parts
+    ]
+
+    def merge(df):
+        return _merge_partition(df, "source", "bucket_us", cap, 0.95, True)
+
+    stored = merge(pd.concat(rows[:first], ignore_index=True))
+    got = merge(pd.concat([stored.drop(columns=["p95_v"]), *rows[first:]],
+                          ignore_index=True))
+    want = _state_blob(vals, cap)
+    assert got["qsum"].iloc[0] == want
+    expanded, gridded = _blob_values(want)
+    assert gridded == (len(np.unique(np.array(vals) + 0.0)) > cap)
+    if gridded:
+        u = np.unique(expanded)
+        assert sketches.grid_values(u).tolist() == u.tolist()
+        assert merge(got.drop(columns=["p95_v"]))["qsum"].iloc[0] == want
+    else:
+        want_p95 = np.quantile(np.array(vals) + 0.0, 0.95)
+        assert _bits(got["p95_v"].iloc[0]) == _bits(want_p95)
+
+
+@pytest.mark.parametrize("n_values", [0, 1, 3, 5, 6, 100])
+def test_blobs_round_trip_and_older_raw_value_blobs_raise(n_values):
+    """A blob column decodes to the pairs it was encoded from, also when
+    sliced; a raw-value blob (int64 n, int64 flag 1, then the n values:
+    the format before (value, count) pairs) raises ``ValueError`` instead
+    of decoding as something else."""
+    import struct
+
+    import pyarrow as pa
+
+    from contest_parsing_ray.state import sketches
+
+    vals = np.arange(n_values, dtype=np.float64) * 1.5
+    blob = _state_blob(vals, 4096)
+    col = pa.array([_state_blob([2.0], 4096), blob, blob], type=pa.binary())[1:]
+    n, gridded, v, c = sketches.from_blobs(col)
+    assert n.tolist() == [n_values] * 2 and not gridded.any()
+    assert v.tolist() == vals.tolist() * 2 and c.tolist() == [1] * 2 * n_values
+    assert sketches.to_blobs(n, gridded, v, c).equals(col)
+    old = struct.pack("<qq", n_values, 1) + vals.astype("<f8").tobytes()
+    with pytest.raises(ValueError, match="pair format"):
+        sketches.from_blobs(pa.array([blob, old], type=pa.binary()))
+    assert [len(x) for x in sketches.from_blobs(pa.array([], type=pa.binary()))] == [0] * 4
