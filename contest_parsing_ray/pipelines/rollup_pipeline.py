@@ -97,6 +97,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..config import PipelineConfig
+from ..fsutil import write_parquet
 from ..stages import _shuffle, deletion_vector
 from ..stages.retention import (
     read_tier_manifest,
@@ -688,10 +689,7 @@ def _recompress_tiers(cfg: PipelineConfig, tiers: dict) -> None:
                 c["source"] = src
                 c["chunk_id"] = np.int64(ci)
                 rows.append(c)
-        os.makedirs(tdir, exist_ok=True)
-        # through pandas, as before, so the chunk files keep their schema
-        # metadata byte for byte
-        pq.write_table(
+        write_parquet(
             pa.Table.from_pandas(pd.DataFrame(rows), preserve_index=False),
             os.path.join(tdir, "chunks-0000.parquet"),
         )

@@ -256,14 +256,39 @@ def file_groups(paths: list[str]) -> list[list[int]]:
     the bytes floor keeps a group near ``TARGET_PARTITION_BYTES``."""
     if not paths:
         return []
-    import pyarrow.fs as pafs
-
-    infos = pafs.LocalFileSystem().get_file_info(paths)
-    nbytes = sum(max(0, info.size or 0) for info in infos)
-    g = min(len(paths), exchange_partitions(nbytes))
+    g = min(len(paths), exchange_partitions(_disk_bytes(paths)))
     q, r = divmod(len(paths), g)
     bounds = [i * q + min(i, r) for i in range(g + 1)]
     return [list(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _disk_bytes(paths: list[str]) -> int:
+    import pyarrow.fs as pafs
+
+    infos = pafs.LocalFileSystem().get_file_info(paths)
+    return sum(max(0, info.size or 0) for info in infos)
+
+
+def source_bytes(ds: ray.data.Dataset) -> int | None:
+    """Bytes of what ``ds`` reads, taken from its logical plan without
+    running anything (``Dataset.size_bytes`` runs the whole upstream when
+    a map stage hides the size): a file read counts its files' on-disk
+    bytes, as :func:`file_groups` does, an in-memory source its known
+    size. None when some source's size is unknown."""
+    total, todo = 0, [ds._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        if op.input_dependencies:
+            todo.extend(op.input_dependencies)
+            continue
+        meta = op.infer_metadata()
+        if meta.input_files:
+            total += _disk_bytes(meta.input_files)
+        elif meta.size_bytes is not None:
+            total += meta.size_bytes
+        else:
+            return None
+    return total
 
 
 def _to_arrow(block) -> pa.Table:

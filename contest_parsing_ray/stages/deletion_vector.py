@@ -79,6 +79,11 @@ Duplicate copies carry identical payloads for identical doc_ids by the
 input contract (doc_id is the content identity), so rollups over the
 survivors do not depend on which copy wins (tests/test_deletion_vector.py
 checks the tiers against a DuckDB oracle over a pandas keep-first dedup).
+
+Every partial and deletion-vector shard is written by
+``fsutil.write_parquet`` (the scan's tasks and the decide alike): tmp-then-
+move, the partials' ``qsum`` blobs zstd with no statistics, the other
+columns snappy with statistics.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..fsutil import is_uri
+from ..fsutil import is_uri, write_parquet
 from ..state.manifest import read_manifest, write_manifest
 from . import _shuffle
 from ._shuffle import file_groups, hash64_strings
@@ -238,7 +243,7 @@ def _scan_group(paths: list[str], fidxs: list[int], probe, partial_fn,
         if stats is not None and len(stats):
             rows = partial_fn(stats)
             if len(rows):
-                pq.write_table(
+                write_parquet(
                     rows, os.path.join(partials_dir, f"clean-{fidx:04d}.parquet")
                 )
     if not flagged:
@@ -303,11 +308,11 @@ def _decide_write(part: int, flagged: pa.Table, prior: pa.Table, keep: str,
         if len(win):
             rows = partial_fn(flagged.select(_STATS_COLS).take(pa.array(win)))
             if len(rows):
-                pq.write_table(rows, os.path.join(
+                write_parquet(rows, os.path.join(
                     fused_partials_dir(out_dir), f"{prefix}winners-{part:04d}.parquet"
                 ))
         if len(dv):
-            pq.write_table(
+            write_parquet(
                 pa.table({
                     "file_idx": pa.array(fidx[dv].astype(np.int32)),
                     "pos": pa.array(pos[dv].astype(np.int64)),

@@ -243,7 +243,8 @@ def _attach_pair_texts(
         docs.select_columns([id_col, text_col]), ids, on=id_col
     ).to_pandas()
     text_ref = ray.put(
-        dict(zip(texts_small[id_col], texts_small[text_col]))
+        {} if texts_small.empty
+        else dict(zip(texts_small[id_col], texts_small[text_col]))
     )
 
     def attach(df: pd.DataFrame) -> pd.DataFrame:
@@ -999,17 +1000,14 @@ def ngram_jaccard_pairs(
     lowest-id survivors) trading exactness for a hard skew bound."""
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    from ._shuffle import hash_partitioned_map
+    from ._shuffle import hash_partitioned_map, source_bytes
 
     # the shingle-projection exchanges move UNREDUCED (shingle, id) rows,
     # roughly proportional to the corpus text bytes — floor the partition
     # count by that estimate so one partition stays worker-heap-sized at
-    # 100x (the pre-aggregated exchanges elsewhere don't need this)
-    proj_bytes = None
-    try:
-        proj_bytes = docs.size_bytes()
-    except Exception:
-        pass
+    # 100x (the pre-aggregated exchanges elsewhere don't need this); the
+    # estimate comes from the plan, so sizing runs nothing
+    proj_bytes = source_bytes(docs)
 
     shingles = docs.map_batches(
         NgramShingles(text_col=text_col, id_col=id_col, n=n),

@@ -24,7 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from ._shuffle import hash_partitioned_map
+from ._shuffle import hash_partitioned_map, source_bytes
 
 _PARTIAL_COLS = [
     "open_us", "open_ord", "open_v",
@@ -375,12 +375,9 @@ def lttb_downsample(
     series length, so select per tier/chunk first if a single key's raw
     series exceeds worker memory. The exchange moves UNREDUCED rows, so
     the partition count is floored by the input's byte size
-    (``_shuffle.exchange_partitions``) when Ray can estimate it."""
-    input_bytes = None
-    try:
-        input_bytes = events.size_bytes()
-    except Exception:
-        pass
+    (``_shuffle.exchange_partitions``) when its plan names it
+    (``_shuffle.source_bytes``, which runs nothing)."""
+    input_bytes = source_bytes(events)
 
     def scan(df: pd.DataFrame) -> pd.DataFrame:
         df = df.dropna(subset=[ts_col, value_col])

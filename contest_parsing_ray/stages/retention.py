@@ -35,7 +35,11 @@ way. An incremental append rewrites only the sources it touched; a
 source left with no rows loses its files and its partition.
 
 Every file op goes through ``pyarrow.fs`` (``..fsutil``), so ``out_dir``
-may be a plain local path or an ``s3://``-style URI.
+may be a plain local path or an ``s3://``-style URI. Each file is written
+by ``fsutil.write_parquet``, tmp-then-move, so a reader never sees a
+half-written file; it keeps snappy and min/max statistics on the data
+columns (range reads prune on ``bucket_us``) and writes the state's
+``qsum`` blobs zstd-compressed with no statistics.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import pyarrow as pa
 from pyarrow import fs as pafs
 
 from ..config import parse_duration_us
-from ..fsutil import join_path, resolve_fs
+from ..fsutil import join_path, resolve_fs, write_parquet
 from ..state.manifest import clear_dir, read_manifest, write_manifest
 from .rollup import _key_codes, _run_heads
 
@@ -109,16 +113,6 @@ def tier_data_dir(out_dir: str, tier: str) -> str:
     return join_path(out_dir, "rollup", "data", f"tier={tier}")
 
 
-def _write_atomic(fsys: pafs.FileSystem, table: pa.Table, path: str) -> None:
-    """Write one parquet file as tmp-then-move, so a reader never sees a
-    half-written file and a rewrite replaces the old file in one step."""
-    import pyarrow.parquet as pq
-
-    tmp = path + ".tmp"
-    pq.write_table(table, tmp, filesystem=fsys)
-    fsys.move(tmp, path)
-
-
 def partition_stats(t: pa.Table) -> dict:
     """Lineage stats of one written partition: its rows and an exact digest
     of its columns (names, types and every value, in row order), so any
@@ -153,16 +147,14 @@ def _write_per_key(
     if len(names) != len(heads):
         raise ValueError(f"rows of one {key_col} must be contiguous")
     body = t.drop_columns([key_col])
-    fsys, froot = resolve_fs(root)
     written = []
     for k, lo, hi in zip(names.to_pylist(), heads, np.append(heads[1:], len(t))):
         if keys is not None and k not in keys:
             continue
         part = body.slice(lo, hi - lo)
-        pdir = join_path(froot, f"{key_col}={k}")
-        fsys.create_dir(pdir, recursive=True)
-        _write_atomic(fsys, part, join_path(pdir, fname))
+        write_parquet(part, join_path(root, f"{key_col}={k}", fname))
         written.append((k, part))
+    fsys, froot = resolve_fs(root)
     for k in set(keys or ()) - {k for k, _ in written}:
         pdir = join_path(froot, f"{key_col}={k}")
         if _is_dir(fsys, pdir):

@@ -35,6 +35,12 @@ the stored tier state: int64 n, int64 flag (2 exact, 3 gridded), n float64
 values ascending, n int32 counts. Values are never NaN (a NaN is not a
 sample) and a zero is stored as +0.0. The functions below act on every
 group of a column at once.
+
+In a stored file (``rollup/state``, ``deduped/partials``) the blob column
+``qsum`` is written by ``fsutil.write_parquet`` like every binary column:
+zstd, with no min/max statistics (no reader prunes on a blob's bytes) and
+no dictionary. The encoding is not part of the format: a file written
+with other Parquet settings reads back to the same blobs.
 """
 
 from __future__ import annotations

@@ -1025,3 +1025,72 @@ def test_old_raw_value_out_dir_rebuilds_once(corpus, tmp_path, new_input):
         os.path.join(corpus, "part-9001.parquet"),
     )
     assert run_rollup_pipeline(corpus, cfg)["incremental_append"] is True
+
+
+def _column_chunks(root: str):
+    """(file, column name, column chunk metadata) of every parquet file
+    under ``root``."""
+    for d, _, names in os.walk(root):
+        for f in names:
+            meta = pq.read_metadata(os.path.join(d, f))
+            for r in range(meta.num_row_groups):
+                rg = meta.row_group(r)
+                for c in range(rg.num_columns):
+                    col = rg.column(c)
+                    yield f, col.path_in_schema, col
+
+
+def test_stored_files_follow_the_storage_rule(corpus, tmp_path):
+    """Every stored file comes from one writer whose encoding follows the
+    column type: the opaque blob columns (``qsum`` in the state and the
+    partials, ``ts_dod`` / ``vals_xor`` in the chunks) are zstd with no
+    statistics, and every other column keeps snappy and its statistics,
+    so ``rollup/data`` can still be range-read on ``bucket_us``."""
+    out = str(tmp_path / "out")
+    run_rollup_pipeline(corpus, PipelineConfig(out_dir=out))
+    blobs = {"qsum", "ts_dod", "vals_xor"}
+    seen = set()
+    for sub in ("rollup/state", "rollup/data", "deduped/partials",
+                "deduped/deletion_vectors", "chunks"):
+        for f, name, col in _column_chunks(os.path.join(out, sub)):
+            seen.add((sub, name))
+            if name in blobs:
+                assert col.compression == "ZSTD", (sub, f, name)
+                assert not col.is_stats_set, (sub, f, name)
+            else:
+                assert col.compression == "SNAPPY", (sub, f, name)
+                assert col.is_stats_set, (sub, f, name)
+    for sub, name in (("rollup/state", "qsum"), ("deduped/partials", "qsum"),
+                      ("chunks", "ts_dod"), ("chunks", "vals_xor"),
+                      ("rollup/data", "bucket_us")):
+        assert (sub, name) in seen, (sub, name)
+    for f, name, col in _column_chunks(os.path.join(out, "rollup/data")):
+        if name == "bucket_us":
+            assert col.statistics.has_min_max and col.statistics.min <= col.statistics.max
+    # no tmp file of the tmp-then-move is left behind
+    leftovers = [f for _, _, names in os.walk(out) for f in names if f.endswith(".tmp")]
+    assert leftovers == []
+
+
+def test_append_onto_snappy_state_equals_fresh_build(corpus, tmp_path):
+    """An out_dir whose state and partials were written with pyarrow's
+    defaults (snappy, statistics on every column), as the engine wrote them
+    before its one writer, appends with no rebuild, and its tier data,
+    state and chunks equal a fresh build's."""
+    out, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+    run_rollup_pipeline(corpus, PipelineConfig(out_dir=out))
+    for root in ("rollup/state", "deduped/partials"):
+        for d, _, names in os.walk(os.path.join(out, root)):
+            for f in names:
+                path = os.path.join(d, f)
+                pq.write_table(pq.ParquetFile(path).read(), path)
+    qsum = [col for _, name, col in _column_chunks(os.path.join(out, "rollup/state"))
+            if name == "qsum"]
+    assert qsum and all(c.compression == "SNAPPY" and c.is_stats_set for c in qsum)
+    pq.write_table(
+        make_sequences_table(2_000, seed=7), os.path.join(corpus, "part-9000.parquet")
+    )
+    m = run_rollup_pipeline(corpus, PipelineConfig(out_dir=out))
+    assert m["incremental_append"] is True
+    run_rollup_pipeline(corpus, PipelineConfig(out_dir=fresh), resume=False)
+    _assert_same_outputs(_outputs(out), _outputs(fresh))

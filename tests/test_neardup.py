@@ -198,6 +198,10 @@ def test_ngram_jaccard_identical_docs_and_bad_params():
     ).to_pandas()
     assert got[["id_a", "id_b"]].values.tolist() == [["a", "b"]]
     assert got["jaccard"].tolist() == [1.0]
+    # no candidate pair: an empty result, not a failed text join-back
+    disjoint = pd.DataFrame({"doc_id": ["a", "b"],
+                             "text": ["alpha beta gamma delta", "one two three four"]})
+    assert ngram_jaccard_pairs(ray.data.from_pandas(disjoint), n=3).count() == 0
     with pytest.raises(ValueError, match="threshold"):
         ngram_jaccard_pairs(ray.data.from_pandas(df), threshold=0.0)
     with pytest.raises(ValueError, match="n must"):
@@ -358,3 +362,34 @@ def test_minhash_clusters_vs_bruteforce_oracle_sf0001():
         rep, size = want[row["doc_id"]]
         assert row["cluster_rep"] == rep, row
         assert row["cluster_size"] == size, row
+
+
+def test_ngram_jaccard_sizes_its_exchange_without_running_upstream(tmp_path):
+    """The exchange floor comes from the read's on-disk bytes: a counting
+    map stage in front of 500 parquet documents sees each row twice
+    (shingles, text join-back), never a third time for a size probe."""
+    import os
+    import uuid
+
+    import pyarrow.parquet as pq
+
+    from contest_parsing_ray.stages._shuffle import source_bytes
+    from contest_parsing_ray.stages.neardup import ngram_jaccard_pairs
+
+    rng = np.random.default_rng(5)
+    vocab = np.array([f"w{k}" for k in range(60)])
+    texts = [" ".join(rng.choice(vocab, size=20)) for _ in range(250)]
+    texts += [t.replace(" ", " XX ", 1) for t in texts]  # 250 near-dups
+    path = str(tmp_path / "documents.parquet")
+    pq.write_table(pa.table({"doc_id": np.arange(500), "text": texts}), path)
+    counts = tmp_path / "counts"
+    counts.mkdir()
+
+    def count(batch):
+        (counts / uuid.uuid4().hex).write_text(str(batch.num_rows))
+        return batch
+
+    docs = ray.data.read_parquet(path).map_batches(count, batch_format="pyarrow")
+    assert source_bytes(docs) == os.path.getsize(path)
+    ngram_jaccard_pairs(docs).materialize()
+    assert sum(int(f.read_text()) for f in counts.iterdir()) == 1_000
