@@ -274,10 +274,9 @@ def _present_bucket_grid(
         return pa.table({"bucket_us": pa.array(np.unique(b))})
 
     grid: set[int] = set()
-    for rb in events.select_columns([ts_col]).map_batches(
+    for t in events.select_columns([ts_col]).map_batches(
         grid_partial, batch_format="pyarrow"
     ).iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([rb]) if isinstance(rb, pa.RecordBatch) else rb
         grid.update(t["bucket_us"].to_pylist())
     return grid
 

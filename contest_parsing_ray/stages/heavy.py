@@ -90,10 +90,9 @@ def heavy_hitters(
     summary: dict[object, int] = {}
     n_total = 0
     key_type = None
-    for rb in ds.map_batches(
+    for t in ds.map_batches(
         mg_partial, batch_format="pyarrow", batch_size=batch_size
     ).iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([rb]) if isinstance(rb, pa.RecordBatch) else rb
         key_type = t.schema.field("k").type
         firsts = t["first"].to_numpy(zero_copy_only=False)
         ns = t["n"].to_numpy(zero_copy_only=False)
@@ -129,10 +128,9 @@ def heavy_hitters(
                          "c": pa.array(cnt[nz].astype(np.int64))})
 
     exact = np.zeros(len(cand), dtype=np.int64)
-    for rb in ds.map_batches(
+    for t in ds.map_batches(
         exact_partial, batch_format="pyarrow", batch_size=batch_size
     ).iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([rb]) if isinstance(rb, pa.RecordBatch) else rb
         np.add.at(exact, t["i"].to_numpy(zero_copy_only=False),
                   t["c"].to_numpy(zero_copy_only=False))
 

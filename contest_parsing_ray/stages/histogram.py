@@ -337,10 +337,9 @@ def profile_columns(
     if columns:
         ds = ds.select_columns(columns)
     acc: dict[str, list] = {}
-    for rb in ds.map_batches(
+    for t in ds.map_batches(
         partial, batch_format="pyarrow", batch_size=batch_size
     ).iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([rb]) if isinstance(rb, pa.RecordBatch) else rb
         for name, n, nn, mn, mx in zip(
             t["column"].to_pylist(), t["n"].to_pylist(),
             t["n_null"].to_pylist(), t["min_v"].to_pylist(),

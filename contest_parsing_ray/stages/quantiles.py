@@ -24,6 +24,12 @@ All pending quantiles refine in the SAME pass (the partial kernel histograms
 every unresolved interval at once), so total cost is a handful of scans of
 one column — each scan column-pruned at the parquet read by the caller.
 
+There is one engine (``_refine``): every candidate interval is tagged with
+a group id, and a function maps each batch's rows to group ids. A global
+quantile (``exact_quantiles``) is the engine with one group, every row in
+group 0; ``exact_quantiles_by_key`` makes each key a group, the null key
+its own. Only the pass-0 count and the output shape differ.
+
 Reference analog: the reference sorts whole frames to read off extremes
 (``Joiner.py`` sort-based stats); this is the from-scratch distributed
 replacement the north rule's 10^12-row tier stats need.
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 _BITS = 16
@@ -71,9 +78,11 @@ def exact_quantiles(
     ``value_col`` over the whole Dataset, nulls/NaNs excluded.
 
     Returns a small ``pa.Table (q: float64, value: float64)`` on the driver
-    — quantiles are a scalar summary, not a dataset. Driver memory is
-    O(2^16 * len(qs)) per pass plus one <=``max_candidates`` float array in
-    the final collect; every Ray pass streams with backpressure.
+    — quantiles are a scalar summary, not a dataset — with one row per
+    distinct q, ascending; every value is null when the column has no
+    non-null value. Driver memory is O(2^16 * len(qs)) per pass plus one
+    <=``max_candidates`` float array in the final collect; every Ray pass
+    streams with backpressure.
 
     Deterministic-rescan contract: the refinement loop re-executes ``ds``
     once per pass (count, histogram passes, final collect) and requires
@@ -85,193 +94,28 @@ def exact_quantiles(
     the small inputs where nondeterminism is typical, and the multi-pass
     design exists precisely so LARGE deterministic inputs never have to).
     """
+    qs = _distinct_qs(qs)
     if not qs:
         return pa.table({"q": pa.array([], pa.float64()),
                          "value": pa.array([], pa.float64())})
-    if any(not (0.0 < q <= 1.0) for q in qs):
-        raise ValueError(f"quantiles must be in (0, 1], got {qs}")
 
     # ---- pass 0: global non-null count (column-pruned, streaming) ----
     def cnt_batch(t: pa.Table) -> pa.Table:
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
         return pa.table({"c": pa.array([int((~np.isnan(v)).sum())], pa.int64())})
 
-    n = 0
-    for b in ds.map_batches(
+    n = sum(int(t["c"].to_numpy().sum()) for t in ds.map_batches(
         cnt_batch, batch_format="pyarrow", batch_size=batch_size
-    ).iter_batches(batch_format="pyarrow"):
-        n += int(pa.Table.from_batches([b])["c"].to_numpy().sum()) if isinstance(
-            b, pa.RecordBatch) else int(b["c"].to_numpy().sum())
-    if n == 0:
-        return pa.table({"q": pa.array(sorted(qs), pa.float64()),
-                         "value": pa.array([None] * len(qs), pa.float64())})
+    ).iter_batches(batch_format="pyarrow"))
 
-    # per-q 1-based target rank within the full (conceptually sorted) column
-    targets = {float(q): int(-(-q * n // 1)) for q in qs}  # ceil(q*n)
-
-    # pending[i] = dict(lo, hi, below, ranks={q: k}) — one candidate uint64
-    # interval per *distinct* interval; multiple quantiles share an interval
-    # whenever their ranks land in the same bucket.
-    full = {"lo": 0, "hi": 1 << 64, "below": 0,
-            "ranks": dict(targets), "count": n}
-    pending = [full]
-    resolved: dict[float, float] = {}
-
-    while pending:
-        # intervals small enough to collect exactly, or single-key
-        collect_now = []
-        refine = []
-        for iv in pending:
-            width = iv["hi"] - iv["lo"]
-            if width == 1:
-                val = _key_to_float(iv["lo"])
-                for q in iv["ranks"]:
-                    resolved[q] = val
-            elif iv["count"] <= max_candidates:
-                collect_now.append(iv)
-            else:
-                refine.append(iv)
-
-        if collect_now:
-            _collect_exact(ds, value_col, collect_now, resolved, batch_size)
-        if not refine:
-            break
-
-        # bucket geometry per interval: bw >= 1, last bucket absorbs the
-        # remainder so every key in [lo, hi) lands in [0, _NBUCKET)
-        geos = []
-        for iv in refine:
-            width = iv["hi"] - iv["lo"]
-            bw = max(width // _NBUCKET, 1)
-            nb = min(_NBUCKET, -(-width // bw))
-            geos.append((iv["lo"], iv["hi"], bw, nb))
-
-        hists = _histogram_pass(ds, value_col, geos, batch_size)
-
-        nxt = []
-        for iv, (lo, hi, bw, nb), hist in zip(refine, geos, hists):
-            csum = np.cumsum(hist)
-            # group this interval's ranks by destination bucket
-            by_bucket: dict[int, dict[float, int]] = {}
-            for q, k in iv["ranks"].items():
-                rel = k - iv["below"]  # 1-based rank within interval
-                b_idx = int(np.searchsorted(csum, rel, side="left"))
-                by_bucket.setdefault(b_idx, {})[q] = k
-            for b_idx, ranks in by_bucket.items():
-                sub_lo = lo + b_idx * bw
-                sub_hi = hi if b_idx == nb - 1 else min(hi, sub_lo + bw)
-                below = iv["below"] + (int(csum[b_idx - 1]) if b_idx else 0)
-                nxt.append({
-                    "lo": sub_lo, "hi": sub_hi, "below": below,
-                    "ranks": ranks, "count": int(hist[b_idx]),
-                })
-        pending = nxt
-
-    out_q = sorted(resolved)
+    got = _refine(ds, value_col, _one_group, [n], qs, max_candidates,
+                  batch_size)
     return pa.table({
-        "q": pa.array(out_q, pa.float64()),
-        "value": pa.array([resolved[q] for q in out_q], pa.float64()),
+        "q": pa.array(qs, pa.float64()),
+        "value": pa.array([got[(0, q)] for q in qs], pa.float64(),
+                          from_pandas=True),
     })
 
-
-def _histogram_pass(ds, value_col, geos, batch_size):
-    """One streaming pass: per-batch non-zero bucket counts for every
-    candidate interval, folded into dense arrays on the driver."""
-    lo_a = np.array([g[0] for g in geos], dtype=np.uint64)
-    hi_a = np.array([g[1] - 1 for g in geos], dtype=np.uint64)  # inclusive
-    bw_a = np.array([g[2] for g in geos], dtype=np.uint64)
-    nb_a = [g[3] for g in geos]
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        v = v[~np.isnan(v)]
-        u = _order_key(v)
-        ridx_out, bucket_out, cnt_out = [], [], []
-        for i in range(len(lo_a)):
-            m = (u >= lo_a[i]) & (u <= hi_a[i])
-            if not m.any():
-                continue
-            b = ((u[m] - lo_a[i]) // bw_a[i]).astype(np.int64)
-            np.minimum(b, nb_a[i] - 1, out=b)
-            cnt = np.bincount(b, minlength=nb_a[i])
-            nz = np.flatnonzero(cnt)
-            ridx_out.append(np.full(len(nz), i, dtype=np.int32))
-            bucket_out.append(nz.astype(np.int32))
-            cnt_out.append(cnt[nz].astype(np.int64))
-        if not ridx_out:
-            return pa.table({"r": pa.array([], pa.int32()),
-                             "b": pa.array([], pa.int32()),
-                             "c": pa.array([], pa.int64())})
-        return pa.table({"r": pa.array(np.concatenate(ridx_out)),
-                         "b": pa.array(np.concatenate(bucket_out)),
-                         "c": pa.array(np.concatenate(cnt_out))})
-
-    hists = [np.zeros(nb, dtype=np.int64) for nb in nb_a]
-    part_ds = ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=batch_size
-    )
-    for rb in part_ds.iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([rb]) if isinstance(rb, pa.RecordBatch) else rb
-        r = t["r"].to_numpy(zero_copy_only=False)
-        b = t["b"].to_numpy(zero_copy_only=False)
-        c = t["c"].to_numpy(zero_copy_only=False)
-        for i in range(len(hists)):
-            m = r == i
-            if m.any():
-                np.add.at(hists[i], b[m], c[m])
-    return hists
-
-
-def _collect_exact(ds, value_col, intervals, resolved, batch_size):
-    """Final pass: pull only the values inside the (small) candidate
-    intervals and select each rank exactly with np.partition."""
-    lo_a = np.array([iv["lo"] for iv in intervals], dtype=np.uint64)
-    hi_a = np.array([iv["hi"] - 1 for iv in intervals], dtype=np.uint64)
-
-    def keep(t: pa.Table) -> pa.Table:
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        v = v[~np.isnan(v)]
-        u = _order_key(v)
-        ridx, vals = [], []
-        for i in range(len(lo_a)):
-            m = (u >= lo_a[i]) & (u <= hi_a[i])
-            if m.any():
-                ridx.append(np.full(int(m.sum()), i, dtype=np.int32))
-                vals.append(v[m])
-        if not ridx:
-            return pa.table({"r": pa.array([], pa.int32()),
-                             "v": pa.array([], pa.float64())})
-        return pa.table({"r": pa.array(np.concatenate(ridx)),
-                         "v": pa.array(np.concatenate(vals))})
-
-    bufs: list[list[np.ndarray]] = [[] for _ in intervals]
-    for rb in ds.map_batches(
-        keep, batch_format="pyarrow", batch_size=batch_size
-    ).iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([rb]) if isinstance(rb, pa.RecordBatch) else rb
-        r = t["r"].to_numpy(zero_copy_only=False)
-        v = t["v"].to_numpy(zero_copy_only=False)
-        for i in range(len(intervals)):
-            m = r == i
-            if m.any():
-                bufs[i].append(v[m])
-
-    for iv, parts in zip(intervals, bufs):
-        arr = np.concatenate(parts) if parts else np.array([], dtype=np.float64)
-        for q, k in iv["ranks"].items():
-            j = k - iv["below"] - 1  # 0-based within interval
-            if not (0 <= j < len(arr)):
-                raise RuntimeError(
-                    f"rank {k} fell outside its candidate interval "
-                    f"(got {len(arr)} values, below={iv['below']}) — "
-                    f"histogram/filter disagree"
-                )
-            resolved[q] = float(np.partition(arr, j)[j])
-
-
-# --------------------------------------------------------------------------
-# grouped variant: exact per-key order statistics in the SAME shared passes
-# --------------------------------------------------------------------------
 
 def exact_quantiles_by_key(
     ds: ray.data.Dataset,
@@ -296,15 +140,16 @@ def exact_quantiles_by_key(
     deterministic-rescan contract of ``exact_quantiles`` applies here too
     (``ds`` is re-executed once per refinement pass).
 
-    Returns ``pa.Table (key_col, q, value)`` sorted by (key, q), key column
-    in the input's type.
+    Returns ``pa.Table (key_col, q, value)`` sorted by (key, q), one row
+    per key and distinct q, key column in the input's type; a key whose
+    values are all null gets null values, and an input with no rows gives
+    an empty table.
     """
+    qs = _distinct_qs(qs)
     if not qs:
         return pa.table({key_col: pa.array([], pa.string()),
                          "q": pa.array([], pa.float64()),
                          "value": pa.array([], pa.float64())})
-    if any(not (0.0 < q <= 1.0) for q in qs):
-        raise ValueError(f"quantiles must be in (0, 1], got {qs}")
 
     # ---- pass 0: non-null-value count per key (streaming fold) ----------
     def cnt_batch(t: pa.Table) -> pa.Table:
@@ -329,10 +174,9 @@ def exact_quantiles_by_key(
 
     counts: dict[object, int] = {}
     key_type = None
-    for rb in ds.map_batches(
+    for t in ds.map_batches(
         cnt_batch, batch_format="pyarrow", batch_size=batch_size
     ).iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([rb]) if isinstance(rb, pa.RecordBatch) else rb
         key_type = t.schema.field("k").type
         for k, c in zip(t["k"].to_pylist(), t["c"].to_pylist()):
             counts[k] = counts.get(k, 0) + int(c)
@@ -342,195 +186,200 @@ def exact_quantiles_by_key(
                          "q": pa.array([], pa.float64()),
                          "value": pa.array([], pa.float64())})
 
-    has_null_key = None in counts
+    # group id = the key's position in `keys`; the null key, when present,
+    # is group len(keys), the id _key_ids gives it
     keys = sorted(k for k in counts if k is not None)
-    # kid = position in `keys`; null key gets kid = len(keys)
-    kid_of = {k: i for i, k in enumerate(keys)}
-    if has_null_key:
-        kid_of[None] = len(keys)
+    all_keys = keys + ([None] if None in counts else [])
     vset = pa.array(keys, key_type) if keys else None
 
-    import pyarrow.compute as pc
+    got = _refine(ds, value_col, lambda t: _key_ids(t[key_col], vset),
+                  [counts[k] for k in all_keys], qs, max_candidates,
+                  batch_size)
+    return pa.table({
+        key_col: pa.array([k for k in all_keys for _ in qs], key_type),
+        "q": pa.array(qs * len(all_keys), pa.float64()),
+        "value": pa.array([got[(g, q)] for g in range(len(all_keys))
+                           for q in qs], pa.float64(), from_pandas=True),
+    })
 
-    def kid_array(t: pa.Table) -> np.ndarray:
-        col = t[key_col].combine_chunks()
-        if vset is not None:
-            kid = pc.index_in(col.cast(vset.type), value_set=vset)
-            kid = kid.fill_null(len(keys)).to_numpy(zero_copy_only=False)
-            kid = kid.astype(np.int64)
-        else:
-            kid = np.full(len(col), len(keys), dtype=np.int64)
-        if not has_null_key:
-            # unseen-in-pass-0 keys can't exist; nulls only when counted
-            kid[kid == len(keys)] = -1
-        return kid
 
-    # pending intervals now carry a key id
-    pending = []
+def _distinct_qs(qs: list[float]) -> list[float]:
+    if any(not (0.0 < q <= 1.0) for q in qs):
+        raise ValueError(f"quantiles must be in (0, 1], got {qs}")
+    return sorted({float(q) for q in qs})
+
+
+def _one_group(t: pa.Table) -> np.ndarray:
+    """Group ids of the global quantile: every row is group 0."""
+    return np.zeros(t.num_rows, dtype=np.int64)
+
+
+def _key_ids(col: pa.ChunkedArray, value_set: pa.Array | None) -> np.ndarray:
+    """Each row's position in ``value_set``; a null key, or one not in the
+    set, maps to ``len(value_set)`` (0 when there is no set)."""
+    if value_set is None:
+        return np.zeros(len(col), dtype=np.int64)
+    kid = pc.index_in(col.combine_chunks().cast(value_set.type),
+                      value_set=value_set)
+    return kid.fill_null(len(value_set)).to_numpy(
+        zero_copy_only=False).astype(np.int64)
+
+
+def _refine(ds, value_col, group_ids, counts, qs, max_candidates,
+            batch_size) -> dict[tuple[int, float], float]:
+    """Exact ``quantile_disc`` of every (group, q) by histogram refinement.
+
+    ``group_ids(t)`` maps a batch's rows to group ids, positions in
+    ``counts`` (each group's non-NaN value count from pass 0); a row whose
+    id names no group is skipped. Returns ``{(group, q): value}``, NaN for
+    a group with no values.
+    """
     resolved: dict[tuple[int, float], float] = {}
-    for k, n in counts.items():
+    # pending: one candidate uint64 interval [lo, hi) per group and
+    # destination bucket; quantiles share an interval whenever their
+    # 1-based ranks land in the same bucket. `below` counts the group's
+    # values under lo.
+    pending = []
+    for g, n in enumerate(counts):
         if n == 0:
-            for q in qs:
-                resolved[(kid_of[k], float(q))] = float("nan")
+            resolved.update({(g, q): np.nan for q in qs})
             continue
-        ranks = {float(q): int(-(-q * n // 1)) for q in qs}
-        pending.append({"kid": kid_of[k], "lo": 0, "hi": 1 << 64,
-                        "below": 0, "ranks": ranks, "count": n})
+        ranks = {q: int(-(-q * n // 1)) for q in qs}  # ceil(q*n)
+        pending.append({"g": g, "lo": 0, "hi": 1 << 64, "below": 0,
+                        "ranks": ranks, "count": n})
 
     while pending:
         collect_now, refine = [], []
         for iv in pending:
-            if iv["hi"] - iv["lo"] == 1:
+            if iv["hi"] - iv["lo"] == 1:  # a single key: it is the value
                 val = _key_to_float(iv["lo"])
-                for q in iv["ranks"]:
-                    resolved[(iv["kid"], q)] = val
+                resolved.update({(iv["g"], q): val for q in iv["ranks"]})
             elif iv["count"] <= max_candidates:
                 collect_now.append(iv)
             else:
                 refine.append(iv)
 
         if collect_now:
-            _collect_exact_keyed(ds, value_col, kid_array, collect_now,
-                                 resolved, batch_size)
+            _collect_exact(ds, value_col, group_ids, collect_now, resolved,
+                           batch_size)
         if not refine:
             break
 
-        geos = []
+        # bucket geometry per interval: bw >= 1, last bucket absorbs the
+        # remainder so every key in [lo, hi) lands in [0, _NBUCKET)
         for iv in refine:
             width = iv["hi"] - iv["lo"]
-            bw = max(width // _NBUCKET, 1)
-            nb = min(_NBUCKET, -(-width // bw))
-            geos.append((iv["lo"], iv["hi"], bw, nb))
+            iv["bw"] = max(width // _NBUCKET, 1)
+            iv["nb"] = min(_NBUCKET, -(-width // iv["bw"]))
 
-        hists = _histogram_pass_keyed(ds, value_col, kid_array,
-                                      [iv["kid"] for iv in refine],
-                                      geos, batch_size)
+        hists = _histogram_pass(ds, value_col, group_ids, refine, batch_size)
 
-        nxt = []
-        for iv, (lo, hi, bw, nb), hist in zip(refine, geos, hists):
+        pending = []
+        for iv, hist in zip(refine, hists):
             csum = np.cumsum(hist)
             by_bucket: dict[int, dict[float, int]] = {}
             for q, k in iv["ranks"].items():
-                rel = k - iv["below"]
+                rel = k - iv["below"]  # 1-based rank within interval
                 b_idx = int(np.searchsorted(csum, rel, side="left"))
                 by_bucket.setdefault(b_idx, {})[q] = k
             for b_idx, ranks in by_bucket.items():
-                sub_lo = lo + b_idx * bw
-                sub_hi = hi if b_idx == nb - 1 else min(hi, sub_lo + bw)
+                lo = iv["lo"] + b_idx * iv["bw"]
+                hi = (iv["hi"] if b_idx == iv["nb"] - 1
+                      else min(iv["hi"], lo + iv["bw"]))
                 below = iv["below"] + (int(csum[b_idx - 1]) if b_idx else 0)
-                nxt.append({"kid": iv["kid"], "lo": sub_lo, "hi": sub_hi,
-                            "below": below, "ranks": ranks,
-                            "count": int(hist[b_idx])})
-        pending = nxt
-
-    all_keys = keys + ([None] if has_null_key else [])
-    out_k, out_q, out_v = [], [], []
-    for kid, k in enumerate(all_keys):
-        for q in sorted(qs):
-            out_k.append(k)
-            out_q.append(float(q))
-            v = resolved[(kid, float(q))]
-            out_v.append(None if v != v else v)  # NaN -> null
-    return pa.table({
-        key_col: pa.array(out_k, key_type),
-        "q": pa.array(out_q, pa.float64()),
-        "value": pa.array(out_v, pa.float64()),
-    })
+                pending.append({"g": iv["g"], "lo": lo, "hi": hi,
+                                "below": below, "ranks": ranks,
+                                "count": int(hist[b_idx])})
+    return resolved
 
 
-def _histogram_pass_keyed(ds, value_col, kid_array, kids, geos, batch_size):
-    lo_a = np.array([g[0] for g in geos], dtype=np.uint64)
-    hi_a = np.array([g[1] - 1 for g in geos], dtype=np.uint64)
-    bw_a = np.array([g[2] for g in geos], dtype=np.uint64)
-    nb_a = [g[3] for g in geos]
-    kid_a = list(kids)
+def _interval_rows(t, value_col, group_ids, bounds):
+    """Yield ``(i, keys, values)`` for each interval ``i`` of ``bounds``
+    (group, lo, hi inclusive) that holds rows of batch ``t``: the order
+    keys and values of those rows, NaNs dropped."""
+    v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+    nn = ~np.isnan(v)
+    g, v = group_ids(t)[nn], v[nn]
+    u = _order_key(v)
+    for i, (gi, lo, hi) in enumerate(bounds):
+        m = (g == gi) & (u >= lo) & (u <= hi)
+        if m.any():
+            yield i, u[m], v[m]
+
+
+def _bounds(ivs):
+    return [(iv["g"], np.uint64(iv["lo"]), np.uint64(iv["hi"] - 1))
+            for iv in ivs]
+
+
+def _histogram_pass(ds, value_col, group_ids, ivs, batch_size):
+    """One streaming pass: per-batch non-zero bucket counts for every
+    candidate interval, folded into dense arrays on the driver."""
+    bounds = _bounds(ivs)
+    geos = [(np.uint64(iv["lo"]), np.uint64(iv["bw"]), iv["nb"])
+            for iv in ivs]
 
     def partial(t: pa.Table) -> pa.Table:
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        nn = ~np.isnan(v)
-        kid = kid_array(t)[nn]
-        u = _order_key(v[nn])
-        ridx_out, bucket_out, cnt_out = [], [], []
-        for i in range(len(lo_a)):
-            m = (kid == kid_a[i]) & (u >= lo_a[i]) & (u <= hi_a[i])
-            if not m.any():
-                continue
-            b = ((u[m] - lo_a[i]) // bw_a[i]).astype(np.int64)
-            np.minimum(b, nb_a[i] - 1, out=b)
-            cnt = np.bincount(b, minlength=nb_a[i])
+        r = [np.empty(0, np.int32)]
+        b = [np.empty(0, np.int32)]
+        c = [np.empty(0, np.int64)]
+        for i, u, _ in _interval_rows(t, value_col, group_ids, bounds):
+            lo, bw, nb = geos[i]
+            bucket = ((u - lo) // bw).astype(np.int64)
+            np.minimum(bucket, nb - 1, out=bucket)
+            cnt = np.bincount(bucket, minlength=nb)
             nz = np.flatnonzero(cnt)
-            ridx_out.append(np.full(len(nz), i, dtype=np.int32))
-            bucket_out.append(nz.astype(np.int32))
-            cnt_out.append(cnt[nz].astype(np.int64))
-        if not ridx_out:
-            return pa.table({"r": pa.array([], pa.int32()),
-                             "b": pa.array([], pa.int32()),
-                             "c": pa.array([], pa.int64())})
-        return pa.table({"r": pa.array(np.concatenate(ridx_out)),
-                         "b": pa.array(np.concatenate(bucket_out)),
-                         "c": pa.array(np.concatenate(cnt_out))})
+            r.append(np.full(len(nz), i, dtype=np.int32))
+            b.append(nz.astype(np.int32))
+            c.append(cnt[nz].astype(np.int64))
+        return pa.table({"r": np.concatenate(r), "b": np.concatenate(b),
+                         "c": np.concatenate(c)})
 
-    hists = [np.zeros(nb, dtype=np.int64) for nb in nb_a]
-    for rb in ds.map_batches(
+    hists = [np.zeros(iv["nb"], dtype=np.int64) for iv in ivs]
+    for t in ds.map_batches(
         partial, batch_format="pyarrow", batch_size=batch_size
     ).iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([rb]) if isinstance(rb, pa.RecordBatch) else rb
         r = t["r"].to_numpy(zero_copy_only=False)
         b = t["b"].to_numpy(zero_copy_only=False)
         c = t["c"].to_numpy(zero_copy_only=False)
-        for i in range(len(hists)):
+        for i in np.unique(r):
             m = r == i
-            if m.any():
-                np.add.at(hists[i], b[m], c[m])
+            np.add.at(hists[i], b[m], c[m])
     return hists
 
 
-def _collect_exact_keyed(ds, value_col, kid_array, intervals, resolved,
-                         batch_size):
-    lo_a = np.array([iv["lo"] for iv in intervals], dtype=np.uint64)
-    hi_a = np.array([iv["hi"] - 1 for iv in intervals], dtype=np.uint64)
-    kid_a = [iv["kid"] for iv in intervals]
+def _collect_exact(ds, value_col, group_ids, ivs, resolved, batch_size):
+    """Final pass: pull only the values inside the (small) candidate
+    intervals and select each rank exactly with np.partition."""
+    bounds = _bounds(ivs)
 
     def keep(t: pa.Table) -> pa.Table:
-        v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        nn = ~np.isnan(v)
-        kid = kid_array(t)[nn]
-        vv = v[nn]
-        u = _order_key(vv)
-        ridx, vals = [], []
-        for i in range(len(lo_a)):
-            m = (kid == kid_a[i]) & (u >= lo_a[i]) & (u <= hi_a[i])
-            if m.any():
-                ridx.append(np.full(int(m.sum()), i, dtype=np.int32))
-                vals.append(vv[m])
-        if not ridx:
-            return pa.table({"r": pa.array([], pa.int32()),
-                             "v": pa.array([], pa.float64())})
-        return pa.table({"r": pa.array(np.concatenate(ridx)),
-                         "v": pa.array(np.concatenate(vals))})
+        r, vals = [np.empty(0, np.int32)], [np.empty(0, np.float64)]
+        for i, _, v in _interval_rows(t, value_col, group_ids, bounds):
+            r.append(np.full(len(v), i, dtype=np.int32))
+            vals.append(v)
+        return pa.table({"r": np.concatenate(r), "v": np.concatenate(vals)})
 
-    bufs: list[list[np.ndarray]] = [[] for _ in intervals]
-    for rb in ds.map_batches(
+    bufs: list[list[np.ndarray]] = [[] for _ in ivs]
+    for t in ds.map_batches(
         keep, batch_format="pyarrow", batch_size=batch_size
     ).iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([rb]) if isinstance(rb, pa.RecordBatch) else rb
         r = t["r"].to_numpy(zero_copy_only=False)
         v = t["v"].to_numpy(zero_copy_only=False)
-        for i in range(len(intervals)):
-            m = r == i
-            if m.any():
-                bufs[i].append(v[m])
+        for i in np.unique(r):
+            bufs[i].append(v[r == i])
 
-    for iv, parts in zip(intervals, bufs):
+    for iv, parts in zip(ivs, bufs):
         arr = np.concatenate(parts) if parts else np.array([], dtype=np.float64)
         for q, k in iv["ranks"].items():
-            j = k - iv["below"] - 1
+            j = k - iv["below"] - 1  # 0-based within interval
             if not (0 <= j < len(arr)):
                 raise RuntimeError(
-                    f"rank {k} (kid={iv['kid']}) fell outside its candidate "
-                    f"interval (got {len(arr)} values, below={iv['below']})"
+                    f"rank {k} of group {iv['g']} fell outside its candidate "
+                    f"interval (got {len(arr)} values, below={iv['below']}) — "
+                    f"histogram/filter disagree"
                 )
-            resolved[(iv["kid"], q)] = float(np.partition(arr, j)[j])
+            resolved[(iv["g"], q)] = float(np.partition(arr, j)[j])
 
 
 def winsorize_by_key(
@@ -579,18 +428,10 @@ def winsorize_by_key(
     vset = pa.array(bkeys) if bkeys else None
     bounds_ref = ray.put((vset, lo_arr, hi_arr))
 
-    import pyarrow.compute as pc
-
     def clip(t: pa.Table) -> pa.Table:
         vs, lo_a, hi_a = ray.get(bounds_ref)
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        if vs is not None:
-            kid = pc.index_in(
-                t[key_col].combine_chunks().cast(vs.type), value_set=vs
-            ).fill_null(len(vs)).to_numpy(zero_copy_only=False).astype(
-                np.int64)
-        else:
-            kid = np.full(len(t), 0, dtype=np.int64)
+        kid = _key_ids(t[key_col], vs)
         out = np.minimum(np.maximum(v, lo_a[kid]), hi_a[kid])
         out[np.isnan(v)] = np.nan
         return t.append_column(out_c, pa.array(out, from_pandas=True))
@@ -652,17 +493,14 @@ def minmax_normalize_by_key(
     lo_of: dict[object, float] = {}
     hi_of: dict[object, float] = {}
     ktype: pa.DataType | None = None
-    for rb in ds.map_batches(
+    for t in ds.map_batches(
         partial, batch_format="pyarrow", batch_size=batch_size
     ).iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([rb]) if isinstance(rb, pa.RecordBatch) else rb
         ktype = t["k"].type
         for k, mn, mx in zip(t["k"].to_pylist(), t["mn"].to_pylist(),
                              t["mx"].to_pylist()):
             lo_of[k] = min(lo_of.get(k, np.inf), mn)
             hi_of[k] = max(hi_of.get(k, -np.inf), mx)
-
-    import pyarrow.compute as pc
 
     bkeys = sorted(lo_of, key=repr)
     lo_arr = np.array([lo_of[k] for k in bkeys] + [np.nan])
@@ -675,13 +513,7 @@ def minmax_normalize_by_key(
     def norm(t: pa.Table) -> pa.Table:
         vs, lo_a, hi_a = ray.get(bounds_ref)
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        if vs is not None:
-            kid = pc.index_in(
-                t[key_col].combine_chunks().cast(vs.type), value_set=vs
-            ).fill_null(len(vs)).to_numpy(zero_copy_only=False).astype(
-                np.int64)
-        else:
-            kid = np.full(len(t), 0, dtype=np.int64)
+        kid = _key_ids(t[key_col], vs)
         lo, hi = lo_a[kid], hi_a[kid]
         with np.errstate(invalid="ignore", divide="ignore"):
             out = (v - lo) / (hi - lo)
@@ -724,24 +556,15 @@ def robust_zscore_by_key(
                                    med_t["value"].to_pylist())
               if v is not None}
 
-    import pyarrow.compute as pc
-
     mkeys = sorted(med_of, key=repr)
     med_arr = np.array([med_of[k] for k in mkeys] + [np.nan])
     mvset = pa.array(mkeys) if mkeys else None
     med_ref = ray.put((mvset, med_arr))
 
-    def kid_of(t: pa.Table, vs):
-        if vs is None:
-            return np.full(len(t), 0, dtype=np.int64)
-        return pc.index_in(
-            t[key_col].combine_chunks().cast(vs.type), value_set=vs
-        ).fill_null(len(vs)).to_numpy(zero_copy_only=False).astype(np.int64)
-
     def absdev(t: pa.Table) -> pa.Table:
         vs, med = ray.get(med_ref)
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        d = np.abs(v - med[kid_of(t, vs)])
+        d = np.abs(v - med[_key_ids(t[key_col], vs)])
         return pa.table({
             key_col: t[key_col],
             "__absdev": pa.array(d, from_pandas=True),
@@ -762,7 +585,7 @@ def robust_zscore_by_key(
     def score(t: pa.Table) -> pa.Table:
         vs, med, mad = ray.get(both_ref)
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        kid = kid_of(t, vs)
+        kid = _key_ids(t[key_col], vs)
         denom = 1.4826 * mad[kid]
         with np.errstate(invalid="ignore", divide="ignore"):
             rz = (v - med[kid]) / denom

@@ -460,10 +460,9 @@ def source_vocab_jaccard(
         })
 
     sets: dict[str, np.ndarray] = {}
-    for rb in seqs.select_columns([key_col, tokens_col]).map_batches(
+    for t in seqs.select_columns([key_col, tokens_col]).map_batches(
         partial, batch_format="pyarrow"
     ).iter_batches(batch_format="pyarrow"):
-        t = pa.Table.from_batches([rb]) if isinstance(rb, pa.RecordBatch) else rb
         for k, bits in zip(t["k"].to_pylist(), t["bits"].to_pylist()):
             arr = np.frombuffer(bits, dtype=np.uint8)
             cur = sets.get(k)

@@ -12,8 +12,14 @@ import duckdb
 import numpy as np
 import pyarrow as pa
 import ray.data
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contest_parsing_ray.stages.quantiles import _order_key, exact_quantiles
+from contest_parsing_ray.stages.quantiles import (
+    _order_key,
+    exact_quantiles,
+    exact_quantiles_by_key,
+)
 
 QS = [0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0]
 
@@ -154,6 +160,69 @@ def test_keyed_int_keys():
         kv = np.sort(vals[np.array(keys) == k])
         for q in (0.5, 0.99):
             assert got[(k, q)] == kv[max(0, int(-(-q * len(kv) // 1)) - 1)]
+
+
+def test_duplicate_qs_give_one_row_per_distinct_q():
+    tbl = pa.table({"k": pa.array(["a", "b", "a"]),
+                    "value": pa.array([3.0, 1.0, 2.0])})
+    ds = ray.data.from_arrow(tbl)
+    qs = [0.5, 0.5, 1.0]
+    assert exact_quantiles(ds, "value", qs).to_pydict() == {
+        "q": [0.5, 1.0], "value": [2.0, 3.0]}
+    assert exact_quantiles_by_key(ds, "k", "value", qs).to_pydict() == {
+        "k": ["a", "a", "b", "b"], "q": [0.5, 1.0, 0.5, 1.0],
+        "value": [2.0, 3.0, 1.0, 1.0]}
+    # zero rows: the global quantile is one null row per distinct q (SQL
+    # aggregate without GROUP BY); GROUP BY over no rows has no groups
+    empty = ray.data.from_arrow(tbl.slice(0, 0))
+    assert exact_quantiles(empty, "value", qs).to_pydict() == {
+        "q": [0.5, 1.0], "value": [None, None]}
+    assert exact_quantiles_by_key(empty, "k", "value", qs).num_rows == 0
+
+
+def _disc(vals: list[float], q: float) -> float | None:
+    """quantile_disc by a numpy sort, as ``_oracle``; None without values."""
+    s = np.sort(np.array([v for v in vals if not np.isnan(v)]))
+    return float(s[max(0, int(-(-q * len(s) // 1)) - 1)]) if len(s) else None
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(st.tuples(
+        st.sampled_from(["a", "b", None]),
+        st.one_of(  # ties, NaN, +-inf, -0.0/+0.0 and any magnitude
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan,
+                             5e-324, 1.7976931348623157e308]),
+            st.floats(),
+        )), min_size=10, max_size=80),
+    qs=st.lists(st.one_of(st.sampled_from([0.5, 1.0]),
+                          st.floats(0.0, 1.0, exclude_min=True)),
+                min_size=1, max_size=4),
+    max_candidates=st.sampled_from([1, 4, 16]),
+)
+def test_both_functions_match_sort_oracle(rows, qs, max_candidates):
+    tbl = pa.table({
+        "k": pa.array([k for k, _ in rows], pa.string()),
+        "value": pa.array([v for _, v in rows], pa.float64()),
+    })
+    half = len(rows) // 2
+    ds = ray.data.from_arrow([tbl.slice(0, half), tbl.slice(half)])
+    dq = sorted(set(qs))
+    vals = [v for _, v in rows]
+
+    g = exact_quantiles(ds, "value", qs, max_candidates=max_candidates,
+                        batch_size=7)
+    assert g["q"].to_pylist() == dq
+    assert g["value"].to_pylist() == [_disc(vals, q) for q in dq]
+
+    t = exact_quantiles_by_key(ds, "k", "value", qs,
+                               max_candidates=max_candidates, batch_size=7)
+    keys = sorted({k for k, _ in rows if k is not None})
+    keys += [None] if any(k is None for k, _ in rows) else []
+    assert t["k"].to_pylist() == [k for k in keys for _ in dq]
+    assert t["q"].to_pylist() == dq * len(keys)
+    assert t["value"].to_pylist() == [
+        _disc([v for kk, v in rows if kk == k], q) for k in keys for q in dq]
 
 
 def test_winsorize_by_key_matches_duckdb():
